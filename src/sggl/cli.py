@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
@@ -34,17 +35,16 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
+@contextmanager
 def _pool_mapper(workers: int):
-    """Order-preserving mapper; results are keyed by index, so statistics are
+    """Order-preserving mapper over a process pool that is shut down on exit;
+    None for a single worker.  Results are keyed by index, so statistics are
     identical for any worker count."""
     if workers <= 1:
-        return None
-    executor = ProcessPoolExecutor(max_workers=workers)
-
-    def mapper(fn, args):
-        return executor.map(fn, args, chunksize=8)
-    mapper._executor = executor
-    return mapper
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=workers) as executor:
+        yield executor.map
 
 
 def _emit_error(out_dir: str, exc: Exception):
@@ -131,32 +131,51 @@ def _cell_to_dict(c: harness.SweepCell) -> dict:
     return asdict(c)
 
 
+def _load_checkpoint(path: str, spec: RunSpec) -> dict:
+    """Finished sweep cells by eps from a checkpoint of the same config and
+    seed; {} (with a warning) if the checkpoint cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if doc.get("config_sha256") != spec.config_hash \
+                or doc.get("master_seed") != spec.master_seed:
+            return {}
+        return {row["eps"]: harness.SweepCell(**row) for row in doc.get("cells", [])}
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+        print(f"warning: ignoring unreadable checkpoint {path}: {exc}",
+              file=sys.stderr)
+        return {}
+
+
+def _write_checkpoint(path: str, doc: dict):
+    """Write ``doc`` to a temporary file beside ``path``, then move it over
+    ``path``, so a crash never leaves a truncated checkpoint."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
 def cmd_sweep(spec: RunSpec, out: str, args) -> int:
     ckpt_path = os.path.join(out, "sweep.checkpoint.json")
     precomputed = {}
     if args.resume and os.path.exists(ckpt_path):
-        with open(ckpt_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("config_sha256") == spec.config_hash \
-                and doc.get("master_seed") == spec.master_seed:
-            for row in doc.get("cells", []):
-                precomputed[row["eps"]] = harness.SweepCell(**row)
+        precomputed = _load_checkpoint(ckpt_path, spec)
 
     def on_cell(cell):
         precomputed[cell.eps] = cell
-        with open(ckpt_path, "w", encoding="utf-8") as fh:
-            json.dump({"config_sha256": spec.config_hash,
-                       "master_seed": spec.master_seed,
-                       "cells": [_cell_to_dict(c) for c in precomputed.values()]},
-                      fh, indent=2)
-            fh.write("\n")
+        _write_checkpoint(ckpt_path, {
+            "config_sha256": spec.config_hash,
+            "master_seed": spec.master_seed,
+            "cells": [_cell_to_dict(c) for c in precomputed.values()]})
 
-    mapper = _pool_mapper(args.workers)
-    report = harness.convergence_sweep(
-        spec.params, spec.basis, spec.jm, spec.u0, spec.ctrl, spec.grid,
-        spec.eps_list, spec.options["n_samples"], spec.master_seed,
-        r2_floor=spec.options["r2_floor"], _pool_map=mapper,
-        precomputed=precomputed, on_cell=on_cell)
+    with _pool_mapper(args.workers) as mapper:
+        report = harness.convergence_sweep(
+            spec.params, spec.basis, spec.jm, spec.u0, spec.ctrl, spec.grid,
+            spec.eps_list, spec.options["n_samples"], spec.master_seed,
+            r2_floor=spec.options["r2_floor"], _pool_map=mapper,
+            precomputed=precomputed, on_cell=on_cell)
     outputs.write_sweep_csv(os.path.join(out, "sweep.csv"), report,
                             spec.config_hash, spec.master_seed)
     outputs.write_json(os.path.join(out, "sweep.json"), {
@@ -173,12 +192,12 @@ def cmd_tail(spec: RunSpec, out: str, args) -> int:
     target = _target_from_spec(spec)
     rate_res = estimate_rate(target, spec.params, spec.basis, spec.jm, spec.u0,
                              spec.grid, _opt_config(spec))
-    mapper = _pool_mapper(args.workers)
-    report = harness.tail_probability(
-        spec.params, spec.basis, spec.jm, spec.u0, spec.grid, target,
-        spec.eps_list, spec.options["n_samples"], spec.master_seed,
-        rate_value=rate_res.value, rate_feasible=rate_res.feasible,
-        _pool_map=mapper)
+    with _pool_mapper(args.workers) as mapper:
+        report = harness.tail_probability(
+            spec.params, spec.basis, spec.jm, spec.u0, spec.grid, target,
+            spec.eps_list, spec.options["n_samples"], spec.master_seed,
+            rate_value=rate_res.value, rate_feasible=rate_res.feasible,
+            _pool_map=mapper)
     outputs.write_tail_csv(os.path.join(out, "tail.csv"), report,
                            spec.config_hash, spec.master_seed)
     outputs.write_json(os.path.join(out, "tail.json"), {
@@ -236,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config master seed")
-        sp.add_argument("--workers", type=int,
-                        default=int(os.environ.get("SGGL_WORKERS", "0")) or None,
-                        help="trajectory worker pool size")
+        sp.add_argument("--workers", type=int, default=None,
+                        help="trajectory worker pool size "
+                             "(default: SGGL_WORKERS, else the config)")
         sp.add_argument("--resume", action="store_true",
                         help="resume an interrupted sweep from its checkpoint")
     return ap
@@ -248,6 +267,12 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if args.workers is None:
+            env = os.environ.get("SGGL_WORKERS", "0")
+            try:
+                args.workers = int(env) or None
+            except ValueError:
+                ap.error(f"SGGL_WORKERS must be an integer, got {env!r}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 

@@ -1,49 +1,55 @@
 """Monte Carlo experiment harness: epsilon sweeps, tail probabilities,
 energy-bound audits.
 
-All experiments derive per-trajectory seeds from a master seed by index, so
-reports are bit-identical under any parallel schedule; MC reductions are done
-with numpy pairwise summation over index-ordered arrays.
+Monte Carlo runs march fixed batches of BATCH consecutive path indices in
+lock step (``spde.march_batch``).  Per-path seeds are derived from the
+master seed by index and batches are cut by index, never by worker count,
+so reports are bit-identical under any parallel schedule; MC reductions are
+done with numpy pairwise summation over index-ordered arrays.  A path that
+blows up is frozen; the run then raises the ``BlowUpError`` of the lowest
+path index, the one a path-by-path run would have met first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .jumps import (Control, JumpModel, NoiseScale, constant_control,
-                    trajectory_seed)
+                    sample_controlled_prm, sample_prm, trajectory_seed)
 from .params import Parameters
 from .rate import EndpointSpec
 from .skeleton import TimeGrid, Trajectory, solve_skeleton
-from .spde import solve_controlled_spde, solve_spde
-from .spectral import SpectralBasis, StateField, compute_norms
+from .spde import march_batch
+from .spectral import SpectralBasis, StateField
+
+# paths marched together; the batch of path i is i // BATCH
+BATCH = 64
 
 
-# ---------------------------------------------------------------------------
-# trajectory distance statistics
+def _batches(n_samples: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + BATCH, n_samples)) for lo in range(0, n_samples, BATCH)]
 
-def _traj_stats(traj: Trajectory, ref: Trajectory, params: Parameters):
-    """(sup_t ||d||^2, sum dt ||grad d||^2, sum dt ||d||_{2s+2}^{2s+2}) for d = traj - ref."""
-    basis = traj.states[0].basis
-    p = int(round(2 * params.sigma + 2))
-    assert traj.times.shape == ref.times.shape
-    sup_sq = 0.0
-    grad_int = 0.0
-    lp_int = 0.0
-    dts = np.diff(traj.times)
-    for i, (a, b) in enumerate(zip(traj.states, ref.states)):
-        d = a.modes - b.modes
-        sq = np.abs(d) ** 2
-        sup_sq = max(sup_sq, float(np.sum(sq)))
-        if i > 0:
-            dt = float(dts[i - 1])
-            grad_int += dt * float(np.sum(np.abs(basis.eigenvalues) * sq))
-            absD = np.abs(basis.to_grid(d))
-            lp_int += dt * float(basis.cell_area * np.sum(absD ** p))
-    return sup_sq, grad_int, lp_int
+
+def _first_error(errors):
+    """The first non-None entry of an index-ordered error list, or None."""
+    return next((err for err in errors if err is not None), None)
+
+
+def _map_batches(fn, args, _pool_map):
+    """Run ``fn`` over batch arguments; results in batch order.
+
+    Each batch returns its result and its first blow-up; after every batch
+    has run, the lowest-index blow-up is raised, whatever the schedule.
+    """
+    mapper = _pool_map if _pool_map is not None else map
+    done = sorted(mapper(fn, args), key=lambda r: r[0])
+    err = _first_error([r[-1] for r in done])
+    if err is not None:
+        raise err
+    return done
 
 
 def _fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -82,13 +88,50 @@ class SweepReport:
     master_seed: int
 
 
-def _sweep_one(args):
-    (params, basis, jm, u0_modes, ctrl, grid, eps, master_seed, i) = args
+def _skeleton_path(skel: Trajectory, grid: TimeGrid, n_bins: int):
+    """Skeleton states and time weights indexed by grid step k.
+
+    Entry k is set for the saved steps only, which are the only k a
+    marched path reports.  The weight of step k is the time since the
+    previous saved step.
+    """
+    ks = grid.saved_steps(n_bins)
+    modes = np.zeros((ks[-1] + 1,) + skel.states[0].modes.shape, dtype=complex)
+    modes[ks] = np.stack([u.modes for u in skel.states])
+    weights = np.zeros(ks[-1] + 1)
+    weights[ks[1:]] = np.diff(skel.times)
+    return modes, weights
+
+
+def _sweep_batch(args):
+    """(lo, rows, first blow-up) for paths lo..hi-1 of one eps cell.
+
+    Row i holds (sup_t ||d||^2, sum dt ||grad d||^2,
+    sum dt ||d||_{2s+2}^{2s+2}) for d = path - skeleton, reduced at each
+    saved grid time as the path crosses it.
+    """
+    (params, basis, jm, u0_modes, ctrl, grid, eps, master_seed, skel_modes,
+     weights, lo, hi) = args
     u0 = StateField(np.asarray(u0_modes), basis)
-    seed = trajectory_seed(master_seed, i)
-    traj = solve_controlled_spde(params, basis, u0, jm, NoiseScale(eps),
-                                 ctrl, grid, seed, with_norms=False)
-    return i, traj
+    noise = NoiseScale(eps)
+    samples = [sample_controlled_prm(jm, noise, ctrl, trajectory_seed(master_seed, i))
+               for i in range(lo, hi)]
+    p = int(round(2 * params.sigma + 2))
+    grad_w = np.abs(basis.eigenvalues)
+    rows = np.zeros((hi - lo, 3))
+
+    def on_save(r, k, modes):
+        d = modes - skel_modes[k]
+        sq = np.abs(d) ** 2
+        w = weights[k]
+        rows[r, 0] = np.maximum(rows[r, 0], np.sum(sq, axis=(1, 2)))
+        rows[r, 1] += w * np.sum(grad_w * sq, axis=(1, 2))
+        absD = np.abs(basis.to_grid(d))
+        rows[r, 2] += w * (basis.cell_area * np.sum(absD ** p, axis=(1, 2)))
+
+    res = march_batch(params, basis, u0, jm, noise, ctrl, grid, samples,
+                      on_save=on_save)
+    return lo, rows, _first_error(res.errors)
 
 
 def sweep_cell(params: Parameters, basis: SpectralBasis, jm: JumpModel,
@@ -96,12 +139,10 @@ def sweep_cell(params: Parameters, basis: SpectralBasis, jm: JumpModel,
                n_samples: int, master_seed: int, skel: Trajectory,
                _pool_map=None) -> SweepCell:
     """One eps cell of the convergence sweep (MC over trajectory indices)."""
-    rows = np.zeros((n_samples, 3))
-    args = [(params, basis, jm, u0.modes, ctrl, grid, eps, master_seed, i)
-            for i in range(n_samples)]
-    mapper = _pool_map if _pool_map is not None else map
-    for i, traj in mapper(_sweep_one, args):
-        rows[i] = _traj_stats(traj, skel, params)
+    skel_modes, weights = _skeleton_path(skel, grid, ctrl.n_bins)
+    args = [(params, basis, jm, u0.modes, ctrl, grid, eps, master_seed,
+             skel_modes, weights, lo, hi) for lo, hi in _batches(n_samples)]
+    rows = np.concatenate([r[1] for r in _map_batches(_sweep_batch, args, _pool_map)])
     mean = rows.mean(axis=0)
     se = rows.std(axis=0, ddof=1) / math.sqrt(n_samples) if n_samples > 1 else np.zeros(3)
     return SweepCell(eps, mean[0], se[0], mean[1], se[1], mean[2], se[2], n_samples)
@@ -169,18 +210,27 @@ class TailReport:
     master_seed: int
 
 
-def _tail_one(args):
+def _tail_batch(args):
+    """(lo, hits, first blow-up) for paths lo..hi-1 over every eps.
+
+    hits[i, j] is 1 when path lo+i ends in the event ball at eps_list[j];
+    blow-ups are ordered by path, then by eps, as a path-by-path run
+    meets them.
+    """
     (params, basis, jm, u0_modes, grid, center_modes, radius, eps_list,
-     master_seed, i) = args
+     master_seed, lo, hi) = args
     u0 = StateField(np.asarray(u0_modes), basis)
-    seed = trajectory_seed(master_seed, i)
-    hits = []
-    for eps in eps_list:
-        traj = solve_spde(params, basis, u0, jm, NoiseScale(eps), grid, seed,
-                          with_norms=False)
-        gap = float(np.sqrt(np.sum(np.abs(traj.endpoint.modes - center_modes) ** 2)))
-        hits.append(1 if gap <= radius else 0)
-    return i, hits
+    seeds = [trajectory_seed(master_seed, i) for i in range(lo, hi)]
+    hits = np.zeros((hi - lo, len(eps_list)), dtype=int)
+    errors = np.full((hi - lo, len(eps_list)), None, dtype=object)
+    for j, eps in enumerate(eps_list):
+        noise = NoiseScale(eps)
+        samples = [sample_prm(jm, noise, grid.T, s) for s in seeds]
+        res = march_batch(params, basis, u0, jm, noise, None, grid, samples)
+        gap = np.sqrt(np.sum(np.abs(res.endpoints - center_modes) ** 2, axis=(1, 2)))
+        hits[:, j] = gap <= radius
+        errors[:, j] = res.errors
+    return lo, hits, _first_error(errors.ravel())
 
 
 def _wilson(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -204,21 +254,20 @@ def tail_probability(params: Parameters, basis: SpectralBasis, jm: JumpModel,
     probability tends to one and there is nothing to estimate.  The caller
     supplies the rate estimate for the same event (or nan to skip).
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     ctrl1 = constant_control(grid.T, jm.n_marks, 1.0)
-    skel = solve_skeleton(params, basis, u0, jm, ctrl1, grid)
+    skel = solve_skeleton(params, basis, u0, jm, ctrl1, grid, with_norms=False)
     d0 = float(np.sqrt(np.sum(np.abs(skel.endpoint.modes - event.center.modes) ** 2)))
     if d0 <= event.radius:
         raise ValueError(
             "event must exclude the noiseless endpoint "
             f"(distance {d0:.3g} <= radius {event.radius:.3g})")
 
-    hit_matrix = np.zeros((n_samples, len(eps_list)), dtype=int)
     args = [(params, basis, jm, u0.modes, grid, event.center.modes,
-             event.radius, list(eps_list), master_seed, i)
-            for i in range(n_samples)]
-    mapper = _pool_map if _pool_map is not None else map
-    for i, hits in mapper(_tail_one, args):
-        hit_matrix[i] = hits
+             event.radius, list(eps_list), master_seed, lo, hi)
+            for lo, hi in _batches(n_samples)]
+    hit_matrix = np.concatenate([r[1] for r in _map_batches(_tail_batch, args, _pool_map)])
 
     cells = []
     for k, eps in enumerate(eps_list):

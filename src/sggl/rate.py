@@ -83,7 +83,7 @@ def _endpoint_gap(phi: np.ndarray, target: EndpointSpec, params, basis, jm,
                   u0, grid) -> float:
     ctrl = Control(T=grid.T, phi=phi)
     try:
-        traj = solve_skeleton(params, basis, u0, jm, ctrl, grid)
+        traj = solve_skeleton(params, basis, u0, jm, ctrl, grid, with_norms=False)
     except BlowUpError:
         # an exploding skeleton can never satisfy the endpoint constraint;
         # an infinite gap lets the line search back off the candidate

@@ -5,18 +5,22 @@ intensity phi.  The map from a control to its skeleton trajectory is the
 deterministic solution operator whose continuity underpins the small-noise
 analysis; numerically it is the workhorse behind the rate-function estimator.
 
-The module also hosts the shared marching engine used by the jump solvers:
+The module also hosts ``march``, the one marching engine behind every
+solver.  It advances a batch of S paths in lock step on (S, n1, n2) arrays:
 uniform ETDRK2 steps, refined so control-bin edges are step boundaries, with
-exact insertion of sampled jump times and multiplicative kicks.
+each path's sampled jump times inserted exactly and followed by its
+multiplicative kick.  A skeleton solve is a march of one path without
+events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .jumps import Control, JumpModel, JumpSample, drift_coefficient, empty_sample
+from .jumps import Control, JumpModel, drift_coefficient
 from .params import Parameters
 from .spectral import NormReport, SpectralBasis, StateField, _nonlinear_grid, compute_norms
 from .timestep import BlowUpError, etdrk2_step, linear_tables
@@ -43,6 +47,14 @@ class TimeGrid:
         q = -(-self.n_steps // n_bins)   # ceil division
         return q * n_bins
 
+    def saved_steps(self, n_bins: int) -> np.ndarray:
+        """Grid indices k (state at time k*dt) that a trajectory keeps."""
+        n = self.refined_steps(n_bins)
+        k = np.arange(self.save_stride, n + 1, self.save_stride)
+        if k.size == 0 or k[-1] != n:
+            k = np.append(k, n)
+        return np.concatenate([[0], k])
+
 
 @dataclass
 class Trajectory:
@@ -55,92 +67,193 @@ class Trajectory:
         return self.states[-1]
 
 
+class MarchResult(NamedTuple):
+    """Outcome of one lock-step march over S paths.
+
+    ``errors[s]`` is the ``BlowUpError`` of path s, or None; a path that
+    blew up is frozen and its row of ``endpoints`` holds its last state.
+    ``substeps`` counts the ETDRK2 sub-steps over all paths, of which
+    ``table_hits`` reused a cached uniform-step table; the cache holds
+    ``cache_entries`` tables, one per control bin.
+    """
+
+    endpoints: np.ndarray
+    errors: list
+    substeps: int
+    table_hits: int
+    cache_entries: int
+
+
 def _norm_p_list(params: Parameters) -> list[int]:
     return [int(round(2 * params.sigma + 2))]
 
 
 def make_nonlin(params: Parameters, basis: SpectralBasis):
-    """Mode-space nonlinearity N(c): septic saturation plus derivative term."""
+    """Mode-space nonlinearity N(c): septic saturation plus derivative term.
+
+    Takes one (n1, n2) coefficient array or a batch shaped (S, n1, n2).
+    """
     def nonlin(modes: np.ndarray) -> np.ndarray:
         return basis.to_modes(_nonlinear_grid(StateField(modes, basis), params))
     return nonlin
 
 
 def march(params: Parameters, basis: SpectralBasis, u0: StateField,
-          grid: TimeGrid, events: JumpSample, kick_factors: np.ndarray,
+          grid: TimeGrid, event_times: np.ndarray, kick_factors: np.ndarray,
           bin_drift, n_bins: int,
           blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
-          event_log: list | None = None, with_norms: bool = True) -> Trajectory:
-    """Integrate du/dt = Au + Bu + d(t)u between events, kick at events.
+          on_save=None, on_kick=None) -> MarchResult:
+    """Integrate S paths of du/dt = Au + Bu + d(t)u from u0, kicking at events.
 
     d(t) = bin_drift(b) is constant on control bin b; the stiff linear part
     (1+i alpha)Lap + gamma + d is mode-diagonal and integrated exactly.
-    An event i at time t_i multiplies the state by kick_factors[i] after the
-    drift step ending at t_i (left-limit convention).
+    ``event_times`` and ``kick_factors`` are (S, E) arrays: row s holds path
+    s's increasing event times, padded with +inf, and the factors its state
+    is multiplied by after the drift step ending at each event (left-limit
+    convention), padded with 1.0.
+
+    Each round every unfinished path takes its own sub-step, to its next
+    event or its next grid time, whichever comes first.  A path's grid index
+    k counts its finished grid steps and fixes its control bin
+    k // (steps per bin), so bins never depend on rounded float times.  A
+    sub-step that starts on a grid time and ends on the next one uses the
+    bin's cached uniform-step tables; any other sub-step builds its tables
+    for its own h.
+
+    Callbacks see the batch rows they concern: ``on_save(rows, k, modes)``
+    after grid steps k that ``grid.saved_steps`` keeps, and
+    ``on_kick(rows, j, before, after)`` at each path's j-th event.  A path
+    whose norm leaves the blow-up cap at a grid time is frozen and its
+    ``BlowUpError`` recorded.
     """
     n_steps = grid.refined_steps(n_bins)
+    per_bin = n_steps // n_bins
     dt = grid.T / n_steps
     nonlin = make_nonlin(params, basis)
     Lbase = (1.0 + 1j * params.alpha) * basis.eigenvalues + params.gamma
+    L = np.stack([Lbase + bin_drift(b) for b in range(n_bins)])
+    cache = np.stack(linear_tables(dt, L))      # (3, n_bins, n1, n2)
     cap = blowup_factor * (u0.l2() + 1.0)
-    p_list = _norm_p_list(params)
-
-    # identity kicks are no-ops: drop them to keep the stepping identical to
-    # the corresponding deterministic run
-    if events.n_events and np.all(kick_factors == 1.0) and event_log is None:
-        events = empty_sample(grid.T)
-        kick_factors = np.empty(0)
-
     grid_times = np.arange(1, n_steps + 1) * dt
-    c = u0.modes.astype(complex).copy()
+    saved = np.zeros(n_steps + 1, dtype=bool)
+    saved[grid.saved_steps(n_bins)] = True
+
+    S = event_times.shape[0]
+    # an +inf sentinel column gives every path a next event
+    ev_t = np.concatenate([np.asarray(event_times, dtype=float),
+                           np.full((S, 1), np.inf)], axis=1)
+    c = np.repeat(u0.modes.astype(complex)[None], S, axis=0)
+    t = np.zeros(S)
+    k = np.zeros(S, dtype=np.int64)
+    e = np.zeros(S, dtype=np.int64)
+    nxt = ev_t[:, 0].copy()
+    on_grid = np.ones(S, dtype=bool)
+    errors: list = [None] * S
+    live = np.arange(S)
+    substeps = hits = 0
+
+    while live.size:
+        # a slice while every path is live: views instead of gathers
+        idx = slice(None) if live.size == S else live
+        n = live.size
+        kl = k[idx]
+        tg = grid_times[kl]
+        kick = nxt[idx] <= tg
+        n_kick = np.count_nonzero(kick)
+        uni = on_grid[idx] & ~kick if n_kick else on_grid[idx]
+        n_uni = np.count_nonzero(uni)
+        # uniform-step tables; with one bin they broadcast over the rows
+        tables = cache if n_bins == 1 else cache[:, kl // per_bin]
+        rows = live
+        if n_uni < n:
+            h = np.where(kick, nxt[idx], tg) - t[idx]
+            move = h > 0
+            fresh = move & ~uni
+            b = kl[fresh] // per_bin
+            if tables is cache:
+                tables = np.repeat(cache, n, axis=1)
+            tables[:, fresh] = linear_tables(h[fresh], L[b])
+            if np.count_nonzero(move) < n:
+                rows, tables = live[move], tables[:, move]
+        if rows.size == S:
+            c = etdrk2_step(c, None, None, nonlin, tables=tables)
+        elif rows.size:
+            c[rows] = etdrk2_step(c[rows], None, None, nonlin, tables=tables)
+        substeps += rows.size
+        hits += n_uni
+
+        if n_kick:
+            kr = live[kick]
+            j = e[kr]
+            before = c[kr]
+            c[kr] = before * kick_factors[kr, j][:, None, None]
+            if on_kick is not None:
+                on_kick(kr, j, before, c[kr])
+            t[kr] = nxt[kr]
+            e[kr] = j + 1
+            nxt[kr] = ev_t[kr, j + 1]
+            on_grid[kr] = False
+            if n_kick == n:
+                continue
+            gr, kg, tg = live[~kick], kl[~kick] + 1, tg[~kick]
+        else:
+            gr, kg = live, kl + 1
+
+        k[gr] = kg
+        t[gr] = tg
+        on_grid[gr] = True
+        cg = c[gr]
+        w = cg.view(np.float64).reshape(gr.size, -1)
+        sq = (w * w).sum(axis=1)
+        ok = sq <= cap * cap
+        n_ok = np.count_nonzero(ok)
+        if n_ok < gr.size:
+            for r in np.flatnonzero(~ok):
+                errors[gr[r]] = BlowUpError(int(kg[r]), float(tg[r]),
+                                            float(np.sqrt(sq[r])), cap)
+        keep = saved[kg] & ok
+        if on_save is not None and np.count_nonzero(keep):
+            on_save(gr[keep], kg[keep], cg[keep])
+        done = ~ok | (kg == n_steps)
+        if np.count_nonzero(done):
+            live = np.setdiff1d(live, gr[done], assume_unique=True)
+
+    return MarchResult(endpoints=c, errors=errors, substeps=substeps,
+                       table_hits=hits, cache_entries=cache.shape[1])
+
+
+def march_trajectory(params: Parameters, basis: SpectralBasis, u0: StateField,
+                     grid: TimeGrid, event_times: np.ndarray,
+                     kick_factors: np.ndarray, bin_drift, n_bins: int,
+                     blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
+                     with_norms: bool = True, on_kick=None) -> Trajectory:
+    """``march`` of a single path (S = 1), its saved states as a Trajectory.
+
+    Raises the path's ``BlowUpError`` if it blew up.
+    """
+    dt = grid.T / grid.refined_steps(n_bins)
     times = [0.0]
-    states = [StateField(c.copy(), basis)]
-    norms = [compute_norms(states[0], p_list)] if with_norms else []
+    states = [StateField(u0.modes.astype(complex), basis)]
 
-    tables_cache: dict[tuple[float, int], tuple] = {}
+    def on_save(rows, k, modes):
+        times.append(float(k[0] * dt))
+        states.append(StateField(modes[0], basis))
 
-    def step_with(h: float, b: int, c):
-        key = (h, b)
-        tables = tables_cache.get(key)
-        if tables is None:
-            tables = linear_tables(h, Lbase + bin_drift(b))
-            tables_cache[key] = tables
-        return etdrk2_step(c, h, None, nonlin, tables=tables)
-
-    ev_t = events.times
-    ev_m = events.marks
-    ev_i = 0
-    t = 0.0
-    for step, t_next in enumerate(grid_times):
-        while ev_i < ev_t.size and ev_t[ev_i] <= t_next:
-            tj = float(ev_t[ev_i])
-            h = tj - t
-            b = min(int(t * n_bins / grid.T), n_bins - 1)
-            if h > 0:
-                c = step_with(h, b, c)
-            if event_log is not None:
-                pre = float(np.sqrt(np.sum(np.abs(c) ** 2)))
-            c = c * kick_factors[ev_i]
-            if event_log is not None:
-                post = float(np.sqrt(np.sum(np.abs(c) ** 2)))
-                event_log.append((tj, int(ev_m[ev_i]), pre, post))
-            t = tj
-            ev_i += 1
-        h = t_next - t
-        if h > 0:
-            b = min(int(t * n_bins / grid.T), n_bins - 1)
-            c = step_with(h, b, c)
-        t = float(t_next)
-        norm = float(np.sqrt(np.sum(np.abs(c) ** 2)))
-        if not np.isfinite(norm) or norm > cap:
-            raise BlowUpError(step + 1, t, norm, cap)
-        if (step + 1) % grid.save_stride == 0 or step == n_steps - 1:
-            u = StateField(c.copy(), basis)
-            times.append(t)
-            states.append(u)
-            if with_norms:
-                norms.append(compute_norms(u, p_list))
+    res = march(params, basis, u0, grid, event_times, kick_factors, bin_drift,
+                n_bins, blowup_factor, on_save=on_save, on_kick=on_kick)
+    if res.errors[0] is not None:
+        raise res.errors[0]
+    p_list = _norm_p_list(params)
+    norms = [compute_norms(u, p_list) for u in states] if with_norms else []
     return Trajectory(np.asarray(times), states, norms)
+
+
+def skeleton_drift(jm: JumpModel, ctrl: Control):
+    """Per-bin compensator drift b -> c(t) of the skeleton, read at bin midpoints."""
+    def bin_drift(b: int) -> float:
+        t_mid = (b + 0.5) * ctrl.T / ctrl.n_bins
+        return drift_coefficient(jm, ctrl, t_mid)
+    return bin_drift
 
 
 def solve_skeleton(params: Parameters, basis: SpectralBasis, u0: StateField,
@@ -148,12 +261,10 @@ def solve_skeleton(params: Parameters, basis: SpectralBasis, u0: StateField,
                    blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
                    with_norms: bool = True) -> Trajectory:
     """Integrate the controlled deterministic equation on [0, T]."""
-    def bin_drift(b: int) -> float:
-        t_mid = (b + 0.5) * ctrl.T / ctrl.n_bins
-        return drift_coefficient(jm, ctrl, t_mid)
-
-    return march(params, basis, u0, grid, empty_sample(grid.T), np.empty(0),
-                 bin_drift, ctrl.n_bins, blowup_factor, with_norms=with_norms)
+    none = np.empty((1, 0))
+    return march_trajectory(params, basis, u0, grid, none, none,
+                            skeleton_drift(jm, ctrl), ctrl.n_bins,
+                            blowup_factor, with_norms=with_norms)
 
 
 def embed_modes(modes: np.ndarray, basis_to: SpectralBasis) -> np.ndarray:

@@ -5,6 +5,9 @@ compensator of the compensated noise term); at a sampled event (t_i, j) the
 field takes the multiplicative kick u(t_i) = u(t_i-) * (1 + eps * g_j).
 Jump times are inserted exactly into the step sequence, so a scalar
 single-mode run admits a closed-form product oracle.
+
+``march_batch`` marches a batch of sampled paths in lock step; the
+single-path solvers are the same march with one path.
 """
 
 from __future__ import annotations
@@ -12,16 +15,77 @@ from __future__ import annotations
 import numpy as np
 
 from .jumps import (Control, JumpModel, JumpSample, NoiseScale,
-                    drift_coefficient, sample_controlled_prm, sample_prm)
+                    sample_controlled_prm, sample_prm)
 from .params import Parameters
-from .skeleton import DEFAULT_BLOWUP_FACTOR, TimeGrid, Trajectory, march
+from .skeleton import (DEFAULT_BLOWUP_FACTOR, MarchResult, TimeGrid, Trajectory,
+                       march, march_trajectory, skeleton_drift)
 from .spectral import SpectralBasis, StateField
 
 
-def _kicks(events: JumpSample, jm: JumpModel, eps: float) -> np.ndarray:
-    if not events.n_events:
-        return np.empty(0)
-    return 1.0 + eps * jm.g[events.marks]
+def _pad_events(samples: list[JumpSample], jm: JumpModel, eps: float,
+                keep_identity: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(S, E) event times padded with +inf and kick factors padded with 1.0.
+
+    A path whose kicks are all the identity loses its events unless
+    ``keep_identity``, so it steps exactly like the deterministic run.
+    """
+    kicks = [1.0 + eps * jm.g[s.marks] for s in samples]
+    if not keep_identity:
+        kicks = [f if np.any(f != 1.0) else f[:0] for f in kicks]
+    width = max((f.size for f in kicks), default=0)
+    times = np.full((len(samples), width), np.inf)
+    factors = np.ones((len(samples), width))
+    for i, (s, f) in enumerate(zip(samples, kicks)):
+        times[i, :f.size] = s.times[:f.size]
+        factors[i, :f.size] = f
+    return times, factors
+
+
+def _drift(jm: JumpModel, ctrl: Control | None):
+    """(bin_drift, n_bins) of the raw SPDE (ctrl None) or the controlled one.
+
+    The compensator of the compensated-noise term is -(sum_j g_j nu_j) for
+    the raw process; the controlled process adds the control compensator
+    c(t) and compensates its own noise, -(sum_j g_j phi(t,j) nu_j).
+    """
+    if ctrl is None:
+        comp = -float(np.sum(jm.g * jm.nu))
+        return (lambda b: comp), 1
+
+    control = skeleton_drift(jm, ctrl)
+
+    def bin_drift(b: int) -> float:
+        return control(b) - float(np.sum(jm.g * ctrl.phi[b] * jm.nu))
+    return bin_drift, ctrl.n_bins
+
+
+def march_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
+                jm: JumpModel, eps: NoiseScale, ctrl: Control | None,
+                grid: TimeGrid, samples: list[JumpSample],
+                blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
+                on_save=None) -> MarchResult:
+    """March one path per sample in lock step: raw SPDE if ``ctrl`` is None,
+    else the controlled SPDE (samples drawn from the thinned PRM)."""
+    times, factors = _pad_events(samples, jm, eps.epsilon)
+    bin_drift, n_bins = _drift(jm, ctrl)
+    return march(params, basis, u0, grid, times, factors, bin_drift, n_bins,
+                 blowup_factor, on_save=on_save)
+
+
+def _solve_path(params, basis, u0, jm, eps, ctrl, grid, events, blowup_factor,
+                event_log, with_norms) -> Trajectory:
+    times, factors = _pad_events([events], jm, eps.epsilon,
+                                 keep_identity=event_log is not None)
+    on_kick = None
+    if event_log is not None:
+        def on_kick(rows, j, before, after):
+            i = int(j[0])
+            event_log.append((float(events.times[i]), int(events.marks[i]),
+                              float(np.sqrt(np.sum(np.abs(before) ** 2))),
+                              float(np.sqrt(np.sum(np.abs(after) ** 2)))))
+    bin_drift, n_bins = _drift(jm, ctrl)
+    return march_trajectory(params, basis, u0, grid, times, factors, bin_drift,
+                            n_bins, blowup_factor, with_norms, on_kick)
 
 
 def solve_spde(params: Parameters, basis: SpectralBasis, u0: StateField,
@@ -37,9 +101,8 @@ def solve_spde(params: Parameters, basis: SpectralBasis, u0: StateField,
     """
     if events is None:
         events = sample_prm(jm, eps, grid.T, seed)
-    comp = -float(np.sum(jm.g * jm.nu))
-    return march(params, basis, u0, grid, events, _kicks(events, jm, eps.epsilon),
-                 lambda b: comp, 1, blowup_factor, event_log, with_norms)
+    return _solve_path(params, basis, u0, jm, eps, None, grid, events,
+                       blowup_factor, event_log, with_norms)
 
 
 def solve_controlled_spde(params: Parameters, basis: SpectralBasis, u0: StateField,
@@ -56,11 +119,5 @@ def solve_controlled_spde(params: Parameters, basis: SpectralBasis, u0: StateFie
     """
     if events is None:
         events = sample_controlled_prm(jm, eps, ctrl, seed)
-
-    def bin_drift(b: int) -> float:
-        t_mid = (b + 0.5) * ctrl.T / ctrl.n_bins
-        return (drift_coefficient(jm, ctrl, t_mid)
-                - float(np.sum(jm.g * ctrl.phi[b] * jm.nu)))
-
-    return march(params, basis, u0, grid, events, _kicks(events, jm, eps.epsilon),
-                 bin_drift, ctrl.n_bins, blowup_factor, event_log, with_norms)
+    return _solve_path(params, basis, u0, jm, eps, ctrl, grid, events,
+                       blowup_factor, event_log, with_norms)

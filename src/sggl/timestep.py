@@ -8,10 +8,18 @@ nonlinearity is treated with the two-stage predictor-corrector
     c_next = a + h phi2(hL) (N(a) - N(c))
 
 which is second order.  phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2
-are evaluated by Taylor series near z = 0 to avoid cancellation.
+are evaluated in the direct form phi1 = expm1(z)/z, phi2 = (phi1 - 1)/z,
+except where |z| < 0.5: there phi2 is a Horner-evaluated Taylor series and
+phi1 = 1 + z phi2, which avoids the cancellation near z = 0.
+
+Everything is elementwise, so a step applies unchanged to a batch of paths
+held as (S, n1, n2) arrays with per-path tables; each element is computed by
+the same formula whatever the batch holds.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -25,41 +33,58 @@ class BlowUpError(RuntimeError):
             f"blow-up detected at step {step} (t={t:.6g}): "
             f"||u||={norm:.6g} exceeds cap {cap:.6g}")
 
+    def __reduce__(self):
+        # rebuilt from its fields, so it survives a process-pool round trip
+        return type(self), (self.step, self.t, self.norm, self.cap)
+
 
 _SERIES_CUT = 0.5
+# phi2(z) = sum_k z^k/(k+2)!; 14 terms reach double precision for |z| < 0.5.
+# Highest order first, for Horner's rule.
+_PHI2_COEFFS = tuple(1.0 / math.factorial(k + 2) for k in range(13, -1, -1))
 
 
-def phi1(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
+def _phi2_series(z: np.ndarray) -> np.ndarray:
+    acc = np.full_like(z, _PHI2_COEFFS[0])
+    for coef in _PHI2_COEFFS[1:]:
+        acc *= z
+        acc += coef
+    return acc
+
+
+def _phi12(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(phi1(z), phi2(z)): series where |z| < 0.5, direct form elsewhere."""
     small = np.abs(z) < _SERIES_CUT
-    zs = np.where(small, 0.0, z)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        direct = np.where(small, 0.0, (np.exp(zs) - 1.0) / np.where(small, 1.0, zs))
-    acc = np.zeros_like(z)
-    term = np.ones_like(z)
-    for k in range(1, 15):          # sum z^(k-1)/k!
-        acc = acc + term
-        term = term * z / (k + 1)
-    return np.where(small, acc, direct)
+    if small.all():
+        p2 = _phi2_series(z)
+        return 1.0 + z * p2, p2
+    p1 = np.empty_like(z)
+    p2 = np.empty_like(z)
+    if small.any():
+        zs = z[small]
+        s2 = _phi2_series(zs)
+        p1[small] = 1.0 + zs * s2
+        p2[small] = s2
+    big = ~small
+    zb = z[big]
+    d1 = np.expm1(zb) / zb
+    p1[big] = d1
+    p2[big] = (d1 - 1.0) / zb
+    return p1, p2
 
 
-def phi2(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < _SERIES_CUT
-    zs = np.where(small, 1.0, z)
-    direct = (np.exp(zs) - 1.0 - zs) / zs**2
-    acc = np.zeros_like(z)
-    term = np.full_like(z, 0.5)     # z^k/(k+2)!
-    for k in range(0, 14):
-        acc = acc + term
-        term = term * z / (k + 3)
-    return np.where(small, acc, direct)
+def linear_tables(h, L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e^(hL), h*phi1(hL), h*phi2(hL)) for a diagonal L, reusable across steps.
 
-
-def linear_tables(h: float, L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(e^(hL), h*phi1(hL), h*phi2(hL)) for a diagonal L, reusable across steps."""
+    ``h`` is a scalar, or one step size per leading entry of ``L``
+    (shape ``L.shape[:-2]``) for a batch of paths.  h = 0 gives the exact
+    identity tables (1, 0, 0).
+    """
+    h = np.asarray(h, dtype=float)
+    h = h.reshape(h.shape + (1, 1))
     z = h * L
-    return np.exp(z), h * phi1(z), h * phi2(z)
+    p1, p2 = _phi12(z)
+    return np.exp(z), h * p1, h * p2
 
 
 def etdrk2_step(c: np.ndarray, h: float, L: np.ndarray, nonlin,

@@ -243,3 +243,33 @@ def test_cli_every_output_has_header(tmp_path):
     for name, blob in read_all(out).items():
         first = blob.split(b"\n", 1)[0]
         assert b"config_sha256=" in first, name
+
+
+def test_cli_non_integer_workers_env_is_usage_error(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    monkeypatch.setenv("SGGL_WORKERS", "abc")
+    assert main(["skeleton", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "SGGL_WORKERS" in err and "Traceback" not in err
+    monkeypatch.setenv("SGGL_WORKERS", "1")
+    assert main(["skeleton", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_cli_sweep_resume_from_truncated_checkpoint(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "w")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    full = open(os.path.join(out, "sweep.csv"), "rb").read()
+    ckpt = os.path.join(out, "sweep.checkpoint.json")
+    blob = open(ckpt, "rb").read()
+    # a crash in the middle of a non-atomic write leaves truncated JSON
+    with open(ckpt, "wb") as fh:
+        fh.write(blob[:len(blob) // 2])
+    os.remove(os.path.join(out, "sweep.csv"))
+    capsys.readouterr()
+    assert main(["sweep", "--config", cfg, "--out", out, "--resume"]) == 0
+    assert "checkpoint" in capsys.readouterr().err
+    assert open(os.path.join(out, "sweep.csv"), "rb").read() == full
+    assert open(ckpt, "rb").read() == blob
+    assert sorted(os.listdir(out)) == ["sweep.checkpoint.json", "sweep.csv",
+                                       "sweep.json"]

@@ -164,6 +164,15 @@ def test_tail_zero_hit_cells_censored(params_pi):
     assert np.isnan(cell.eps_log_p)
 
 
+def test_tail_rejects_empty_sample(params_pi):
+    basis, u0, grid = small_setup(params_pi, n=2, amp=1e-2)
+    jm = JumpModel(nu=np.array([1.0]), g=np.array([0.5]))
+    event = EndpointSpec(center=mode_field(basis, 2, 2, 5.0), radius=1e-3)
+    with pytest.raises(ValueError, match="n_samples"):
+        tail_probability(params_pi, basis, jm, u0, grid, event, [0.25],
+                         n_samples=0, master_seed=1)
+
+
 # ---------------------------------------------------------------------------
 # energy audits
 

@@ -73,15 +73,13 @@ class MarchResult(NamedTuple):
     ``errors[s]`` is the ``BlowUpError`` of path s, or None; a path that
     blew up is frozen and its row of ``endpoints`` holds its last state.
     ``substeps`` counts the ETDRK2 sub-steps over all paths, of which
-    ``table_hits`` reused a cached uniform-step table; the cache holds
-    ``cache_entries`` tables, one per control bin.
+    ``table_hits`` reused a cached uniform-step table.
     """
 
     endpoints: np.ndarray
     errors: list
     substeps: int
     table_hits: int
-    cache_entries: int
 
 
 def _norm_p_list(params: Parameters) -> list[int]:
@@ -113,12 +111,13 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     convention), padded with 1.0.
 
     Each round every unfinished path takes its own sub-step, to its next
-    event or its next grid time, whichever comes first.  A path's grid index
+    event or its next grid time, whichever comes first; every path's
+    sequence of sub-steps is laid out before stepping.  A path's grid index
     k counts its finished grid steps and fixes its control bin
     k // (steps per bin), so bins never depend on rounded float times.  A
     sub-step that starts on a grid time and ends on the next one uses the
     bin's cached uniform-step tables; any other sub-step builds its tables
-    for its own h.
+    for its own h (h = 0, an event on a grid time, gives identity tables).
 
     Callbacks see the batch rows they concern: ``on_save(rows, k, modes)``
     after grid steps k that ``grid.saved_steps`` keeps, and
@@ -127,99 +126,102 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     ``BlowUpError`` recorded.
     """
     n_steps = grid.refined_steps(n_bins)
-    per_bin = n_steps // n_bins
     dt = grid.T / n_steps
     nonlin = make_nonlin(params, basis)
     Lbase = (1.0 + 1j * params.alpha) * basis.eigenvalues + params.gamma
     L = np.stack([Lbase + bin_drift(b) for b in range(n_bins)])
     cache = np.stack(linear_tables(dt, L))      # (3, n_bins, n1, n2)
+    step_bin = np.arange(n_steps) // (n_steps // n_bins)
     cap = blowup_factor * (u0.l2() + 1.0)
     grid_times = np.arange(1, n_steps + 1) * dt
     saved = np.zeros(n_steps + 1, dtype=bool)
     saved[grid.saved_steps(n_bins)] = True
 
-    S = event_times.shape[0]
-    # an +inf sentinel column gives every path a next event
-    ev_t = np.concatenate([np.asarray(event_times, dtype=float),
-                           np.full((S, 1), np.inf)], axis=1)
-    c = np.repeat(u0.modes.astype(complex)[None], S, axis=0)
-    t = np.zeros(S)
-    k = np.zeros(S, dtype=np.int64)
-    e = np.zeros(S, dtype=np.int64)
-    nxt = ev_t[:, 0].copy()
-    on_grid = np.ones(S, dtype=bool)
+    S, E = event_times.shape
+    ev = np.asarray(event_times, dtype=float)
+    # Each path's sub-steps in order: one per grid step and one per event up
+    # to the last grid time, an event first where it equals a grid time.
+    # Column r of the (S, R) arrays below describes each path's r-th one;
+    # path s takes last[s] of them.
+    last = n_steps + np.count_nonzero(ev <= grid_times[-1], axis=1)
+    R = last.max(initial=0)
+    es, ej = np.nonzero(np.arange(E) < (last - n_steps)[:, None])
+    pos = ej + np.searchsorted(grid_times, ev[es, ej])
+    is_ev = np.zeros((S, R), dtype=bool)
+    is_ev[es, pos] = True
+    event = np.full((S, R), -1)             # event index j, or -1
+    event[es, pos] = ej
+    k_after = np.cumsum(~is_ev, axis=1)     # grid steps finished after it
+    end = grid_times[np.minimum(k_after, n_steps) - 1]
+    end[es, pos] = ev[es, ej]
+    h = np.diff(end, axis=1, prepend=0.0)
+    uniform = ~is_ev                        # a whole grid step
+    uniform[:, 1:] &= ~is_ev[:, :-1]
+    bins = step_bin[np.minimum(k_after - ~is_ev, n_steps - 1)]
+
+    endpoints = np.repeat(u0.modes.astype(complex)[None], S, axis=0)
     errors: list = [None] * S
-    live = np.arange(S)
+    n_real = 2 * u0.modes.size      # floats per path, for the norm check
+    # State of the unfinished paths, row i being path rows[i]; a path's row
+    # is dropped (its endpoint stored) when it finishes or blows up.
+    rows = np.arange(S)
+    c = endpoints.copy()
+    next_end = last.min() if S else 0
     substeps = hits = 0
 
-    while live.size:
-        # a slice while every path is live: views instead of gathers
-        idx = slice(None) if live.size == S else live
-        n = live.size
-        kl = k[idx]
-        tg = grid_times[kl]
-        kick = nxt[idx] <= tg
-        n_kick = np.count_nonzero(kick)
-        uni = on_grid[idx] & ~kick if n_kick else on_grid[idx]
+    for r in range(R):
+        kick = is_ev[:, r]
+        uni = uniform[:, r]
+        b = bins[:, r]
+        tables = cache.take(b, axis=1)
         n_uni = np.count_nonzero(uni)
-        # uniform-step tables; with one bin they broadcast over the rows
-        tables = cache if n_bins == 1 else cache[:, kl // per_bin]
-        rows = live
-        if n_uni < n:
-            h = np.where(kick, nxt[idx], tg) - t[idx]
-            move = h > 0
-            fresh = move & ~uni
-            b = kl[fresh] // per_bin
-            if tables is cache:
-                tables = np.repeat(cache, n, axis=1)
-            tables[:, fresh] = linear_tables(h[fresh], L[b])
-            if np.count_nonzero(move) < n:
-                rows, tables = live[move], tables[:, move]
-        if rows.size == S:
-            c = etdrk2_step(c, None, None, nonlin, tables=tables)
-        elif rows.size:
-            c[rows] = etdrk2_step(c[rows], None, None, nonlin, tables=tables)
+        if n_uni < rows.size:
+            fresh = ~uni
+            tables[:, fresh] = linear_tables(h[fresh, r], L[b[fresh]])
+        c = etdrk2_step(c, None, None, nonlin, tables=tables)
         substeps += rows.size
         hits += n_uni
 
+        n_kick = np.count_nonzero(kick)
         if n_kick:
-            kr = live[kick]
-            j = e[kr]
-            before = c[kr]
-            c[kr] = before * kick_factors[kr, j][:, None, None]
+            kr = rows[kick]
+            j = event[kick, r]
+            before = c[kick]
+            after = before * kick_factors[kr, j][:, None, None]
+            c[kick] = after
             if on_kick is not None:
-                on_kick(kr, j, before, c[kr])
-            t[kr] = nxt[kr]
-            e[kr] = j + 1
-            nxt[kr] = ev_t[kr, j + 1]
-            on_grid[kr] = False
-            if n_kick == n:
-                continue
-            gr, kg, tg = live[~kick], kl[~kick] + 1, tg[~kick]
-        else:
-            gr, kg = live, kl + 1
+                on_kick(kr, j, before, after)
 
-        k[gr] = kg
-        t[gr] = tg
-        on_grid[gr] = True
-        cg = c[gr]
-        w = cg.view(np.float64).reshape(gr.size, -1)
+        # rows on a grid time: blow-up check, saving, finishing
+        kg = k_after[:, r]
+        w = c.view(np.float64).reshape(rows.size, n_real)
         sq = (w * w).sum(axis=1)
-        ok = sq <= cap * cap
-        n_ok = np.count_nonzero(ok)
-        if n_ok < gr.size:
-            for r in np.flatnonzero(~ok):
-                errors[gr[r]] = BlowUpError(int(kg[r]), float(tg[r]),
-                                            float(np.sqrt(sq[r])), cap)
-        keep = saved[kg] & ok
-        if on_save is not None and np.count_nonzero(keep):
-            on_save(gr[keep], kg[keep], cg[keep])
-        done = ~ok | (kg == n_steps)
-        if np.count_nonzero(done):
-            live = np.setdiff1d(live, gr[done], assume_unique=True)
+        ok = (sq <= cap * cap) > kick       # a NaN norm fails too
+        n_bad = rows.size - n_kick - np.count_nonzero(ok)
+        if n_bad:
+            bad = ok < ~kick
+            for i in np.flatnonzero(bad):
+                errors[rows[i]] = BlowUpError(int(kg[i]), float(end[i, r]),
+                                              float(np.sqrt(sq[i])), cap)
+        if on_save is not None:
+            keep = ok & saved[kg]
+            if np.count_nonzero(keep):
+                on_save(rows[keep], kg[keep], c.compress(keep, axis=0))
+        if n_bad or r + 1 == next_end:
+            done = last == r + 1
+            if n_bad:
+                done |= bad
+            endpoints[rows[done]] = c[done]
+            stay = ~done
+            rows, c, last, is_ev, event, k_after, end, h, uniform, bins = (
+                a[stay] for a in (rows, c, last, is_ev, event, k_after, end,
+                                  h, uniform, bins))
+            if not rows.size:
+                break
+            next_end = last.min()
 
-    return MarchResult(endpoints=c, errors=errors, substeps=substeps,
-                       table_hits=hits, cache_entries=cache.shape[1])
+    return MarchResult(endpoints=endpoints, errors=errors, substeps=substeps,
+                       table_hits=hits)
 
 
 def march_trajectory(params: Parameters, basis: SpectralBasis, u0: StateField,

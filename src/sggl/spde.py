@@ -62,14 +62,13 @@ def _drift(jm: JumpModel, ctrl: Control | None):
 def march_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
                 jm: JumpModel, eps: NoiseScale, ctrl: Control | None,
                 grid: TimeGrid, samples: list[JumpSample],
-                blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
                 on_save=None) -> MarchResult:
     """March one path per sample in lock step: raw SPDE if ``ctrl`` is None,
     else the controlled SPDE (samples drawn from the thinned PRM)."""
     times, factors = _pad_events(samples, jm, eps.epsilon)
     bin_drift, n_bins = _drift(jm, ctrl)
     return march(params, basis, u0, grid, times, factors, bin_drift, n_bins,
-                 blowup_factor, on_save=on_save)
+                 on_save=on_save)
 
 
 def _solve_path(params, basis, u0, jm, eps, ctrl, grid, events, blowup_factor,

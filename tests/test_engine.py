@@ -161,8 +161,9 @@ def test_blowup_freezes_only_its_path(params_pi):
     basis = make_basis(2, 2, params_pi, pad_factor=4)
     u0 = mode_field(basis, 1, 1, 0.1)
     grid = TimeGrid(T=0.2, n_steps=20)
-    times = np.array([[np.inf], [0.05], [np.inf]])
-    factors = np.array([[1.0], [1e9], [1.0]])
+    # path 2's event lies after T, so it is never kicked
+    times = np.array([[np.inf], [0.05], [0.25]])
+    factors = np.array([[1.0], [1e9], [1e9]])
     res = march(params_pi, basis, u0, grid, times, factors, lambda b: 0.0, 1)
     assert res.errors[0] is None and res.errors[2] is None
     assert isinstance(res.errors[1], BlowUpError)
@@ -175,7 +176,7 @@ def test_blowup_freezes_only_its_path(params_pi):
 # ---------------------------------------------------------------------------
 # table cache
 
-def test_table_cache_one_entry_per_bin(params_pi):
+def test_table_cache_serves_whole_grid_steps(params_pi):
     basis = make_basis(4, 4, params_pi, pad_factor=4)
     u0 = mode_field(basis, 1, 1, 0.2)
     jm = jm2()
@@ -186,13 +187,14 @@ def test_table_cache_one_entry_per_bin(params_pi):
     skel = march(params_pi, basis, u0, grid, none, none,
                  skeleton_drift(jm, ctrl), ctrl.n_bins)
     assert skel.substeps == skel.table_hits == grid.n_steps
-    # a jump-dense path: many fresh tables, still one cached entry per bin
+    # a jump-dense path: every sub-step that does not span a whole grid step
+    # builds fresh tables, so only the uniform grid steps are cache hits
     eps = NoiseScale(1 / 256)
     samples = [sample_controlled_prm(jm, eps, ctrl, s) for s in (1, 2)]
     res = march_batch(params_pi, basis, u0, jm, eps, ctrl, grid, samples)
     assert min(s.n_events for s in samples) > grid.n_steps
+    assert res.substeps == 2 * grid.n_steps + sum(s.n_events for s in samples)
     assert res.substeps - res.table_hits > sum(s.n_events for s in samples)
-    assert res.cache_entries <= ctrl.n_bins
 
 
 # ---------------------------------------------------------------------------
@@ -219,3 +221,32 @@ def test_control_bin_from_step_index_at_rounding_edge(params_pi):
     want = c0 * np.exp(((1 + 0.5j) * mu + params_pi.gamma) * 0.1 + drift)
     got = traj.endpoint.modes[0, 0]
     assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_event_on_grid_time(params_pi):
+    # An event exactly on a grid time kicks before the grid step ending
+    # there, whose remaining sub-step has h = 0 and identity tables.  On a
+    # single linear mode ETDRK2 is exact, so every endpoint is the closed
+    # form times its kicks.
+    basis = make_basis(1, 1, params_pi, pad_factor=4)
+    c0 = 1e-6
+    u0 = mode_field(basis, 1, 1, c0)
+    grid = TimeGrid(T=0.1, n_steps=10)
+    grid_times = np.arange(1, 11) * (0.1 / 10)
+    times = np.array([grid_times[[2, 5]], [0.045, np.inf]])
+    factors = np.array([[2.0, 3.0], [6.0, 1.0]])
+    saved = {}
+
+    def on_save(rows, k, modes):
+        saved.update(((int(r), int(kk)), m[0, 0]) for r, kk, m in zip(rows, k, modes))
+
+    res = march(params_pi, basis, u0, grid, times, factors, lambda b: 0.0, 1,
+                on_save=on_save)
+    lam = (1 + 0.5j) * basis.eigenvalues[0, 0] + params_pi.gamma
+    want = 6.0 * c0 * np.exp(lam * 0.1)
+    got = res.endpoints[:, 0, 0]
+    assert np.max(np.abs(got - want)) <= 1e-10 * abs(want)
+    assert res.substeps == 2 * grid.n_steps + 3
+    # the state saved at t = 0.03 already carries the kick there
+    want3 = 2.0 * c0 * np.exp(lam * 0.03)
+    assert abs(saved[0, 3] - want3) <= 1e-10 * abs(want3)

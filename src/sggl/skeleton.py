@@ -149,15 +149,12 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     pos = ej + np.searchsorted(grid_times, ev[es, ej])
     is_ev = np.zeros((S, R), dtype=bool)
     is_ev[es, pos] = True
-    event = np.full((S, R), -1)             # event index j, or -1
-    event[es, pos] = ej
     k_after = np.cumsum(~is_ev, axis=1)     # grid steps finished after it
-    end = grid_times[np.minimum(k_after, n_steps) - 1]
+    end = grid_times[np.minimum(k_after, n_steps) - 1]     # time it ends at
     end[es, pos] = ev[es, ej]
-    h = np.diff(end, axis=1, prepend=0.0)
     uniform = ~is_ev                        # a whole grid step
     uniform[:, 1:] &= ~is_ev[:, :-1]
-    bins = step_bin[np.minimum(k_after - ~is_ev, n_steps - 1)]
+    bins = step_bin[np.minimum(k_after - ~is_ev, n_steps - 1)]   # its control bin
 
     endpoints = np.repeat(u0.modes.astype(complex)[None], S, axis=0)
     errors: list = [None] * S
@@ -166,6 +163,7 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     # is dropped (its endpoint stored) when it finishes or blows up.
     rows = np.arange(S)
     c = endpoints.copy()
+    e = np.zeros(S, dtype=np.int64)         # events passed
     next_end = last.min() if S else 0
     substeps = hits = 0
 
@@ -177,7 +175,8 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
         n_uni = np.count_nonzero(uni)
         if n_uni < rows.size:
             fresh = ~uni
-            tables[:, fresh] = linear_tables(h[fresh, r], L[b[fresh]])
+            start = end[fresh, r - 1] if r else 0.0
+            tables[:, fresh] = linear_tables(end[fresh, r] - start, L[b[fresh]])
         c = etdrk2_step(c, None, None, nonlin, tables=tables)
         substeps += rows.size
         hits += n_uni
@@ -185,7 +184,8 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
         n_kick = np.count_nonzero(kick)
         if n_kick:
             kr = rows[kick]
-            j = event[kick, r]
+            j = e[kick]
+            e[kick] = j + 1
             before = c[kick]
             after = before * kick_factors[kr, j][:, None, None]
             c[kick] = after
@@ -213,9 +213,9 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
                 done |= bad
             endpoints[rows[done]] = c[done]
             stay = ~done
-            rows, c, last, is_ev, event, k_after, end, h, uniform, bins = (
-                a[stay] for a in (rows, c, last, is_ev, event, k_after, end,
-                                  h, uniform, bins))
+            rows, c, e, last, is_ev, k_after, end, uniform, bins = (
+                a[stay] for a in (rows, c, e, last, is_ev, k_after, end,
+                                  uniform, bins))
             if not rows.size:
                 break
             next_end = last.min()

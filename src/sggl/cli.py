@@ -2,30 +2,28 @@
 
 Subcommands: skeleton, simulate, controlled, rate, sweep, tail, audit,
 verify.  All take --config and --out; --seed overrides the config master
-seed, --workers (or SGGL_WORKERS) sizes the trajectory worker pool, and
---resume continues an interrupted sweep from its checkpoint.  Exit codes:
-0 ok, 1 invariant violation or module error, 2 usage error.
+seed and --workers (or SGGL_WORKERS) sizes the trajectory worker pool.
+Only sweep takes --resume, which continues an interrupted sweep from its
+checkpoint.  Exit codes: 0 ok, 1 invariant violation or module error,
+2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict
 
-import numpy as np
-
 from . import harness, outputs
 from .config import ConfigError, RunSpec, parse_config
-from .jumps import Control, NoiseScale, constant_control
+from .jumps import Control, NoiseScale
 from .params import ParameterError
 from .rate import EndpointSpec, OptConfig, estimate_rate
-from .skeleton import galerkin_refine, solve_skeleton
+from .skeleton import solve_skeleton
 from .spde import solve_controlled_spde, solve_spde
 from .timestep import BlowUpError
 from .verify import run_invariant_suite
@@ -63,42 +61,34 @@ def _opt_config(spec: RunSpec) -> OptConfig:
                      gap_tol=o["rate_gap_tol"])
 
 
+def _write_trajectory(spec: RunSpec, out: str, traj):
+    outputs.write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj,
+                                 spec.config_hash, spec.master_seed)
+    outputs.write_fields_bin(os.path.join(out, "fields.bin"), traj,
+                             spec.config_hash, spec.master_seed)
+
+
 def cmd_skeleton(spec: RunSpec, out: str, args) -> int:
     traj = solve_skeleton(spec.params, spec.basis, spec.u0, spec.jm, spec.ctrl,
                           spec.grid, blowup_factor=spec.options["blowup_factor"])
-    outputs.write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj,
-                                 spec.config_hash, spec.master_seed)
-    outputs.write_fields_bin(os.path.join(out, "fields.bin"), traj,
-                             spec.config_hash, spec.master_seed)
+    _write_trajectory(spec, out, traj)
     return EXIT_OK
 
 
-def cmd_simulate(spec: RunSpec, out: str, args) -> int:
+def cmd_path(spec: RunSpec, out: str, args) -> int:
+    """One path at the first eps: the raw SPDE for ``simulate``, the SPDE
+    under the config control for ``controlled``."""
     eps = NoiseScale(spec.eps_list[0])
     log: list = []
-    traj = solve_spde(spec.params, spec.basis, spec.u0, spec.jm, eps, spec.grid,
-                      seed=spec.master_seed,
-                      blowup_factor=spec.options["blowup_factor"], event_log=log)
-    outputs.write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj,
-                                 spec.config_hash, spec.master_seed)
-    outputs.write_fields_bin(os.path.join(out, "fields.bin"), traj,
-                             spec.config_hash, spec.master_seed)
-    outputs.write_event_log(os.path.join(out, "events.csv"), log,
-                            spec.config_hash, spec.master_seed)
-    return EXIT_OK
-
-
-def cmd_controlled(spec: RunSpec, out: str, args) -> int:
-    eps = NoiseScale(spec.eps_list[0])
-    log: list = []
-    traj = solve_controlled_spde(spec.params, spec.basis, spec.u0, spec.jm, eps,
-                                 spec.ctrl, spec.grid, seed=spec.master_seed,
-                                 blowup_factor=spec.options["blowup_factor"],
-                                 event_log=log)
-    outputs.write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj,
-                                 spec.config_hash, spec.master_seed)
-    outputs.write_fields_bin(os.path.join(out, "fields.bin"), traj,
-                             spec.config_hash, spec.master_seed)
+    common = dict(seed=spec.master_seed,
+                  blowup_factor=spec.options["blowup_factor"], event_log=log)
+    if args.command == "controlled":
+        traj = solve_controlled_spde(spec.params, spec.basis, spec.u0, spec.jm,
+                                     eps, spec.ctrl, spec.grid, **common)
+    else:
+        traj = solve_spde(spec.params, spec.basis, spec.u0, spec.jm, eps,
+                          spec.grid, **common)
+    _write_trajectory(spec, out, traj)
     outputs.write_event_log(os.path.join(out, "events.csv"), log,
                             spec.config_hash, spec.master_seed)
     return EXIT_OK
@@ -235,8 +225,8 @@ def cmd_verify(spec: RunSpec, out: str, args) -> int:
 
 _COMMANDS = {
     "skeleton": cmd_skeleton,
-    "simulate": cmd_simulate,
-    "controlled": cmd_controlled,
+    "simulate": cmd_path,
+    "controlled": cmd_path,
     "rate": cmd_rate,
     "sweep": cmd_sweep,
     "tail": cmd_tail,
@@ -258,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=int, default=None,
                         help="trajectory worker pool size "
                              "(default: SGGL_WORKERS, else the config)")
-        sp.add_argument("--resume", action="store_true",
-                        help="resume an interrupted sweep from its checkpoint")
+        if name == "sweep":
+            sp.add_argument("--resume", action="store_true",
+                            help="resume an interrupted sweep from its checkpoint")
     return ap
 
 

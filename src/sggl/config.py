@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +36,9 @@ _SCHEMA: dict[str, dict[str, bool]] = {
     "rate": {"target_phi": False, "target_radius": False, "rho0": False,
              "n_rho": False, "max_inner": False, "fd_step": False,
              "step0": False, "gap_tol": False, "n_bins": False},
-    "harness": {"n_samples": False, "slope_floor": False, "r2_floor": False,
-                "energy_slack": False, "ldp_band": False, "c_f": False,
-                "c_g": False, "p_audit": False, "blowup_factor": False,
-                "tail_radius": False, "audit_level": False,
-                "audit_cases": False},
+    "harness": {"n_samples": False, "r2_floor": False, "energy_slack": False,
+                "c_f": False, "c_g": False, "p_audit": False,
+                "blowup_factor": False},
     "run": {"master_seed": False, "workers": False},
 }
 
@@ -176,17 +174,12 @@ def parse_config(path: str) -> RunSpec:
     rsec = cfg["rate"] if "rate" in cfg else {}
     options = {
         "n_samples": int(float(hsec.get("n_samples", "200"))),
-        "slope_floor": float(hsec.get("slope_floor", "0.4")),
         "r2_floor": float(hsec.get("r2_floor", "0.9")),
         "energy_slack": float(hsec.get("energy_slack", "0.2")),
-        "ldp_band": float(hsec.get("ldp_band", "0.5")),
         "c_f": float(hsec.get("c_f", "2.0")),
         "c_g": float(hsec.get("c_g", "4.0")),
         "p_audit": float(hsec.get("p_audit", "0")),   # 0 -> module default
         "blowup_factor": float(hsec.get("blowup_factor", "1e6")),
-        "tail_radius": float(hsec.get("tail_radius", "0.1")),
-        "audit_level": float(hsec.get("audit_level", "5.0")),
-        "audit_cases": int(float(hsec.get("audit_cases", "50"))),
         "rate_rho0": float(rsec.get("rho0", "10.0")),
         "rate_n_rho": int(float(rsec.get("n_rho", "6"))),
         "rate_max_inner": int(float(rsec.get("max_inner", "60"))),

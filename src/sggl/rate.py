@@ -4,14 +4,15 @@ The cost of a piecewise-constant intensity phi is the relative-entropy
 functional sum_b sum_j l(phi[b,j]) nu_j (T/n_bins) with density
 l(r) = r log r - r + 1.  The rate of an endpoint event (a closed ball around
 a target field) is estimated by exterior-penalty minimization of the cost
-subject to the skeleton endpoint landing in the ball, using projected
+subject to the skeleton endpoint landing in the ball: one penalty
+continuation from the noiseless control phi = 1, with projected
 finite-difference gradient descent over the control entries.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +68,6 @@ class OptConfig:
     fd_step: float = 1e-4
     step0: float = 0.5
     gap_tol: float = 1e-4
-    extra_starts: tuple[float, ...] = (0.5, 2.0)
 
 
 @dataclass
@@ -97,9 +97,10 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
                   opt_cfg: OptConfig = OptConfig()) -> RateResult:
     """Estimate inf{cost(phi) : skeleton endpoint within the target ball}.
 
-    Exterior penalty with geometric continuation in rho; the inner loop is
-    projected gradient descent (phi >= 0) with forward-difference gradients
-    and backtracking line search.  Control dimension n_bins x K stays small,
+    Exterior penalty with geometric continuation in rho, started once from
+    phi = 1; the inner loop is projected gradient descent (phi >= 0) with
+    forward-difference gradients and backtracking line search, and the
+    result is the best iterate seen (feasible first, then cheapest).  Control dimension n_bins x K stays small,
     so finite differences are affordable.  Infeasibility within the budget is
     reported via the ``feasible`` flag (the numerical proxy for an infinite
     rate), never as a sentinel value.
@@ -119,51 +120,48 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
 
     best = None   # (cost, phi, gap)
     iterations = 0
-    starts = [np.ones(shape)]
-    starts += [np.full(shape, s) for s in opt_cfg.extra_starts]
-    for phi0 in starts:
-        phi = phi0.copy()
-        gap = gap_of(phi)
-        rho = opt_cfg.rho0
-        for _outer in range(opt_cfg.n_rho):
-            def objective(p, g=None):
-                g = gap_of(p) if g is None else g
-                return cost_of(p) + rho * violation(g) ** 2, g
+    phi = np.ones(shape)
+    gap = gap_of(phi)
+    rho = opt_cfg.rho0
+    for _outer in range(opt_cfg.n_rho):
+        def objective(p, g=None):
+            g = gap_of(p) if g is None else g
+            return cost_of(p) + rho * violation(g) ** 2, g
 
-            f, gap = objective(phi, gap)
-            step = opt_cfg.step0
-            for _inner in range(opt_cfg.max_inner):
-                iterations += 1
-                grad = np.zeros(shape)
-                h = opt_cfg.fd_step
-                for idx in np.ndindex(shape):
-                    p2 = phi.copy()
-                    p2[idx] += h
-                    f2, _ = objective(p2)
-                    grad[idx] = (f2 - f) / h
-                gnorm = float(np.sqrt(np.sum(grad**2)))
-                if gnorm < 1e-10:
-                    break
-                # backtracking projected line search
-                improved = False
-                s = step
-                for _bt in range(25):
-                    cand = np.maximum(0.0, phi - s * grad)
-                    fc, gc = objective(cand)
-                    if fc < f - 1e-14:
-                        phi, f, gap = cand, fc, gc
-                        step = min(s * 2.0, 1e3)
-                        improved = True
-                        break
-                    s *= 0.5
-                if not improved:
-                    break
-                cur = (cost_of(phi), phi.copy(), gap)
-                best = _better(best, cur, target.radius, tol)
-            if violation(gap) <= tol and rho > opt_cfg.rho0 * 10:
+        f, gap = objective(phi, gap)
+        step = opt_cfg.step0
+        for _inner in range(opt_cfg.max_inner):
+            iterations += 1
+            grad = np.zeros(shape)
+            h = opt_cfg.fd_step
+            for idx in np.ndindex(shape):
+                p2 = phi.copy()
+                p2[idx] += h
+                f2, _ = objective(p2)
+                grad[idx] = (f2 - f) / h
+            gnorm = float(np.sqrt(np.sum(grad**2)))
+            if gnorm < 1e-10:
                 break
-            rho *= opt_cfg.rho_growth
-        best = _better(best, (cost_of(phi), phi.copy(), gap), target.radius, tol)
+            # backtracking projected line search
+            improved = False
+            s = step
+            for _bt in range(25):
+                cand = np.maximum(0.0, phi - s * grad)
+                fc, gc = objective(cand)
+                if fc < f - 1e-14:
+                    phi, f, gap = cand, fc, gc
+                    step = min(s * 2.0, 1e3)
+                    improved = True
+                    break
+                s *= 0.5
+            if not improved:
+                break
+            cur = (cost_of(phi), phi.copy(), gap)
+            best = _better(best, cur, target.radius, tol)
+        if violation(gap) <= tol and rho > opt_cfg.rho0 * 10:
+            break
+        rho *= opt_cfg.rho_growth
+    best = _better(best, (cost_of(phi), phi.copy(), gap), target.radius, tol)
 
     c_val, phi_best, gap_best = best
     feasible = violation(gap_best) <= tol

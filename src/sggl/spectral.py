@@ -138,41 +138,43 @@ def apply_A(u: StateField, params: Parameters) -> StateField:
     return StateField(coef * u.modes, u.basis)
 
 
-def _nonlinear_grid(u: StateField, params: Parameters) -> np.ndarray:
-    """Grid values of -(1-i*beta)|u|^(2 sigma) u + F(u) on the padded grid.
+def _add_F_grid(acc: np.ndarray, U: np.ndarray, absU2: np.ndarray,
+                u: StateField, params: Parameters) -> np.ndarray:
+    """``acc`` plus the grid values of F(u), summed as (acc + a1|u|^2) + a2 u^2.
 
     F(u) = lambda1 . grad(|u|^2 u) + (lambda2 . grad u)|u|^2 is expanded via
     grad(|u|^2 u) = 2|u|^2 grad u + u^2 grad(conj u), i.e.
 
-        F(u) = ((2 lambda1 + lambda2) . grad u)|u|^2 + (lambda1 . grad(conj u)) u^2.
+        F(u) = ((2 lambda1 + lambda2) . grad u)|u|^2 + (lambda1 . grad(conj u)) u^2,
+
+    with U = u and absU2 = |u|^2 on the padded grid.  Returns ``acc`` itself
+    when lambda1 = lambda2 = 0.
     """
-    b = u.basis
-    U = b.to_grid(u.modes)
+    l1, l2v = params.lambda1, params.lambda2
+    if all(c == 0 for c in l1) and all(c == 0 for c in l2v):
+        return acc
+    Ux, Uy = u.basis.grad_to_grid(u.modes)
+    a1 = (2 * l1[0] + l2v[0]) * Ux + (2 * l1[1] + l2v[1]) * Uy
+    a2 = l1[0] * np.conj(Ux) + l1[1] * np.conj(Uy)
+    return acc + a1 * absU2 + a2 * U * U
+
+
+def _nonlinear_grid(u: StateField, params: Parameters) -> np.ndarray:
+    """Grid values of -(1-i*beta)|u|^(2 sigma) u + F(u) on the padded grid."""
+    U = u.basis.to_grid(u.modes)
     absU2 = U.real**2 + U.imag**2
     # |u|^(2 sigma) u; 0^positive = 0 handles the zero set
     sep = -(1.0 - 1j * params.beta) * absU2 ** params.sigma * U
-    l1, l2v = params.lambda1, params.lambda2
-    if any(c != 0 for c in l1) or any(c != 0 for c in l2v):
-        Ux, Uy = b.grad_to_grid(u.modes)
-        a1 = (2 * l1[0] + l2v[0]) * Ux + (2 * l1[1] + l2v[1]) * Uy
-        a2 = l1[0] * np.conj(Ux) + l1[1] * np.conj(Uy)
-        sep = sep + a1 * absU2 + a2 * U * U
-    return sep
+    return _add_F_grid(sep, U, absU2, u, params)
 
 
 def apply_F(u: StateField, params: Parameters) -> StateField:
     """Cubic derivative term F(u), evaluated pseudo-spectrally."""
     _check_finite(u)
     b = u.basis
-    l1, l2v = params.lambda1, params.lambda2
-    if all(c == 0 for c in l1) and all(c == 0 for c in l2v):
-        return zero_field(b)
     U = b.to_grid(u.modes)
-    Ux, Uy = b.grad_to_grid(u.modes)
     absU2 = U.real**2 + U.imag**2
-    a1 = (2 * l1[0] + l2v[0]) * Ux + (2 * l1[1] + l2v[1]) * Uy
-    a2 = l1[0] * np.conj(Ux) + l1[1] * np.conj(Uy)
-    return StateField(b.to_modes(a1 * absU2 + a2 * U * U), b)
+    return StateField(b.to_modes(_add_F_grid(np.zeros_like(U), U, absU2, u, params)), b)
 
 
 def apply_B(u: StateField, params: Parameters) -> StateField:

@@ -8,7 +8,9 @@ import pytest
 
 from sggl.cli import main
 from sggl.config import ConfigError, parse_config
+from sggl.jumps import Control, constant_control
 from sggl.outputs import read_fields_bin
+from sggl.skeleton import solve_skeleton
 
 SMALL_CONFIG = """\
 [physics]
@@ -99,10 +101,21 @@ def test_parse_rejects_sigma_boundary(tmp_path):
     assert "σ>2" in str(exc.value)
 
 
-def test_parse_rejects_unknown_key(tmp_path):
-    path = write_config(tmp_path, extra="\n[run]\nbogus_key = 1\n")
-    with pytest.raises(ConfigError):
-        parse_config(path)
+@pytest.mark.parametrize("section, key", [
+    ("run", "bogus_key"),
+    # keys that were once parsed but never read
+    ("harness", "slope_floor"), ("harness", "ldp_band"),
+    ("harness", "tail_radius"), ("harness", "audit_level"),
+    ("harness", "audit_cases"),
+])
+def test_parse_rejects_unknown_key(tmp_path, section, key):
+    path = tmp_path / "run.ini"
+    text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
+    path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n"))
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(str(path))
+    assert main(["skeleton", "--config", str(path), "--out",
+                 str(tmp_path / "o")]) == 2
 
 
 def test_parse_rejects_unknown_section(tmp_path):
@@ -176,6 +189,28 @@ def test_cli_usage_errors(tmp_path):
     assert main(["skeleton", "--config", str(tmp_path / "missing.ini"),
                  "--out", out]) == 2
     assert main(["not-a-command", "--config", cfg_bad, "--out", out]) == 2
+
+
+def test_cli_resume_only_on_sweep(tmp_path):
+    cfg = write_config(tmp_path)
+    for cmd in ("skeleton", "simulate", "controlled", "rate", "tail", "audit",
+                "verify"):
+        assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--resume"]) == 2, cmd
+
+
+def test_default_config_rate_ball_excludes_noiseless_endpoint():
+    # a rate ball holding the phi = 1 endpoint has rate 0 and makes `tail` fail
+    spec = parse_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                     "configs", "default.ini"))
+    center = solve_skeleton(spec.params, spec.basis, spec.u0, spec.jm,
+                            Control(T=spec.grid.T, phi=spec.target_phi),
+                            spec.grid, with_norms=False).endpoint
+    noiseless = solve_skeleton(spec.params, spec.basis, spec.u0, spec.jm,
+                               constant_control(spec.grid.T, spec.jm.n_marks, 1.0),
+                               spec.grid, with_norms=False).endpoint
+    gap = np.sqrt(np.sum(np.abs(noiseless.modes - center.modes) ** 2))
+    assert gap > spec.target_radius
 
 
 def test_cli_seed_override_changes_output(tmp_path):

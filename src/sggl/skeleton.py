@@ -22,7 +22,7 @@ import numpy as np
 
 from .jumps import Control, JumpModel, drift_coefficient
 from .params import Parameters
-from .spectral import NormReport, SpectralBasis, StateField, _nonlinear_grid, compute_norms
+from .spectral import NormReport, SpectralBasis, StateField, compute_norms, make_nonlin
 from .timestep import BlowUpError, etdrk2_step, linear_tables
 
 DEFAULT_BLOWUP_FACTOR = 1e6
@@ -84,16 +84,6 @@ class MarchResult(NamedTuple):
 
 def _norm_p_list(params: Parameters) -> list[int]:
     return [int(round(2 * params.sigma + 2))]
-
-
-def make_nonlin(params: Parameters, basis: SpectralBasis):
-    """Mode-space nonlinearity N(c): septic saturation plus derivative term.
-
-    Takes one (n1, n2) coefficient array or a batch shaped (S, n1, n2).
-    """
-    def nonlin(modes: np.ndarray) -> np.ndarray:
-        return basis.to_modes(_nonlinear_grid(StateField(modes, basis), params))
-    return nonlin
 
 
 def march(params: Parameters, basis: SpectralBasis, u0: StateField,

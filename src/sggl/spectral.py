@@ -6,23 +6,57 @@ mu_{k,m} = -pi^2 (k^2/L1^2 + m^2/L2^2).  Nonlinear terms are evaluated
 pseudo-spectrally on an oversampled interior collocation grid (zero padding
 controlled by ``pad_factor``) and projected back by the exact discrete
 sine-orthogonality quadrature.
+
+With S1 (N1 x n1), S2 (N2 x n2) the 1-D sine factors sampled on the grid
+and C1, C2 their x- and y-derivatives, a coefficient array c has grid
+values S1 c S2^T, gradient (C1 c S2^T, S1 c C2^T), and grid values G
+project back to w S1^T G S2 (w the quadrature cell area).  Every factor is
+real, and ``make_basis`` stores each in the form that one real GEMM applies
+to the float64 view of a complex operand (real and imaginary parts
+interleaved along its last axis): a left factor as is, a right factor M as
+kron(M, I2).  A complex transform thus costs the flops of its real and
+imaginary parts, with no per-call cast of a real factor to complex, and
+every grid field comes out C-contiguous.  A batch (S, n1, n2) is
+transformed one (n1, n2) slice per GEMM, all of the same shape, so a
+path's result does not depend on the batch it is marched in.
+``make_nonlin`` evaluates the whole nonlinearity on these factors in one
+kernel; ``apply_B`` and ``apply_F`` go through it too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .params import Parameters
 
 
+def _float_view(X: np.ndarray) -> np.ndarray:
+    """X as C-contiguous complex128 (copied only if it is not), viewed as float64."""
+    return np.ascontiguousarray(X, dtype=np.complex128).view(np.float64)
+
+
+def _left(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ X for real A (m, k) and complex X (..., k, n), as real GEMMs."""
+    return np.matmul(A, _float_view(X)).view(np.complex128)
+
+
+def _right(X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """X @ M for complex X (..., m, k) and R = kron(M, I2), as real GEMMs."""
+    return np.matmul(_float_view(X), R).view(np.complex128)
+
+
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Truncated sine basis with cached collocation transform matrices.
+    """Truncated sine basis with its precomputed collocation transform factors.
 
     Immutable after construction; every operation below is a pure function,
-    so a basis can be shared freely across threads.
+    so a basis can be shared freely across threads.  The transforms take one
+    (n1, n2) coefficient array or a batch shaped (S, n1, n2), and grid values
+    shaped (N1, N2) or (S, N1, N2) likewise.
     """
 
     n1: int
@@ -31,16 +65,18 @@ class SpectralBasis:
     L2: float
     pad_factor: int
     eigenvalues: np.ndarray          # (n1, n2), mu_{k,m} < 0
-    # padded-grid machinery (interior points only, Dirichlet walls excluded)
+    # padded-grid factors (interior points only, Dirichlet walls excluded)
     _S1: np.ndarray = field(repr=False, default=None)   # (N1, n1) sine values
-    _S2: np.ndarray = field(repr=False, default=None)
     _C1: np.ndarray = field(repr=False, default=None)   # (N1, n1) d/dx values
-    _C2: np.ndarray = field(repr=False, default=None)
+    _P1: np.ndarray = field(repr=False, default=None)   # (n1, N1): w S1^T
+    _RS2: np.ndarray = field(repr=False, default=None)  # kron(S2^T, I2)
+    _RC2: np.ndarray = field(repr=False, default=None)  # kron(C2^T, I2), d/dy
+    _RP2: np.ndarray = field(repr=False, default=None)  # kron(S2, I2)
     _w: float = field(repr=False, default=0.0)          # quadrature cell area
 
     @property
     def grid_shape(self) -> tuple[int, int]:
-        return self._S1.shape[0], self._S2.shape[0]
+        return self._S1.shape[0], self._RS2.shape[1] // 2
 
     @property
     def cell_area(self) -> float:
@@ -48,12 +84,12 @@ class SpectralBasis:
 
     def to_grid(self, modes: np.ndarray) -> np.ndarray:
         """Evaluate a coefficient array on the padded collocation grid."""
-        return self._S1 @ modes @ self._S2.T
+        return _left(self._S1, _right(modes, self._RS2))
 
     def grad_to_grid(self, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate (du/dx, du/dy) on the padded collocation grid."""
-        ux = self._C1 @ modes @ self._S2.T
-        uy = self._S1 @ modes @ self._C2.T
+        ux = _left(self._C1, _right(modes, self._RS2))
+        uy = _left(self._S1, _right(modes, self._RC2))
         return ux, uy
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
@@ -63,7 +99,7 @@ class SpectralBasis:
         residual aliasing of non-polynomial nonlinearities is controlled by
         pad_factor.
         """
-        return self._w * (self._S1.T @ values @ self._S2)
+        return _right(_left(self._P1, values), self._RP2)
 
 
 def make_basis(n1: int, n2: int, params: Parameters, pad_factor: int = 4) -> SpectralBasis:
@@ -87,8 +123,12 @@ def make_basis(n1: int, n2: int, params: Parameters, pad_factor: int = 4) -> Spe
     C1 = np.sqrt(2.0 / L1) * (k * np.pi / L1) * np.cos(np.outer(x, k) * np.pi / L1)
     C2 = np.sqrt(2.0 / L2) * (m * np.pi / L2) * np.cos(np.outer(y, m) * np.pi / L2)
     w = (L1 / (N1 + 1)) * (L2 / (N2 + 1))
+    I2 = np.eye(2)
     return SpectralBasis(n1=n1, n2=n2, L1=L1, L2=L2, pad_factor=pad_factor,
-                         eigenvalues=eig, _S1=S1, _S2=S2, _C1=C1, _C2=C2, _w=w)
+                         eigenvalues=eig, _S1=S1, _C1=C1,
+                         _P1=np.ascontiguousarray(w * S1.T),
+                         _RS2=np.kron(S2.T, I2), _RC2=np.kron(C2.T, I2),
+                         _RP2=np.kron(S2, I2), _w=w)
 
 
 @dataclass
@@ -138,51 +178,131 @@ def apply_A(u: StateField, params: Parameters) -> StateField:
     return StateField(coef * u.modes, u.basis)
 
 
-def _add_F_grid(acc: np.ndarray, U: np.ndarray, absU2: np.ndarray,
-                u: StateField, params: Parameters) -> np.ndarray:
-    """``acc`` plus the grid values of F(u), summed as (acc + a1|u|^2) + a2 u^2.
+def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
+    """Mode-space map c -> P[s(u) + F(u)] on the precomputed factors.
 
-    F(u) = lambda1 . grad(|u|^2 u) + (lambda2 . grad u)|u|^2 is expanded via
-    grad(|u|^2 u) = 2|u|^2 grad u + u^2 grad(conj u), i.e.
+    s(u) = -(1-i*beta)|u|^(2 sigma) u if ``saturation``, else 0; P projects
+    grid values back onto the basis.  F(u) = lambda1 . grad(|u|^2 u)
+    + (lambda2 . grad u)|u|^2 is expanded via grad(|u|^2 u) = 2|u|^2 grad u
+    + u^2 grad(conj u), i.e.
 
-        F(u) = ((2 lambda1 + lambda2) . grad u)|u|^2 + (lambda1 . grad(conj u)) u^2,
+        F(u) = ((2 lambda1 + lambda2) . grad u)|u|^2 + (lambda1 . grad(conj u)) u^2.
 
-    with U = u and absU2 = |u|^2 on the padded grid.  Returns ``acc`` itself
-    when lambda1 = lambda2 = 0.
+    The grid sum is formed divided by kappa = -(1-i*beta) (or 1 without
+    saturation), so the saturable term is a real scaling of u and kappa
+    multiplies the n1 x n2 result instead of the padded grid.  Terms whose
+    lambdas vanish are left out when the kernel is built.
+
+    The grid fields live in buffers that the returned function keeps
+    between calls, sized for the largest batch it has seen.  A batch's
+    fields run to megabytes; allocated afresh on every call, their pages
+    went back to the system and were faulted in again each time (about 14
+    page faults per path and call at 8x8), which cost more than the
+    arithmetic.  So one returned function must not run in two threads at
+    once.
     """
-    l1, l2v = params.lambda1, params.lambda2
-    if all(c == 0 for c in l1) and all(c == 0 for c in l2v):
-        return acc
-    Ux, Uy = u.basis.grad_to_grid(u.modes)
-    a1 = (2 * l1[0] + l2v[0]) * Ux + (2 * l1[1] + l2v[1]) * Uy
-    a2 = l1[0] * np.conj(Ux) + l1[1] * np.conj(Uy)
-    return acc + a1 * absU2 + a2 * U * U
+    kappa = -(1.0 - 1j * params.beta) if saturation else 1.0
+    l1, l2 = params.lambda1, params.lambda2
+    with_F, with_conj = any(l1) or any(l2), any(l1)
+    ax, ay = ((2 * l1[i] + l2[i]) / kappa for i in (0, 1))
+    bx, by = (np.conj(l1[i] / kappa) for i in (0, 1))
+    sigma = params.sigma
+    S1, C1, P1 = basis._S1, basis._C1, basis._P1
+    RS2, RC2, RP2 = basis._RS2, basis._RC2, basis._RP2
+    half, grid = (basis.n1, basis.grid_shape[1]), basis.grid_shape
+    # one path's share of each buffer
+    layout = {"R": (half, complex), "U": (grid, complex), "a": (grid, float),
+              "t": (grid, float), "H": (half, complex)}
+    if with_F:
+        layout.update(R1=(half, complex), Ux=(grid, complex), Uy=(grid, complex),
+                      T=(grid, complex), T2=(grid, complex))
+    bases: dict[str, np.ndarray] = {}
+    spaces: dict[tuple, SimpleNamespace] = {}
+
+    def workspace(lead: tuple) -> SimpleNamespace:
+        """The buffers' views for batch shape ``lead``, with the float64 view
+        ``<name>_f`` of each complex one and u's real and imaginary parts;
+        they are kept because making a view costs about as much as a small
+        elementwise op."""
+        w = spaces.get(lead)
+        if w is None:
+            S = math.prod(lead)
+            if not bases or S > len(bases["U"]):
+                bases.update((k, np.empty((S,) + shape, dtype))
+                             for k, (shape, dtype) in layout.items())
+                spaces.clear()
+            w = spaces[lead] = SimpleNamespace()
+            for k, base in bases.items():
+                v = base[:S].reshape(lead + base.shape[1:])
+                setattr(w, k, v)
+                if v.dtype == complex:
+                    setattr(w, k + "_f", v.view(np.float64))
+            w.U_re, w.U_im = w.U.real, w.U.imag
+        return w
+
+    def nonlin(c: np.ndarray) -> np.ndarray:
+        w = workspace(c.shape[:-2])
+        cf = _float_view(c)
+        U, a = w.U, w.a
+        np.matmul(cf, RS2, out=w.R_f)               # c S2^T, shared by u and du/dx
+        np.matmul(S1, w.R_f, out=w.U_f)
+        np.multiply(w.U_re, w.U_re, out=a)          # |u|^2
+        np.multiply(w.U_im, w.U_im, out=w.t)
+        a += w.t
+        if with_F:
+            Ux, Uy, T = w.Ux, w.Uy, w.T
+            np.matmul(C1, w.R_f, out=w.Ux_f)
+            np.matmul(cf, RC2, out=w.R1_f)
+            np.matmul(S1, w.R1_f, out=w.Uy_f)
+            np.multiply(Ux, ax, out=T)              # ((2 l1 + l2) . grad u)|u|^2
+            np.multiply(Uy, ay, out=w.T2)
+            T += w.T2
+            T *= a
+            if with_conj:                           # (l1 . grad conj u) u^2
+                Ux *= bx
+                Uy *= by
+                Ux += Uy
+                np.conjugate(Ux, out=Ux)
+                Ux *= U
+                Ux *= U
+                T += Ux
+        if saturation:
+            # |u|^(2 sigma) u; 0^positive = 0 handles the zero set
+            np.power(a, sigma, out=a)
+            U *= a
+            if with_F:
+                U += T
+            G = w.U_f
+        else:
+            G = w.T_f if with_F else np.zeros_like(w.U_f)
+        np.matmul(P1, G, out=w.H_f)
+        out = np.matmul(w.H_f, RP2).view(np.complex128)
+        out *= kappa
+        return out
+    return nonlin
 
 
-def _nonlinear_grid(u: StateField, params: Parameters) -> np.ndarray:
-    """Grid values of -(1-i*beta)|u|^(2 sigma) u + F(u) on the padded grid."""
-    U = u.basis.to_grid(u.modes)
-    absU2 = U.real**2 + U.imag**2
-    # |u|^(2 sigma) u; 0^positive = 0 handles the zero set
-    sep = -(1.0 - 1j * params.beta) * absU2 ** params.sigma * U
-    return _add_F_grid(sep, U, absU2, u, params)
+def make_nonlin(params: Parameters, basis: SpectralBasis):
+    """Mode-space nonlinearity N(c): saturable term -(1-i*beta)|u|^(2 sigma) u
+    plus the derivative term F(u), evaluated pseudo-spectrally.
+
+    The returned function takes one (n1, n2) coefficient array or a batch
+    shaped (S, n1, n2) and returns an array of the same shape.
+    """
+    return _nonlin_kernel(params, basis, saturation=True)
 
 
 def apply_F(u: StateField, params: Parameters) -> StateField:
     """Cubic derivative term F(u), evaluated pseudo-spectrally."""
     _check_finite(u)
-    b = u.basis
-    U = b.to_grid(u.modes)
-    absU2 = U.real**2 + U.imag**2
-    return StateField(b.to_modes(_add_F_grid(np.zeros_like(U), U, absU2, u, params)), b)
+    return StateField(_nonlin_kernel(params, u.basis, saturation=False)(u.modes), u.basis)
 
 
 def apply_B(u: StateField, params: Parameters) -> StateField:
     """Nonlinear-plus-gain operator -(1-i*beta)|u|^(2s)u + gamma*u + F(u)."""
     _check_finite(u)
-    b = u.basis
-    modes = b.to_modes(_nonlinear_grid(u, params)) + params.gamma * u.modes
-    return StateField(modes, b)
+    modes = make_nonlin(params, u.basis)(u.modes) + params.gamma * u.modes
+    return StateField(modes, u.basis)
 
 
 def compute_norms(u: StateField, p_list: list[int] | None = None) -> NormReport:

@@ -262,12 +262,20 @@ def test_cli_sweep_resume_from_checkpoint(tmp_path):
 
 
 def test_cli_rate_report(tmp_path):
-    cfg = write_config(tmp_path)
+    # SMALL_CONFIG's ball (radius 0.05) holds the noiseless endpoint (gap
+    # 0.0127 at phi = 1), where the rate is 0 without any search; a radius
+    # of 0.005 excludes it, so the penalty search runs through the CLI.
+    text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text.replace("target_radius = 0.05", "target_radius = 0.005"))
     out = str(tmp_path / "r")
-    assert main(["rate", "--config", cfg, "--out", out]) == 0
+    assert main(["rate", "--config", str(cfg), "--out", out]) == 0
     doc = json.loads(open(os.path.join(out, "rate.json")).read())
-    assert doc["value"] >= 0
+    assert doc["target_radius"] == 0.005
+    assert doc["value"] > 0
     assert doc["feasible"] in (True, False)
+    if doc["feasible"]:
+        assert doc["endpoint_gap"] <= doc["target_radius"] + 1e-4   # default gap_tol
     assert "config_sha256" in doc["header"]
 
 

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from sggl import (Parameters, ParameterError, StateField, apply_A, apply_B,
-                  apply_F, compute_norms, make_basis, mode_field, zero_field)
+                  apply_F, compute_norms, make_basis, make_nonlin, mode_field,
+                  zero_field)
 
 from conftest import DenseGrid, oracle_B_modes, oracle_F_modes, rel_err
 
@@ -66,6 +67,32 @@ def test_roundtrip_grid_modes(basis8):
     modes = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     back = basis8.to_modes(basis8.to_grid(modes))
     assert rel_err(back, modes) < 1e-12
+
+
+def test_transforms_match_explicit_sine_sums_on_rectangle():
+    # n1 != n2 and L1 != L2, batched and single: an axis or batch-layout mix-up
+    # changes a shape or a value
+    p = Parameters(alpha=0.5, beta=0.5, gamma=1.0, sigma=3.0, L1=np.pi, L2=2.0)
+    b = make_basis(6, 5, p, pad_factor=4)
+    N1, N2 = b.grid_shape
+    x = np.arange(1, N1 + 1) * (p.L1 / (N1 + 1))
+    y = np.arange(1, N2 + 1) * (p.L2 / (N2 + 1))
+    k, m = np.arange(1, 7), np.arange(1, 6)
+    S1 = np.sqrt(2 / p.L1) * np.sin(np.outer(x, k) * np.pi / p.L1)
+    S2 = np.sqrt(2 / p.L2) * np.sin(np.outer(y, m) * np.pi / p.L2)
+    C1 = np.sqrt(2 / p.L1) * (k * np.pi / p.L1) * np.cos(np.outer(x, k) * np.pi / p.L1)
+    C2 = np.sqrt(2 / p.L2) * (m * np.pi / p.L2) * np.cos(np.outer(y, m) * np.pi / p.L2)
+    rng = np.random.default_rng(17)
+    modes = rng.standard_normal((3, 6, 5)) + 1j * rng.standard_normal((3, 6, 5))
+    U, (Ux, Uy) = b.to_grid(modes), b.grad_to_grid(modes)
+    assert U.shape == Ux.shape == Uy.shape == (3, N1, N2)
+    for s in range(3):
+        assert rel_err(U[s], S1 @ modes[s] @ S2.T) < 1e-13
+        assert rel_err(Ux[s], C1 @ modes[s] @ S2.T) < 1e-13
+        assert rel_err(Uy[s], S1 @ modes[s] @ C2.T) < 1e-13
+        assert rel_err(b.to_grid(modes[s]), S1 @ modes[s] @ S2.T) < 1e-13
+    assert rel_err(b.to_modes(U), modes) < 1e-12
+    assert rel_err(b.to_modes(U[1]), modes[1]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +224,86 @@ def test_apply_B_noninteger_sigma_oracle():
     want = oracle_B_modes(u.modes, p, 4, 4, N=512)
     # |u|^(2s) is non-polynomial for s=2.5; residual aliasing dominates
     assert rel_err(got, want) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# make_nonlin: the fused kernel against the formula on the public transforms
+
+def nonlin_by_transforms(modes, basis, p):
+    """-(1-i beta)|U|^(2 sigma) U + ((2 l1 + l2) . grad U)|U|^2 + (l1 . grad conj U) U^2."""
+    U = basis.to_grid(modes)
+    Ux, Uy = basis.grad_to_grid(modes)
+    l1, l2 = p.lambda1, p.lambda2
+    absU2 = np.abs(U) ** 2
+    grid = (-(1 - 1j * p.beta) * absU2 ** p.sigma * U
+            + ((2 * l1[0] + l2[0]) * Ux + (2 * l1[1] + l2[1]) * Uy) * absU2
+            + (l1[0] * np.conj(Ux) + l1[1] * np.conj(Uy)) * U ** 2)
+    return basis.to_modes(grid)
+
+
+LAMBDAS = {"no F": ((0, 0), (0, 0)),
+           "F": ((0.3 + 0.1j, -0.2), (0.1, 0.4j)),
+           "lambda2 only": ((0, 0), (0.1 - 0.2j, 0.3))}
+
+
+def nonlin_params(sigma, lambdas):
+    l1, l2 = LAMBDAS[lambdas]
+    return Parameters(alpha=0.5, beta=0.5, gamma=1.0, sigma=sigma, L1=np.pi,
+                      L2=2.0, lambda1=l1, lambda2=l2)
+
+
+def random_modes(shape, seed):
+    rng = np.random.default_rng(seed)
+    return 0.4 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("S", [1, 3])
+@pytest.mark.parametrize("sigma", [3.0, 2.5])
+@pytest.mark.parametrize("lambdas", list(LAMBDAS))
+def test_make_nonlin_matches_transform_formula(S, sigma, lambdas):
+    p = nonlin_params(sigma, lambdas)
+    b = make_basis(6, 5, p, pad_factor=4)
+    modes = random_modes((S, 6, 5), seed=S)
+    got = make_nonlin(p, b)(modes)
+    assert got.shape == modes.shape
+    for s in range(S):
+        assert rel_err(got[s], nonlin_by_transforms(modes[s], b, p)) < 1e-13
+
+
+@pytest.mark.parametrize("lambdas", list(LAMBDAS))
+def test_make_nonlin_batch_rows_equal_single_calls(lambdas):
+    # the kernel keeps grid buffers between calls: a single call, then a
+    # larger batch, then smaller ones reuse and regrow them
+    p = nonlin_params(3.0, lambdas)
+    b = make_basis(6, 5, p, pad_factor=4)
+    nonlin = make_nonlin(p, b)
+    modes = random_modes((5, 6, 5), seed=9)
+    first = nonlin(modes[0])
+    got = nonlin(modes)
+    kept = got.copy()
+    for s in range(5):
+        one = nonlin(modes[s])
+        assert one.shape == (6, 5)
+        assert rel_err(got[s], one) < 1e-14
+        assert rel_err(nonlin(modes[s:s + 1])[0], one) < 1e-14
+    assert np.array_equal(got, kept)         # a result is not a buffer
+    assert np.array_equal(nonlin(modes[0]), first)
+
+
+def test_make_nonlin_accepts_non_contiguous_input():
+    p = nonlin_params(3.0, "F")
+    b = make_basis(6, 5, p, pad_factor=4)
+    nonlin = make_nonlin(p, b)
+    big = random_modes((4, 12, 10), seed=4)
+    views = [big[:, ::2, ::2],                         # strided last axis
+             big[1:3, 3:9, 2:7],                       # strided rows
+             big[:, :5, :6].transpose(0, 2, 1),        # transposed batch
+             big[0, :5, :6].T]                         # transposed single
+    for v in views:
+        assert not v.flags.c_contiguous
+        want = nonlin(np.ascontiguousarray(v))
+        assert np.array_equal(nonlin(v), want)
+        assert np.array_equal(b.to_grid(v), b.to_grid(np.ascontiguousarray(v)))
 
 
 # ---------------------------------------------------------------------------

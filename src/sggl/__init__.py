@@ -6,9 +6,8 @@ from .spectral import (SpectralBasis, StateField, NormReport, make_basis,
                        zero_field, mode_field, apply_A, apply_B, apply_F,
                        compute_norms, make_nonlin)
 from .jumps import (JumpModel, JumpSample, Control, NoiseScale, validate_model,
-                    sample_prm, sample_controlled_prm, compensator_drift,
-                    drift_coefficient, constant_control, empty_sample,
-                    trajectory_seed)
+                    sample_prm, sample_controlled_prm, drift_coefficient,
+                    constant_control, empty_sample, trajectory_seed)
 from .timestep import BlowUpError
 from .skeleton import (TimeGrid, Trajectory, solve_skeleton, galerkin_refine,
                        embed_modes)

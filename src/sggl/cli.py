@@ -5,7 +5,8 @@ verify.  All take --config and --out; --seed overrides the config master
 seed and --workers (or SGGL_WORKERS) sizes the trajectory worker pool.
 Only sweep takes --resume, which continues an interrupted sweep from its
 checkpoint.  Exit codes: 0 ok, 1 invariant violation or module error,
-2 usage error.
+2 usage error.  A config error, whether found while parsing or inside a
+command, and a module error also write ``error.json`` to --out.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ EXIT_USAGE = 2
 @contextmanager
 def _pool_mapper(workers: int):
     """Order-preserving mapper over a process pool that is shut down on exit;
-    None for a single worker.  Results are keyed by index, so statistics are
-    identical for any worker count."""
+    None for a single worker.  The pool gets at most one worker per usable
+    CPU: it forks every worker at its first task.  Results are keyed by
+    index, so statistics are identical for any worker count."""
+    workers = min(workers, len(os.sched_getaffinity(0)))
     if workers <= 1:
         yield None
         return
@@ -117,10 +120,6 @@ def cmd_rate(spec: RunSpec, out: str, args) -> int:
     return EXIT_OK
 
 
-def _cell_to_dict(c: harness.SweepCell) -> dict:
-    return asdict(c)
-
-
 def _load_checkpoint(path: str, spec: RunSpec) -> dict:
     """Finished sweep cells by eps from a checkpoint of the same config and
     seed; {} (with a warning) if the checkpoint cannot be read."""
@@ -158,7 +157,7 @@ def cmd_sweep(spec: RunSpec, out: str, args) -> int:
         _write_checkpoint(ckpt_path, {
             "config_sha256": spec.config_hash,
             "master_seed": spec.master_seed,
-            "cells": [_cell_to_dict(c) for c in precomputed.values()]})
+            "cells": [asdict(c) for c in precomputed.values()]})
 
     with _pool_mapper(args.workers) as mapper:
         report = harness.convergence_sweep(
@@ -166,8 +165,9 @@ def cmd_sweep(spec: RunSpec, out: str, args) -> int:
             spec.eps_list, spec.options["n_samples"], spec.master_seed,
             r2_floor=spec.options["r2_floor"], _pool_map=mapper,
             precomputed=precomputed, on_cell=on_cell)
-    outputs.write_sweep_csv(os.path.join(out, "sweep.csv"), report,
-                            spec.config_hash, spec.master_seed)
+    outputs.write_cells_csv(os.path.join(out, "sweep.csv"), report.cells,
+                            harness.SweepCell, spec.config_hash,
+                            spec.master_seed)
     outputs.write_json(os.path.join(out, "sweep.json"), {
         "slope": report.slope,
         "r2": report.r2,
@@ -188,8 +188,9 @@ def cmd_tail(spec: RunSpec, out: str, args) -> int:
             spec.eps_list, spec.options["n_samples"], spec.master_seed,
             rate_value=rate_res.value, rate_feasible=rate_res.feasible,
             _pool_map=mapper)
-    outputs.write_tail_csv(os.path.join(out, "tail.csv"), report,
-                           spec.config_hash, spec.master_seed)
+    outputs.write_cells_csv(os.path.join(out, "tail.csv"), report.cells,
+                            harness.TailCell, spec.config_hash,
+                            spec.master_seed)
     outputs.write_json(os.path.join(out, "tail.json"), {
         "rate_value": report.rate_value,
         "rate_feasible": report.rate_feasible,
@@ -206,8 +207,7 @@ def cmd_audit(spec: RunSpec, out: str, args) -> int:
                                   p=p_audit, c_f=spec.options["c_f"],
                                   c_g=spec.options["c_g"],
                                   slack=spec.options["energy_slack"])
-    outputs.write_json(os.path.join(out, "audit.json"),
-                       outputs.audit_payload(report),
+    outputs.write_json(os.path.join(out, "audit.json"), asdict(report),
                        spec.config_hash, spec.master_seed)
     return EXIT_OK if not report.violations else EXIT_VIOLATION
 
@@ -269,23 +269,20 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         spec = parse_config(args.config)
+        if args.seed is not None:
+            spec.master_seed = args.seed
+        if args.workers is None:
+            args.workers = spec.workers
+        outputs.ensure_dir(args.out)
+        return _COMMANDS[args.command](spec, args.out, args)
     except (ConfigError, ParameterError) as exc:
+        _emit_error(args.out, exc)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    if args.seed is not None:
-        spec.master_seed = args.seed
-    if args.workers is None:
-        args.workers = spec.workers
-
-    outputs.ensure_dir(args.out)
-    try:
-        rc = _COMMANDS[args.command](spec, args.out, args)
     except (BlowUpError, ValueError, RuntimeError) as exc:
         _emit_error(args.out, exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    return rc
 
 
 if __name__ == "__main__":

@@ -75,7 +75,18 @@ def _complexes(s: str) -> list[complex]:
 
 def _matrix(s: str) -> np.ndarray:
     rows = [r for r in s.split(";") if r.strip()]
-    return np.array([[float(t) for t in r.split(",") if t.strip()] for r in rows])
+    return np.array([[float(t) for t in r.split(",") if t.strip()] for r in rows],
+                    ndmin=2)
+
+
+def _scalar(cfg, section: str, key: str, default: str, kind=float):
+    """``kind(float(text))`` of an optional key; a value that is not a
+    number is a ConfigError naming the key."""
+    text = cfg[section].get(key, default) if section in cfg else default
+    try:
+        return kind(float(text))
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid [{section}] {key} = {text!r}: {exc}") from exc
 
 
 def parse_config(path: str) -> RunSpec:
@@ -152,9 +163,12 @@ def parse_config(path: str) -> RunSpec:
     except ValueError as exc:
         raise ConfigError(f"invalid [control]: {exc}") from exc
 
-    eps_list = _floats(cfg["noise"].get("eps_list", "0.125")) if "noise" in cfg else [0.125]
-    if any(e <= 0 for e in eps_list):
-        raise ConfigError("all entries of eps_list must be > 0")
+    try:
+        eps_list = _floats(cfg["noise"].get("eps_list", "0.125")) if "noise" in cfg else [0.125]
+    except ValueError as exc:
+        raise ConfigError(f"invalid [noise]: {exc}") from exc
+    if not eps_list or any(e <= 0 for e in eps_list):
+        raise ConfigError("eps_list needs at least one entry, all > 0")
 
     u0 = zero_field(basis)
     if "initial" in cfg and "modes" in cfg["initial"]:
@@ -162,7 +176,10 @@ def parse_config(path: str) -> RunSpec:
         for entry in cfg["initial"]["modes"].split(";"):
             if not entry.strip():
                 continue
-            vals = [float(t) for t in entry.split(",")]
+            try:
+                vals = [float(t) for t in entry.split(",")]
+            except ValueError as exc:
+                raise ConfigError(f"invalid [initial] modes: {exc}") from exc
             if len(vals) != 4:
                 raise ConfigError("initial modes entries must be 'k, m, re, im'")
             k, m = int(vals[0]), int(vals[1])
@@ -170,35 +187,37 @@ def parse_config(path: str) -> RunSpec:
                 raise ConfigError(f"initial mode ({k},{m}) outside basis")
             u0.modes[k - 1, m - 1] = vals[2] + 1j * vals[3]
 
-    hsec = cfg["harness"] if "harness" in cfg else {}
-    rsec = cfg["rate"] if "rate" in cfg else {}
     options = {
-        "n_samples": int(float(hsec.get("n_samples", "200"))),
-        "r2_floor": float(hsec.get("r2_floor", "0.9")),
-        "energy_slack": float(hsec.get("energy_slack", "0.2")),
-        "c_f": float(hsec.get("c_f", "2.0")),
-        "c_g": float(hsec.get("c_g", "4.0")),
-        "p_audit": float(hsec.get("p_audit", "0")),   # 0 -> module default
-        "blowup_factor": float(hsec.get("blowup_factor", "1e6")),
-        "rate_rho0": float(rsec.get("rho0", "10.0")),
-        "rate_n_rho": int(float(rsec.get("n_rho", "6"))),
-        "rate_max_inner": int(float(rsec.get("max_inner", "60"))),
-        "rate_fd_step": float(rsec.get("fd_step", "1e-4")),
-        "rate_step0": float(rsec.get("step0", "0.5")),
-        "rate_gap_tol": float(rsec.get("gap_tol", "1e-4")),
-        "rate_n_bins": int(float(rsec.get("n_bins", "1"))),
+        "n_samples": _scalar(cfg, "harness", "n_samples", "200", int),
+        "r2_floor": _scalar(cfg, "harness", "r2_floor", "0.9"),
+        "energy_slack": _scalar(cfg, "harness", "energy_slack", "0.2"),
+        "c_f": _scalar(cfg, "harness", "c_f", "2.0"),
+        "c_g": _scalar(cfg, "harness", "c_g", "4.0"),
+        "p_audit": _scalar(cfg, "harness", "p_audit", "0"),   # 0 -> module default
+        "blowup_factor": _scalar(cfg, "harness", "blowup_factor", "1e6"),
+        "rate_rho0": _scalar(cfg, "rate", "rho0", "10.0"),
+        "rate_n_rho": _scalar(cfg, "rate", "n_rho", "6", int),
+        "rate_max_inner": _scalar(cfg, "rate", "max_inner", "60", int),
+        "rate_fd_step": _scalar(cfg, "rate", "fd_step", "1e-4"),
+        "rate_step0": _scalar(cfg, "rate", "step0", "0.5"),
+        "rate_gap_tol": _scalar(cfg, "rate", "gap_tol", "1e-4"),
+        "rate_n_bins": _scalar(cfg, "rate", "n_bins", "1", int),
     }
+    if options["rate_n_bins"] < 1:
+        raise ConfigError("[rate] n_bins must be >= 1")
 
     target_phi = None
-    target_radius = float(rsec.get("target_radius", "0.0")) if rsec else 0.0
-    if rsec and "target_phi" in rsec:
-        target_phi = _matrix(rsec["target_phi"])
+    target_radius = _scalar(cfg, "rate", "target_radius", "0.0")
+    if "rate" in cfg and "target_phi" in cfg["rate"]:
+        try:
+            target_phi = _matrix(cfg["rate"]["target_phi"])
+        except ValueError as exc:
+            raise ConfigError(f"invalid [rate] target_phi: {exc}") from exc
         if target_phi.shape[1] != jm.n_marks:
             raise ConfigError("target_phi column count must equal the number of marks")
 
-    run = cfg["run"] if "run" in cfg else {}
-    master_seed = int(float(run.get("master_seed", "0")))
-    workers = int(float(run.get("workers", "1")))
+    master_seed = _scalar(cfg, "run", "master_seed", "0", int)
+    workers = _scalar(cfg, "run", "workers", "1", int)
 
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return RunSpec(params=params, basis=basis, jm=jm, ctrl=ctrl, grid=grid,

@@ -70,13 +70,6 @@ class Control:
     def n_bins(self) -> int:
         return self.phi.shape[0]
 
-    def bin_index(self, t: float) -> int:
-        return min(int(t * self.n_bins / self.T), self.n_bins - 1)
-
-    def at(self, t: float) -> np.ndarray:
-        """phi(t, .) as a length-K vector."""
-        return self.phi[self.bin_index(t)]
-
 
 def constant_control(T: float, n_marks: int, value: float = 1.0, n_bins: int = 1) -> Control:
     return Control(T=T, phi=np.full((n_bins, n_marks), float(value)))
@@ -194,13 +187,7 @@ def _merge(times_all, marks_all, T: float) -> JumpSample:
     return JumpSample(t[order], m[order], T)
 
 
-def drift_coefficient(jm: JumpModel, ctrl: Control, t: float) -> float:
-    """c(t) = sum_j g_j (phi(t, z_j) - 1) nu_j, the skeleton compensator."""
-    return float(np.sum(jm.g * (ctrl.at(t) - 1.0) * jm.nu))
-
-
-def compensator_drift(u, jm: JumpModel, ctrl: Control, t: float):
-    """Compensator drift field c(t) * u (multiplicative noise structure)."""
-    from .spectral import StateField
-    c = drift_coefficient(jm, ctrl, t)
-    return StateField(c * u.modes, u.basis)
+def drift_coefficient(jm: JumpModel, ctrl: Control) -> np.ndarray:
+    """c_b = sum_j g_j (phi[b, j] - 1) nu_j, the skeleton compensator drift
+    on each control bin b, as an (n_bins,) vector."""
+    return np.sum(jm.g * (ctrl.phi - 1.0) * jm.nu, axis=1)

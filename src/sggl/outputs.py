@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 
-from .harness import AuditReport, SweepReport, TailReport
 from .skeleton import Trajectory
 
 
@@ -84,48 +84,22 @@ def write_event_log(path: str, event_log: list, config_hash: str, master_seed: i
             fh.write(f"{_fmt(t)},{mark},{_fmt(pre)},{_fmt(post)}\n")
 
 
-def write_sweep_csv(path: str, report: SweepReport, config_hash: str,
+def _csv_value(x) -> str:
+    if isinstance(x, bool):
+        return str(int(x))
+    return str(x) if isinstance(x, int) else _fmt(x)
+
+
+def write_cells_csv(path: str, cells: list, cell_type, config_hash: str,
                     master_seed: int):
+    """One row per report cell, one column per field of ``cell_type``:
+    floats with ``_fmt``, ints as integers, bools as 0/1."""
+    names = [f.name for f in fields(cell_type)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header_line(config_hash, master_seed))
-        fh.write("eps,mean_sup_sq,se_sup_sq,mean_grad_int,se_grad_int,"
-                 "mean_lp_int,se_lp_int,n_samples\n")
-        for c in report.cells:
-            fh.write(",".join([_fmt(c.eps), _fmt(c.mean_sup_sq), _fmt(c.se_sup_sq),
-                               _fmt(c.mean_grad_int), _fmt(c.se_grad_int),
-                               _fmt(c.mean_lp_int), _fmt(c.se_lp_int),
-                               str(c.n_samples)]) + "\n")
-
-
-def write_tail_csv(path: str, report: TailReport, config_hash: str,
-                   master_seed: int):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header_line(config_hash, master_seed))
-        fh.write("eps,n_samples,hits,p_hat,eps_log_p,se_eps_log_p,"
-                 "wilson_low,wilson_high,censored\n")
-        for c in report.cells:
-            fh.write(",".join([_fmt(c.eps), str(c.n_samples), str(c.hits),
-                               _fmt(c.p_hat), _fmt(c.eps_log_p),
-                               _fmt(c.se_eps_log_p), _fmt(c.wilson_low),
-                               _fmt(c.wilson_high), str(int(c.censored))]) + "\n")
-
-
-def audit_payload(report: AuditReport) -> dict:
-    return {
-        "sup_l2_sq": report.sup_l2_sq,
-        "int_grad_sq": report.int_grad_sq,
-        "int_lp": report.int_lp,
-        "energy_total": report.energy_total,
-        "energy_bound": report.energy_bound,
-        "energy_ok": report.energy_ok,
-        "sup_grad_p": report.sup_grad_p,
-        "int_gradp2_lap": report.int_gradp2_lap,
-        "int_mixed": report.int_mixed,
-        "grad_total": report.grad_total,
-        "grad_bound": report.grad_bound,
-        "grad_ok": report.grad_ok,
-        "violations": report.violations,
-    }
+        fh.write(",".join(names) + "\n")
+        for c in cells:
+            fh.write(",".join(_csv_value(getattr(c, n)) for n in names) + "\n")
 
 
 def ensure_dir(path: str):

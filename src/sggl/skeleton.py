@@ -1,16 +1,18 @@
 """Deterministic skeleton equation du/dt = Au + Bu + c(t)u.
 
-c(t) = sum_j g_j (phi(t,z_j) - 1) nu_j is the compensator drift of a control
-intensity phi.  The map from a control to its skeleton trajectory is the
-deterministic solution operator whose continuity underpins the small-noise
-analysis; numerically it is the workhorse behind the rate-function estimator.
+c(t) = c_b = sum_j g_j (phi[b, j] - 1) nu_j on control bin b is the
+compensator drift of a piecewise-constant control intensity phi.  The map
+from a control to its skeleton trajectory is the deterministic solution
+operator whose continuity underpins the small-noise analysis; numerically it
+is the workhorse behind the rate-function estimator.
 
 The module also hosts ``march``, the one marching engine behind every
 solver.  It advances a batch of S paths in lock step on (S, n1, n2) arrays:
 uniform ETDRK2 steps, refined so control-bin edges are step boundaries, with
 each path's sampled jump times inserted exactly and followed by its
-multiplicative kick.  A skeleton solve is a march of one path without
-events.
+multiplicative kick.  The drift is given as one value per control bin.  A
+skeleton solve is a march of one path without events and with the drift
+values c_b.
 """
 
 from __future__ import annotations
@@ -88,12 +90,13 @@ def _norm_p_list(params: Parameters) -> list[int]:
 
 def march(params: Parameters, basis: SpectralBasis, u0: StateField,
           grid: TimeGrid, event_times: np.ndarray, kick_factors: np.ndarray,
-          bin_drift, n_bins: int,
+          drift, n_bins: int,
           blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
           on_save=None, on_kick=None) -> MarchResult:
     """Integrate S paths of du/dt = Au + Bu + d(t)u from u0, kicking at events.
 
-    d(t) = bin_drift(b) is constant on control bin b; the stiff linear part
+    d(t) = drift[b] is constant on control bin b; ``drift`` is a float or
+    one value per bin, broadcast to ``n_bins`` values.  The stiff linear part
     (1+i alpha)Lap + gamma + d is mode-diagonal and integrated exactly.
     ``event_times`` and ``kick_factors`` are (S, E) arrays: row s holds path
     s's increasing event times, padded with +inf, and the factors its state
@@ -119,7 +122,8 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     dt = grid.T / n_steps
     nonlin = make_nonlin(params, basis)
     Lbase = (1.0 + 1j * params.alpha) * basis.eigenvalues + params.gamma
-    L = np.stack([Lbase + bin_drift(b) for b in range(n_bins)])
+    d = np.broadcast_to(np.asarray(drift, dtype=float), (n_bins,))
+    L = Lbase + d[:, None, None]
     cache = np.stack(linear_tables(dt, L))      # (3, n_bins, n1, n2)
     step_bin = np.arange(n_steps) // (n_steps // n_bins)
     cap = blowup_factor * (u0.l2() + 1.0)
@@ -167,7 +171,7 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
             fresh = ~uni
             start = end[fresh, r - 1] if r else 0.0
             tables[:, fresh] = linear_tables(end[fresh, r] - start, L[b[fresh]])
-        c = etdrk2_step(c, None, None, nonlin, tables=tables)
+        c = etdrk2_step(c, tables, nonlin)
         substeps += rows.size
         hits += n_uni
 
@@ -216,7 +220,7 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
 
 def march_trajectory(params: Parameters, basis: SpectralBasis, u0: StateField,
                      grid: TimeGrid, event_times: np.ndarray,
-                     kick_factors: np.ndarray, bin_drift, n_bins: int,
+                     kick_factors: np.ndarray, drift, n_bins: int,
                      blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
                      with_norms: bool = True, on_kick=None) -> Trajectory:
     """``march`` of a single path (S = 1), its saved states as a Trajectory.
@@ -231,21 +235,13 @@ def march_trajectory(params: Parameters, basis: SpectralBasis, u0: StateField,
         times.append(float(k[0] * dt))
         states.append(StateField(modes[0], basis))
 
-    res = march(params, basis, u0, grid, event_times, kick_factors, bin_drift,
+    res = march(params, basis, u0, grid, event_times, kick_factors, drift,
                 n_bins, blowup_factor, on_save=on_save, on_kick=on_kick)
     if res.errors[0] is not None:
         raise res.errors[0]
     p_list = _norm_p_list(params)
     norms = [compute_norms(u, p_list) for u in states] if with_norms else []
     return Trajectory(np.asarray(times), states, norms)
-
-
-def skeleton_drift(jm: JumpModel, ctrl: Control):
-    """Per-bin compensator drift b -> c(t) of the skeleton, read at bin midpoints."""
-    def bin_drift(b: int) -> float:
-        t_mid = (b + 0.5) * ctrl.T / ctrl.n_bins
-        return drift_coefficient(jm, ctrl, t_mid)
-    return bin_drift
 
 
 def solve_skeleton(params: Parameters, basis: SpectralBasis, u0: StateField,
@@ -255,7 +251,7 @@ def solve_skeleton(params: Parameters, basis: SpectralBasis, u0: StateField,
     """Integrate the controlled deterministic equation on [0, T]."""
     none = np.empty((1, 0))
     return march_trajectory(params, basis, u0, grid, none, none,
-                            skeleton_drift(jm, ctrl), ctrl.n_bins,
+                            drift_coefficient(jm, ctrl), ctrl.n_bins,
                             blowup_factor, with_norms=with_norms)
 
 

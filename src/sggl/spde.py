@@ -1,10 +1,13 @@
 """Pathwise integration of the jump-driven SPDE and its controlled variant.
 
-Between events the dynamics are deterministic (drift includes the
-compensator of the compensated noise term); at a sampled event (t_i, j) the
-field takes the multiplicative kick u(t_i) = u(t_i-) * (1 + eps * g_j).
-Jump times are inserted exactly into the step sequence, so a scalar
-single-mode run admits a closed-form product oracle.
+Between events the dynamics are deterministic, with the constant drift
+-(sum_j g_j nu_j) u of the compensated noise term; at a sampled event
+(t_i, j) the field takes the multiplicative kick
+u(t_i) = u(t_i-) * (1 + eps * g_j).  The controlled process is the same
+equation driven by the thinned measure of intensity eps^-1 phi nu: it is
+still compensated by eps^-1 nu, so only its events differ from the raw
+process, never its drift.  Jump times are inserted exactly into the step
+sequence, so a scalar single-mode run admits a closed-form product oracle.
 
 ``march_batch`` marches a batch of sampled paths in lock step; the
 single-path solvers are the same march with one path.
@@ -18,7 +21,7 @@ from .jumps import (Control, JumpModel, JumpSample, NoiseScale,
                     sample_controlled_prm, sample_prm)
 from .params import Parameters
 from .skeleton import (DEFAULT_BLOWUP_FACTOR, MarchResult, TimeGrid, Trajectory,
-                       march, march_trajectory, skeleton_drift)
+                       march, march_trajectory)
 from .spectral import SpectralBasis, StateField
 
 
@@ -41,34 +44,20 @@ def _pad_events(samples: list[JumpSample], jm: JumpModel, eps: float,
     return times, factors
 
 
-def _drift(jm: JumpModel, ctrl: Control | None):
-    """(bin_drift, n_bins) of the raw SPDE (ctrl None) or the controlled one.
-
-    The compensator of the compensated-noise term is -(sum_j g_j nu_j) for
-    the raw process; the controlled process adds the control compensator
-    c(t) and compensates its own noise, -(sum_j g_j phi(t,j) nu_j).
-    """
-    if ctrl is None:
-        comp = -float(np.sum(jm.g * jm.nu))
-        return (lambda b: comp), 1
-
-    control = skeleton_drift(jm, ctrl)
-
-    def bin_drift(b: int) -> float:
-        return control(b) - float(np.sum(jm.g * ctrl.phi[b] * jm.nu))
-    return bin_drift, ctrl.n_bins
-
-
 def march_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
                 jm: JumpModel, eps: NoiseScale, ctrl: Control | None,
                 grid: TimeGrid, samples: list[JumpSample],
                 on_save=None) -> MarchResult:
     """March one path per sample in lock step: raw SPDE if ``ctrl`` is None,
-    else the controlled SPDE (samples drawn from the thinned PRM)."""
+    else the controlled SPDE (samples drawn from the thinned PRM).
+
+    A controlled march keeps the control's bins, so its grid is the one its
+    skeleton is solved on.
+    """
     times, factors = _pad_events(samples, jm, eps.epsilon)
-    bin_drift, n_bins = _drift(jm, ctrl)
-    return march(params, basis, u0, grid, times, factors, bin_drift, n_bins,
-                 on_save=on_save)
+    n_bins = 1 if ctrl is None else ctrl.n_bins
+    return march(params, basis, u0, grid, times, factors,
+                 -np.sum(jm.g * jm.nu), n_bins, on_save=on_save)
 
 
 def _solve_path(params, basis, u0, jm, eps, ctrl, grid, events, blowup_factor,
@@ -82,9 +71,10 @@ def _solve_path(params, basis, u0, jm, eps, ctrl, grid, events, blowup_factor,
             event_log.append((float(events.times[i]), int(events.marks[i]),
                               float(np.sqrt(np.sum(np.abs(before) ** 2))),
                               float(np.sqrt(np.sum(np.abs(after) ** 2)))))
-    bin_drift, n_bins = _drift(jm, ctrl)
-    return march_trajectory(params, basis, u0, grid, times, factors, bin_drift,
-                            n_bins, blowup_factor, with_norms, on_kick)
+    n_bins = 1 if ctrl is None else ctrl.n_bins
+    return march_trajectory(params, basis, u0, grid, times, factors,
+                            -np.sum(jm.g * jm.nu), n_bins, blowup_factor,
+                            with_norms, on_kick)
 
 
 def solve_spde(params: Parameters, basis: SpectralBasis, u0: StateField,
@@ -113,8 +103,9 @@ def solve_controlled_spde(params: Parameters, basis: SpectralBasis, u0: StateFie
                           with_norms: bool = True) -> Trajectory:
     """One path of the controlled SPDE driven by the thinned PRM.
 
-    Drift combines the control compensator c(t) u (as in the skeleton) and
-    the compensator of the controlled noise, -(sum_j g_j phi(t,j) nu_j) u.
+    The drift is the raw one, -(sum_j g_j nu_j) u: the control changes only
+    the events, so under a 1-bin control and the same ``events`` this is
+    ``solve_spde`` bit for bit.
     """
     if events is None:
         events = sample_controlled_prm(jm, eps, ctrl, seed)

@@ -87,10 +87,10 @@ def linear_tables(h, L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.exp(z), h * p1, h * p2
 
 
-def etdrk2_step(c: np.ndarray, h: float, L: np.ndarray, nonlin,
-                tables=None) -> np.ndarray:
-    """One ETDRK2 step of dc/dt = L*c + nonlin(c) with diagonal L."""
-    E, hp1, hp2 = tables if tables is not None else linear_tables(h, L)
+def etdrk2_step(c: np.ndarray, tables, nonlin) -> np.ndarray:
+    """One ETDRK2 step of dc/dt = L*c + nonlin(c) with diagonal L, given the
+    step's ``linear_tables(h, L)``."""
+    E, hp1, hp2 = tables
     n0 = nonlin(c)
     a = E * c + hp1 * n0
     n1 = nonlin(a)

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from sggl import cli
 from sggl.cli import main
 from sggl.config import ConfigError, parse_config
 from sggl.jumps import Control, constant_control
@@ -182,13 +183,86 @@ def test_cli_audit_and_verify(tmp_path):
     assert doc2["ok"] and doc2["failures"] == []
 
 
+def read_error(out_dir):
+    with open(os.path.join(out_dir, "error.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def test_cli_usage_errors(tmp_path):
     cfg_bad = write_config(tmp_path, name="bad.ini", beta=0.9)
     out = str(tmp_path / "o")
     assert main(["skeleton", "--config", cfg_bad, "--out", out]) == 2
+    assert read_error(out)["error"] == "ConfigError"
+    os.remove(os.path.join(out, "error.json"))
     assert main(["skeleton", "--config", str(tmp_path / "missing.ini"),
                  "--out", out]) == 2
+    assert read_error(out)["error"] == "ConfigError"
     assert main(["not-a-command", "--config", cfg_bad, "--out", out]) == 2
+    # a config error found inside a command is a usage error too
+    text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
+    cfg_no_target = tmp_path / "no_target.ini"
+    cfg_no_target.write_text(text.replace("target_phi = 1.5, 1.0\n", ""))
+    for cmd in ("rate", "tail"):
+        out_cmd = str(tmp_path / cmd)
+        assert main([cmd, "--config", str(cfg_no_target), "--out", out_cmd]) == 2
+        doc = read_error(out_cmd)
+        assert doc["error"] == "ConfigError" and "target_phi" in doc["message"]
+
+
+@pytest.mark.parametrize("line, bad", [
+    ("n_samples = 6", "n_samples = many"),
+    ("eps_list = 0.25, 0.125", "eps_list = 0.1, x"),
+    ("master_seed = 777", "master_seed = abc"),
+    ("modes = 1, 1, 0.3, 0.0; 2, 2, 0.1, 0.05", "modes = 1, 1, x, 0.0"),
+    ("target_phi = 1.5, 1.0", "target_phi = 1.5, y"),
+    ("target_radius = 0.05", "target_radius = 0.05\nrho0 = ten"),
+    # values out of range or empty
+    ("eps_list = 0.25, 0.125", "eps_list = "),
+    ("target_radius = 0.05", "target_radius = 0.05\nn_bins = 0"),
+    ("target_phi = 1.5, 1.0", "target_phi = "),
+], ids=["n_samples", "eps_list", "master_seed", "modes", "target_phi", "rho0",
+        "eps_list_empty", "n_bins_zero", "target_phi_empty"])
+def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, line, bad):
+    text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
+    assert f"\n{line}\n" in text
+    path = tmp_path / "run.ini"
+    path.write_text(text.replace(f"\n{line}\n", f"\n{bad}\n"))
+    with pytest.raises(ConfigError):
+        parse_config(str(path))
+    out = str(tmp_path / "o")
+    assert main(["skeleton", "--config", str(path), "--out", out]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert read_error(out)["error"] == "ConfigError"
+
+
+def test_pool_mapper_clamps_workers_to_usable_cpus(monkeypatch):
+    # a fake executor: records its size and starts no process
+    sizes = []
+
+    class FakeExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    with cli._pool_mapper(64) as mapper:
+        assert list(mapper(abs, [-1, 2])) == [1, 2]
+    with cli._pool_mapper(2) as mapper:
+        assert mapper is not None
+    assert sizes == [3, 2]
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+    with cli._pool_mapper(8) as mapper:
+        assert mapper is None
+    assert sizes == [3, 2]
 
 
 def test_cli_resume_only_on_sweep(tmp_path):

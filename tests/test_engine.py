@@ -6,12 +6,12 @@ import pytest
 
 from sggl import (BlowUpError, Control, EndpointSpec, JumpModel, JumpSample,
                   NoiseScale, StateField, TimeGrid, constant_control,
-                  convergence_sweep, make_basis, mode_field,
+                  convergence_sweep, drift_coefficient, make_basis, mode_field,
                   sample_controlled_prm, sample_prm, solve_controlled_spde,
                   solve_skeleton, solve_spde, tail_probability,
                   trajectory_seed)
 from sggl import harness
-from sggl.skeleton import march, skeleton_drift
+from sggl.skeleton import march
 from sggl.spde import march_batch
 from sggl.timestep import linear_tables
 
@@ -164,12 +164,12 @@ def test_blowup_freezes_only_its_path(params_pi):
     # path 2's event lies after T, so it is never kicked
     times = np.array([[np.inf], [0.05], [0.25]])
     factors = np.array([[1.0], [1e9], [1e9]])
-    res = march(params_pi, basis, u0, grid, times, factors, lambda b: 0.0, 1)
+    res = march(params_pi, basis, u0, grid, times, factors, 0.0, 1)
     assert res.errors[0] is None and res.errors[2] is None
     assert isinstance(res.errors[1], BlowUpError)
     assert np.array_equal(res.endpoints[0], res.endpoints[2])
     none = np.empty((1, 0))
-    alone = march(params_pi, basis, u0, grid, none, none, lambda b: 0.0, 1)
+    alone = march(params_pi, basis, u0, grid, none, none, 0.0, 1)
     assert np.array_equal(res.endpoints[0], alone.endpoints[0])
 
 
@@ -185,7 +185,7 @@ def test_table_cache_serves_whole_grid_steps(params_pi):
     # a skeleton march serves every step from the cache
     none = np.empty((1, 0))
     skel = march(params_pi, basis, u0, grid, none, none,
-                 skeleton_drift(jm, ctrl), ctrl.n_bins)
+                 drift_coefficient(jm, ctrl), ctrl.n_bins)
     assert skel.substeps == skel.table_hits == grid.n_steps
     # a jump-dense path: every sub-step that does not span a whole grid step
     # builds fresh tables, so only the uniform grid steps are cache hits
@@ -240,7 +240,7 @@ def test_event_on_grid_time(params_pi):
     def on_save(rows, k, modes):
         saved.update(((int(r), int(kk)), m[0, 0]) for r, kk, m in zip(rows, k, modes))
 
-    res = march(params_pi, basis, u0, grid, times, factors, lambda b: 0.0, 1,
+    res = march(params_pi, basis, u0, grid, times, factors, 0.0, 1,
                 on_save=on_save)
     lam = (1 + 0.5j) * basis.eigenvalues[0, 0] + params_pi.gamma
     want = 6.0 * c0 * np.exp(lam * 0.1)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, poisson
 
-from sggl import (Control, JumpModel, NoiseScale, Parameters, StateField,
-                  compensator_drift, constant_control, drift_coefficient,
-                  make_basis, mode_field, sample_controlled_prm, sample_prm,
+from sggl import (Control, JumpModel, NoiseScale, constant_control,
+                  drift_coefficient, sample_controlled_prm, sample_prm,
                   validate_model)
 
 
@@ -184,57 +183,28 @@ def test_control_rejects_negative():
 def test_drift_identity_control_vanishes():
     jm = JumpModel(nu=np.array([1.0, 2.0]), g=np.array([0.7, -0.3]))
     ctrl = constant_control(1.0, 2, 1.0)
-    assert drift_coefficient(jm, ctrl, 0.3) == 0.0
+    assert drift_coefficient(jm, ctrl)[0] == 0.0
 
 
-def test_compensator_drift_zero_field(params_pi, basis8):
-    jm = jm1()
-    ctrl = constant_control(1.0, 1, 2.0)
-    u = StateField(np.zeros((8, 8), dtype=complex), basis8)
-    out = compensator_drift(u, jm, ctrl, 0.1)
-    assert np.all(out.modes == 0)
-
-
-def test_compensator_drift_hand_value(basis8):
-    # c = sum_j g_j (phi_j - 1) nu_j = 1*1*1 + (-0.5)*2*2 = -1
+def test_drift_coefficient_per_bin_hand_values():
+    # c_b = sum_j g_j (phi[b, j] - 1) nu_j with g = (1, -0.5), nu = (1, 2):
+    #   bin 0: 1*1*1 + (-0.5)*2*2 = -1
+    #   bin 1: 1*(-1)*1 + (-0.5)*0*2 = -1
+    #   bin 2: 1*0.5*1 + (-0.5)*(-0.5)*2 = 1
     jm = JumpModel(nu=np.array([1.0, 2.0]), g=np.array([1.0, -0.5]))
-    ctrl = Control(T=1.0, phi=np.array([[2.0, 3.0]]))
-    g, phi, nu = jm.g, ctrl.phi[0], jm.nu
-    want = float(np.sum(g * (phi - 1.0) * nu))
-    assert want == pytest.approx(-1.0)
-    u = mode_field(basis8, 2, 3, amp=0.4 + 0.1j)
-    out = compensator_drift(u, jm, ctrl, 0.5)
-    assert np.allclose(out.modes, -u.modes, rtol=1e-14, atol=0)
-
-
-def test_compensator_drift_linear_in_u(basis8):
-    jm = JumpModel(nu=np.array([1.0, 2.0]), g=np.array([0.3, -0.2]))
-    ctrl = Control(T=1.0, phi=np.array([[1.7, 0.4]]))
-    rng = np.random.default_rng(2)
-    a = StateField(rng.standard_normal((8, 8)) + 0j, basis8)
-    b = StateField(rng.standard_normal((8, 8)) + 0j, basis8)
-    lhs = compensator_drift(
-        StateField(2.0 * a.modes + 3.0 * b.modes, basis8), jm, ctrl, 0.2)
-    rhs = (2.0 * compensator_drift(a, jm, ctrl, 0.2).modes
-           + 3.0 * compensator_drift(b, jm, ctrl, 0.2).modes)
-    assert np.allclose(lhs.modes, rhs, rtol=1e-13, atol=1e-15)
+    ctrl = Control(T=1.0, phi=np.array([[2.0, 3.0], [0.0, 1.0], [1.5, 0.5]]))
+    c = drift_coefficient(jm, ctrl)
+    assert c.shape == (3,)
+    assert c.tolist() == [-1.0, -1.0, 1.0]
 
 
 def test_drift_additive_over_marks():
     jm = JumpModel(nu=np.array([1.0, 2.0]), g=np.array([0.3, -0.2]))
     ctrl = Control(T=1.0, phi=np.array([[1.7, 0.4]]))
-    total = drift_coefficient(jm, ctrl, 0.2)
+    total = drift_coefficient(jm, ctrl)[0]
     parts = 0.0
     for j in range(2):
         jm_j = JumpModel(nu=jm.nu[j:j + 1], g=jm.g[j:j + 1])
         ctrl_j = Control(T=1.0, phi=ctrl.phi[:, j:j + 1])
-        parts += drift_coefficient(jm_j, ctrl_j, 0.2)
+        parts += drift_coefficient(jm_j, ctrl_j)[0]
     assert total == pytest.approx(parts, rel=1e-14)
-
-
-def test_control_bin_lookup():
-    ctrl = Control(T=2.0, phi=np.array([[1.0], [2.0], [3.0], [4.0]]))
-    assert ctrl.at(0.0)[0] == 1.0
-    assert ctrl.at(0.6)[0] == 2.0
-    assert ctrl.at(1.99)[0] == 4.0
-    assert ctrl.at(2.0)[0] == 4.0   # clamped at the right endpoint

@@ -28,8 +28,7 @@ def rk4_oracle(params, basis, u0_modes, jm, ctrl, T, n_steps):
     n_bins = ctrl.n_bins
     steps_per_bin = -(-n_steps // n_bins)
     for b in range(n_bins):
-        t_mid = (b + 0.5) * T / n_bins
-        L = Lbase + drift_coefficient(jm, ctrl, t_mid)
+        L = Lbase + drift_coefficient(jm, ctrl)[b]
         h = (T / n_bins) / steps_per_bin
 
         def rhs(v):
@@ -90,7 +89,7 @@ def test_drift_control_closed_form(basis1, params_pi):
     grid = TimeGrid(T=T, n_steps=60)
     traj = solve_skeleton(params_pi, basis1, mode_field(basis1, 1, 1, c0),
                           jm, ctrl, grid)
-    drift = drift_coefficient(jm, ctrl, 0.1)
+    drift = drift_coefficient(jm, ctrl)[0]
     want = c0 * np.exp(((1 + 0.5j) * (-2.0) + 1.0 + drift) * T)
     assert abs(traj.endpoint.modes[0, 0] - want) <= 1e-10 * abs(want)
 

@@ -63,6 +63,25 @@ def test_controlled_identity_control_matches_spde(params_pi, basis8):
             assert np.array_equal(x.modes, y.modes)
 
 
+def test_controlled_path_is_raw_spde_on_its_events(params_pi, basis8):
+    # the controlled SPDE keeps the raw drift -sum g nu: on the same
+    # thinned events a 1-bin phi != 1 path is the raw path bit for bit
+    jm = jm2()
+    u0 = mode_field(basis8, 1, 1, 0.2)
+    grid = TimeGrid(T=0.3, n_steps=30)
+    eps = NoiseScale(0.25)
+    ctrl = Control(T=0.3, phi=np.array([[1.7, 0.4]]))
+    for seed in (0, 1, 2):
+        events = sample_controlled_prm(jm, eps, ctrl, seed)
+        a = solve_spde(params_pi, basis8, u0, jm, eps, grid, seed, events=events)
+        b = solve_controlled_spde(params_pi, basis8, u0, jm, eps, ctrl, grid,
+                                  seed, events=events)
+        assert events.n_events > 0
+        assert np.array_equal(a.times, b.times)
+        for x, y in zip(a.states, b.states):
+            assert np.array_equal(x.modes, y.modes)
+
+
 def test_empty_events_balanced_model_equals_skeleton(params_pi, basis8):
     # with sum_j g_j phi_j nu_j = 0 the controlled-noise compensator drops
     # out, so injecting an empty event set reproduces the skeleton exactly
@@ -121,7 +140,7 @@ def test_scalar_controlled_product_formula(params_pi):
     grid = TimeGrid(T=T, n_steps=40)
     eps = NoiseScale(0.2)
     mu = basis.eigenvalues[0, 0]
-    drift = drift_coefficient(jm, ctrl, 0.1) - 0.3 * phi * 1.5
+    drift = drift_coefficient(jm, ctrl)[0] - 0.3 * phi * 1.5
     for seed in range(20):
         events = sample_controlled_prm(jm, eps, ctrl, seed)
         traj = solve_controlled_spde(params_pi, basis, u0, jm, eps, ctrl,

@@ -17,10 +17,10 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import harness, outputs
-from .config import ConfigError, RunSpec, parse_config
+from .config import ConfigError, RunSpec, parse_config, seed
 from .jumps import Control, NoiseScale
 from .params import ParameterError
 from .rate import EndpointSpec, OptConfig, estimate_rate
@@ -57,11 +57,7 @@ def _emit_error(out_dir: str, exc: Exception):
 
 
 def _opt_config(spec: RunSpec) -> OptConfig:
-    o = spec.options
-    return OptConfig(n_bins=o["rate_n_bins"], rho0=o["rate_rho0"],
-                     n_rho=o["rate_n_rho"], max_inner=o["rate_max_inner"],
-                     fd_step=o["rate_fd_step"], step0=o["rate_step0"],
-                     gap_tol=o["rate_gap_tol"])
+    return OptConfig(**{f.name: spec.options[f.name] for f in fields(OptConfig)})
 
 
 def _write_trajectory(spec: RunSpec, out: str, traj):
@@ -72,8 +68,7 @@ def _write_trajectory(spec: RunSpec, out: str, traj):
 
 
 def cmd_skeleton(spec: RunSpec, out: str, args) -> int:
-    traj = solve_skeleton(spec.params, spec.basis, spec.u0, spec.jm, spec.ctrl,
-                          spec.grid, blowup_factor=spec.options["blowup_factor"])
+    traj = solve_skeleton(spec.params, spec.basis, spec.u0, spec.jm, spec.ctrl, spec.grid)
     _write_trajectory(spec, out, traj)
     return EXIT_OK
 
@@ -83,8 +78,7 @@ def cmd_path(spec: RunSpec, out: str, args) -> int:
     under the config control for ``controlled``."""
     eps = NoiseScale(spec.eps_list[0])
     log: list = []
-    common = dict(seed=spec.master_seed,
-                  blowup_factor=spec.options["blowup_factor"], event_log=log)
+    common = dict(seed=spec.master_seed, event_log=log)
     if args.command == "controlled":
         traj = solve_controlled_spde(spec.params, spec.basis, spec.u0, spec.jm,
                                      eps, spec.ctrl, spec.grid, **common)
@@ -163,8 +157,7 @@ def cmd_sweep(spec: RunSpec, out: str, args) -> int:
         report = harness.convergence_sweep(
             spec.params, spec.basis, spec.jm, spec.u0, spec.ctrl, spec.grid,
             spec.eps_list, spec.options["n_samples"], spec.master_seed,
-            r2_floor=spec.options["r2_floor"], _pool_map=mapper,
-            precomputed=precomputed, on_cell=on_cell)
+            _pool_map=mapper, precomputed=precomputed, on_cell=on_cell)
     outputs.write_cells_csv(os.path.join(out, "sweep.csv"), report.cells,
                             harness.SweepCell, spec.config_hash,
                             spec.master_seed)
@@ -200,13 +193,8 @@ def cmd_tail(spec: RunSpec, out: str, args) -> int:
 
 
 def cmd_audit(spec: RunSpec, out: str, args) -> int:
-    traj = solve_skeleton(spec.params, spec.basis, spec.u0, spec.jm, spec.ctrl,
-                          spec.grid, blowup_factor=spec.options["blowup_factor"])
-    p_audit = spec.options["p_audit"] or None
-    report = harness.energy_audit(traj, spec.params, spec.jm, ctrl=spec.ctrl,
-                                  p=p_audit, c_f=spec.options["c_f"],
-                                  c_g=spec.options["c_g"],
-                                  slack=spec.options["energy_slack"])
+    traj = solve_skeleton(spec.params, spec.basis, spec.u0, spec.jm, spec.ctrl, spec.grid)
+    report = harness.energy_audit(traj, spec.params, spec.jm, ctrl=spec.ctrl)
     outputs.write_json(os.path.join(out, "audit.json"), asdict(report),
                        spec.config_hash, spec.master_seed)
     return EXIT_OK if not report.violations else EXIT_VIOLATION
@@ -243,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="run specification file")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
+        sp.add_argument("--seed", type=seed, default=None,
                         help="override the config master seed")
         sp.add_argument("--workers", type=int, default=None,
                         help="trajectory worker pool size "

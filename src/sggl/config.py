@@ -1,48 +1,29 @@
 """Run-specification files: INI-style ``key = value`` with section headers.
 
-Every key maps to a model symbol or a frozen engineering default; unknown
-keys and missing mandatory keys are hard errors, and constraint violations
-are reported with the violated constraint.
+``_SCHEMA`` declares every key once: the reader that parses its text and
+enforces its range, and its default or ``_REQUIRED``.  Every violation is a
+ConfigError naming its section and key, or the constraint between keys.
 """
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import hashlib
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .jumps import Control, JumpModel
 from .params import Parameters
+from .rate import OptConfig
 from .skeleton import TimeGrid
-from .spectral import SpectralBasis, StateField, make_basis, zero_field
+from .spectral import PAD_FACTOR, SpectralBasis, StateField, make_basis, zero_field
 
 
 class ConfigError(ValueError):
     """Malformed, incomplete, or constraint-violating run specification."""
-
-
-_SCHEMA: dict[str, dict[str, bool]] = {
-    # section -> {key: mandatory}
-    "physics": {"alpha": True, "beta": True, "gamma": True, "sigma": True,
-                "L1": True, "L2": True, "lambda1": False, "lambda2": False},
-    "spectral": {"n1": True, "n2": True, "pad_factor": False},
-    "jumps": {"nu": True, "g": True},
-    "control": {"phi": False},
-    "time": {"T": True, "n_steps": True, "save_stride": False},
-    "noise": {"eps_list": False},
-    "initial": {"modes": False},
-    "rate": {"target_phi": False, "target_radius": False, "rho0": False,
-             "n_rho": False, "max_inner": False, "fd_step": False,
-             "step0": False, "gap_tol": False, "n_bins": False},
-    "harness": {"n_samples": False, "r2_floor": False, "energy_slack": False,
-                "c_f": False, "c_g": False, "p_audit": False,
-                "blowup_factor": False},
-    "run": {"master_seed": False, "workers": False},
-}
-
-_MANDATORY_SECTIONS = ["physics", "spectral", "jumps", "time"]
 
 
 @dataclass
@@ -58,35 +39,151 @@ class RunSpec:
     u0: StateField
     master_seed: int
     workers: int
-    options: dict[str, float]        # flat harness/rate knobs
+    options: dict[str, float]        # [harness] keys and the optimizer's [rate] keys
     target_phi: np.ndarray | None
     target_radius: float
     config_hash: str
-    raw_text: str
 
 
-def _floats(s: str) -> list[float]:
-    return [float(tok) for tok in s.replace(";", ",").split(",") if tok.strip()]
+# ---------------------------------------------------------------------------
+# readers: the text of one value to the value, or ValueError with the reason
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
-def _complexes(s: str) -> list[complex]:
-    return [complex(tok.strip().replace(" ", "")) for tok in s.split(",") if tok.strip()]
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if not value > 0:
+        raise ValueError("must be > 0")
+    return value
 
 
-def _matrix(s: str) -> np.ndarray:
-    rows = [r for r in s.split(";") if r.strip()]
-    return np.array([[float(t) for t in r.split(",") if t.strip()] for r in rows],
-                    ndmin=2)
+def _non_negative(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise ValueError("must be >= 0")
+    return value
 
 
-def _scalar(cfg, section: str, key: str, default: str, kind=float):
-    """``kind(float(text))`` of an optional key; a value that is not a
-    number is a ConfigError naming the key."""
-    text = cfg[section].get(key, default) if section in cfg else default
+def _integer(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise ValueError(f"must be an integer >= {low}")
+    return value
+
+
+def _count(text: str) -> int:
+    return _integer(text, 1)
+
+
+def seed(text: str) -> int:
+    """A master seed: an integer >= 0.  Also the type of ``--seed``."""
+    return _integer(text, 0)
+
+
+def _list_of(read):
+    """Reader of one or more values separated by ',' or ';'."""
+    def read_list(text: str) -> list:
+        values = [read(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+        if not values:
+            raise ValueError("needs at least one entry")
+        return values
+    return read_list
+
+
+def _complex_pair(text: str) -> tuple[complex, complex]:
+    values = [complex(tok.strip().replace(" ", "")) for tok in text.split(",") if tok.strip()]
+    if len(values) != 2 or not all(cmath.isfinite(v) for v in values):
+        raise ValueError("must be two finite complex numbers")
+    return tuple(values)
+
+
+def _matrix(text: str) -> np.ndarray:
+    """Non-negative entries; rows separated by ';', columns by ','."""
+    return np.array([[_non_negative(t) for t in row.split(",") if t.strip()]
+                     for row in text.split(";") if row.strip()], ndmin=2)
+
+
+def _modes(text: str) -> list[tuple[int, int, complex]]:
+    """Entries 'k, m, re, im' separated by ';'."""
+    entries = []
+    for entry in text.split(";"):
+        if not entry.strip():
+            continue
+        vals = entry.split(",")
+        if len(vals) != 4:
+            raise ValueError("entries must be 'k, m, re, im'")
+        entries.append((_count(vals[0]), _count(vals[1]),
+                        _finite(vals[2]) + 1j * _finite(vals[3])))
+    return entries
+
+
+_REQUIRED = object()
+
+_SCHEMA: dict[str, dict] = {
+    # section -> {key: (reader, default or _REQUIRED)}
+    "physics": {"alpha": (_finite, _REQUIRED), "beta": (_finite, _REQUIRED),
+                "gamma": (_positive, _REQUIRED), "sigma": (_finite, _REQUIRED),
+                "L1": (_positive, _REQUIRED), "L2": (_positive, _REQUIRED),
+                "lambda1": (_complex_pair, Parameters.lambda1),
+                "lambda2": (_complex_pair, Parameters.lambda2)},
+    "spectral": {"n1": (_count, _REQUIRED), "n2": (_count, _REQUIRED),
+                 "pad_factor": (_count, PAD_FACTOR)},
+    "jumps": {"nu": (_list_of(_positive), _REQUIRED),
+              "g": (_list_of(_finite), _REQUIRED)},
+    "control": {"phi": (_matrix, None)},            # None: phi = 1 on one bin
+    "time": {"T": (_positive, _REQUIRED), "n_steps": (_count, _REQUIRED),
+             "save_stride": (_count, TimeGrid.save_stride)},
+    "noise": {"eps_list": (_list_of(_positive), (0.125,))},
+    "initial": {"modes": (_modes, ())},               # (): u0 = 0
+    "rate": {"target_phi": (_matrix, None), "target_radius": (_non_negative, 0.0),
+             # the optimizer's keys are OptConfig's fields: its ints are
+             # counts, its floats step sizes and tolerances
+             **{f.name: (_count if isinstance(f.default, int) else _positive,
+                         f.default) for f in fields(OptConfig)}},
+    "harness": {"n_samples": (_count, 200)},
+    "run": {"master_seed": (seed, 0), "workers": (_count, 1)},
+}
+
+
+def _read(cfg: configparser.ConfigParser) -> dict[str, dict]:
+    """Every schema key's value, by section then key."""
+    for section in cfg.sections():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cfg[section]:
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown key '{key}' in section [{section}]")
+    values: dict[str, dict] = {}
+    for section, keys in _SCHEMA.items():
+        given = cfg[section] if section in cfg else {}
+        if section not in cfg and any(d is _REQUIRED for _, d in keys.values()):
+            raise ConfigError(f"missing mandatory section [{section}]")
+        values[section] = {}
+        for key, (read, default) in keys.items():
+            if key not in given:
+                if default is _REQUIRED:
+                    raise ConfigError(f"missing mandatory key '{key}' in [{section}]")
+                values[section][key] = default
+                continue
+            try:
+                values[section][key] = read(given[key])
+            except ValueError as exc:
+                raise ConfigError(
+                    f"invalid [{section}] {key} = {given[key]!r}: {exc}") from exc
+    return values
+
+
+def _build(section: str, make):
+    """``make()``, its ValueError (a constraint between keys) a ConfigError."""
     try:
-        return kind(float(text))
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid [{section}] {key} = {text!r}: {exc}") from exc
+        return make()
+    except ValueError as exc:
+        raise ConfigError(f"invalid [{section}]: {exc}") from exc
 
 
 def parse_config(path: str) -> RunSpec:
@@ -102,126 +199,35 @@ def parse_config(path: str) -> RunSpec:
         cfg.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+    v = _read(cfg)
 
-    for section in cfg.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in cfg[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
-    for section in _MANDATORY_SECTIONS:
-        if section not in cfg:
-            raise ConfigError(f"missing mandatory section [{section}]")
-        for key, mandatory in _SCHEMA[section].items():
-            if mandatory and key not in cfg[section]:
-                raise ConfigError(f"missing mandatory key '{key}' in [{section}]")
+    params = _build("physics", lambda: Parameters(**v["physics"]))
+    basis = make_basis(params=params, **v["spectral"])
+    jm = _build("jumps", lambda: JumpModel(**v["jumps"]))
+    grid = TimeGrid(**v["time"])
 
-    phys = cfg["physics"]
-    try:
-        lam1 = _complexes(phys.get("lambda1", "0, 0"))
-        lam2 = _complexes(phys.get("lambda2", "0, 0"))
-        if len(lam1) != 2 or len(lam2) != 2:
-            raise ConfigError("lambda1/lambda2 must be complex 2-vectors")
-        params = Parameters(alpha=phys.getfloat("alpha"),
-                            beta=phys.getfloat("beta"),
-                            gamma=phys.getfloat("gamma"),
-                            sigma=phys.getfloat("sigma"),
-                            L1=phys.getfloat("L1"), L2=phys.getfloat("L2"),
-                            lambda1=tuple(lam1), lambda2=tuple(lam2))
-    except ValueError as exc:
-        raise ConfigError(f"invalid [physics]: {exc}") from exc
+    def marks_matrix(section: str, key: str) -> np.ndarray | None:
+        phi = v[section][key]
+        if phi is not None and phi.shape[1] != jm.n_marks:
+            raise ConfigError(f"invalid [{section}] {key}: {phi.shape[1]} columns, "
+                              f"expected {jm.n_marks} marks")
+        return phi
 
-    spec = cfg["spectral"]
-    try:
-        basis = make_basis(spec.getint("n1"), spec.getint("n2"), params,
-                           spec.getint("pad_factor", fallback=4))
-    except ValueError as exc:
-        raise ConfigError(f"invalid [spectral]: {exc}") from exc
-
-    try:
-        jm = JumpModel(nu=np.array(_floats(cfg["jumps"]["nu"])),
-                       g=np.array(_floats(cfg["jumps"]["g"])))
-    except ValueError as exc:
-        raise ConfigError(f"invalid [jumps]: {exc}") from exc
-
-    tsec = cfg["time"]
-    try:
-        grid = TimeGrid(T=tsec.getfloat("T"), n_steps=tsec.getint("n_steps"),
-                        save_stride=tsec.getint("save_stride", fallback=1))
-    except ValueError as exc:
-        raise ConfigError(f"invalid [time]: {exc}") from exc
-
-    try:
-        if "control" in cfg and "phi" in cfg["control"]:
-            phi = _matrix(cfg["control"]["phi"])
-            if phi.shape[1] != jm.n_marks:
-                raise ConfigError(
-                    f"control phi has {phi.shape[1]} columns, expected {jm.n_marks} marks")
-            ctrl = Control(T=grid.T, phi=phi)
-        else:
-            ctrl = Control(T=grid.T, phi=np.ones((1, jm.n_marks)))
-    except ValueError as exc:
-        raise ConfigError(f"invalid [control]: {exc}") from exc
-
-    try:
-        eps_list = _floats(cfg["noise"].get("eps_list", "0.125")) if "noise" in cfg else [0.125]
-    except ValueError as exc:
-        raise ConfigError(f"invalid [noise]: {exc}") from exc
-    if not eps_list or any(e <= 0 for e in eps_list):
-        raise ConfigError("eps_list needs at least one entry, all > 0")
+    phi = marks_matrix("control", "phi")
+    ctrl = Control(T=grid.T, phi=np.ones((1, jm.n_marks)) if phi is None else phi)
 
     u0 = zero_field(basis)
-    if "initial" in cfg and "modes" in cfg["initial"]:
-        # entries "k, m, re, im" separated by ';'
-        for entry in cfg["initial"]["modes"].split(";"):
-            if not entry.strip():
-                continue
-            try:
-                vals = [float(t) for t in entry.split(",")]
-            except ValueError as exc:
-                raise ConfigError(f"invalid [initial] modes: {exc}") from exc
-            if len(vals) != 4:
-                raise ConfigError("initial modes entries must be 'k, m, re, im'")
-            k, m = int(vals[0]), int(vals[1])
-            if not (1 <= k <= basis.n1 and 1 <= m <= basis.n2):
-                raise ConfigError(f"initial mode ({k},{m}) outside basis")
-            u0.modes[k - 1, m - 1] = vals[2] + 1j * vals[3]
+    for k, m, value in v["initial"]["modes"]:
+        if not (k <= basis.n1 and m <= basis.n2):
+            raise ConfigError(f"invalid [initial] modes: mode ({k},{m}) outside basis")
+        u0.modes[k - 1, m - 1] = value
 
-    options = {
-        "n_samples": _scalar(cfg, "harness", "n_samples", "200", int),
-        "r2_floor": _scalar(cfg, "harness", "r2_floor", "0.9"),
-        "energy_slack": _scalar(cfg, "harness", "energy_slack", "0.2"),
-        "c_f": _scalar(cfg, "harness", "c_f", "2.0"),
-        "c_g": _scalar(cfg, "harness", "c_g", "4.0"),
-        "p_audit": _scalar(cfg, "harness", "p_audit", "0"),   # 0 -> module default
-        "blowup_factor": _scalar(cfg, "harness", "blowup_factor", "1e6"),
-        "rate_rho0": _scalar(cfg, "rate", "rho0", "10.0"),
-        "rate_n_rho": _scalar(cfg, "rate", "n_rho", "6", int),
-        "rate_max_inner": _scalar(cfg, "rate", "max_inner", "60", int),
-        "rate_fd_step": _scalar(cfg, "rate", "fd_step", "1e-4"),
-        "rate_step0": _scalar(cfg, "rate", "step0", "0.5"),
-        "rate_gap_tol": _scalar(cfg, "rate", "gap_tol", "1e-4"),
-        "rate_n_bins": _scalar(cfg, "rate", "n_bins", "1", int),
-    }
-    if options["rate_n_bins"] < 1:
-        raise ConfigError("[rate] n_bins must be >= 1")
-
-    target_phi = None
-    target_radius = _scalar(cfg, "rate", "target_radius", "0.0")
-    if "rate" in cfg and "target_phi" in cfg["rate"]:
-        try:
-            target_phi = _matrix(cfg["rate"]["target_phi"])
-        except ValueError as exc:
-            raise ConfigError(f"invalid [rate] target_phi: {exc}") from exc
-        if target_phi.shape[1] != jm.n_marks:
-            raise ConfigError("target_phi column count must equal the number of marks")
-
-    master_seed = _scalar(cfg, "run", "master_seed", "0", int)
-    workers = _scalar(cfg, "run", "workers", "1", int)
-
+    rate = v["rate"]
+    options = {**v["harness"], **{f.name: rate[f.name] for f in fields(OptConfig)}}
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return RunSpec(params=params, basis=basis, jm=jm, ctrl=ctrl, grid=grid,
-                   eps_list=eps_list, u0=u0, master_seed=master_seed,
-                   workers=workers, options=options, target_phi=target_phi,
-                   target_radius=target_radius, config_hash=digest,
-                   raw_text=text)
+                   eps_list=list(v["noise"]["eps_list"]), u0=u0,
+                   master_seed=v["run"]["master_seed"],
+                   workers=v["run"]["workers"], options=options,
+                   target_phi=marks_matrix("rate", "target_phi"),
+                   target_radius=rate["target_radius"], config_hash=digest)

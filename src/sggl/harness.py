@@ -27,6 +27,8 @@ from .spectral import SpectralBasis, StateField
 
 # paths marched together; the batch of path i is i // BATCH
 BATCH = 64
+# a sweep's log-log fit with R^2 below this is flagged unreliable
+R2_FLOOR = 0.9
 
 
 def _batches(n_samples: int) -> list[tuple[int, int]]:
@@ -84,7 +86,7 @@ class SweepReport:
     cells: list[SweepCell]
     slope: float
     r2: float
-    slope_flag: bool          # True when the fit is unreliable (R^2 < 0.9)
+    slope_flag: bool          # True when the fit is unreliable (R^2 < R2_FLOOR)
     master_seed: int
 
 
@@ -151,7 +153,7 @@ def sweep_cell(params: Parameters, basis: SpectralBasis, jm: JumpModel,
 def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
                       u0: StateField, ctrl: Control, grid: TimeGrid,
                       eps_list: list[float], n_samples: int, master_seed: int,
-                      r2_floor: float = 0.9, _pool_map=None,
+                      _pool_map=None,
                       precomputed: dict[float, SweepCell] | None = None,
                       on_cell=None) -> SweepReport:
     """MC estimate of E[sup_t ||u_eps - u_skel||^2] (and companions) per eps.
@@ -182,7 +184,7 @@ def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
     else:
         slope, r2 = 0.0, 1.0   # degenerate (noise-free) sweep: statistics are 0
     return SweepReport(cells=cells, slope=slope, r2=r2,
-                       slope_flag=(r2 < r2_floor and np.any(sup_means > 0)),
+                       slope_flag=(r2 < R2_FLOOR and np.any(sup_means > 0)),
                        master_seed=master_seed)
 
 
@@ -308,26 +310,27 @@ class AuditReport:
 
 # Gronwall bookkeeping: sup + (integrals)/1 <= 3/2 * ||u0||^2 exp(...)
 _GRONWALL_PREFACTOR = 1.5
+# fitted constants of the derivative-term contribution at the L2 and H1
+# level, and the relative slack on both bounds
+_C_F, _C_G, _SLACK = 2.0, 4.0, 0.2
 
 
 def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
                  ctrl: Control | None = None, eps: NoiseScale | None = None,
-                 events=None, p: float | None = None,
-                 c_f: float = 2.0, c_g: float = 4.0,
-                 slack: float = 0.2) -> AuditReport:
+                 events=None) -> AuditReport:
     """Audit a trajectory against the reconstructed a-priori energy bounds.
 
     The L2-level bound is  sup||u||^2 + int ||grad u||^2 + int ||u||_{2s+2}^{2s+2}
     <= 1.5 * ||u0||^2 * exp[(2 gamma + c_f) T + 2 int sum_j |g_j||phi-1| nu_j]
     * (1 + slack); the H1-level bound is the analogous expression at
-    exponent p starting from ||grad u0||^p with constant c_g.  c_f and c_g
-    are fitted constants for the derivative-term contribution, frozen in
-    config.  For jump trajectories pass eps and the realized events: each
-    kick scales the admissible bound by max(1, (1+eps*g)^2).
+    exponent p = min(2 sigma - 1/2, max(2, sigma)) starting from ||grad u0||^p
+    with constant c_g (c_f, c_g, slack: _C_F, _C_G, _SLACK).  For jump
+    trajectories pass eps and the realized events: each kick scales the
+    admissible bound by max(1, (1+eps*g)^2).
     """
     basis = traj.states[0].basis
     sigma = params.sigma
-    p = p if p is not None else min(2 * sigma - 0.5, max(2.0, sigma))
+    p = min(2 * sigma - 0.5, max(2.0, sigma))
     T = float(traj.times[-1])
     dts = np.diff(traj.times)
     p2s2 = int(round(2 * sigma + 2))
@@ -376,12 +379,12 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
 
     energy_total = sup_sq + int_grad + int_lp
     energy_bound = (_GRONWALL_PREFACTOR * u0_sq
-                    * math.exp((2 * params.gamma + c_f) * T + 2 * dev)
-                    * jump_factor * (1 + slack))
+                    * math.exp((2 * params.gamma + _C_F) * T + 2 * dev)
+                    * jump_factor * (1 + _SLACK))
     grad_total = sup_gp + int_lap + int_mixed
     grad_bound = (_GRONWALL_PREFACTOR * (grad0_sq ** (p / 2) + 1.0)
-                  * math.exp((p * params.gamma + c_g) * T + p * dev)
-                  * (jump_factor ** (p / 2)) * (1 + slack))
+                  * math.exp((p * params.gamma + _C_G) * T + p * dev)
+                  * (jump_factor ** (p / 2)) * (1 + _SLACK))
 
     violations = []
     energy_ok = energy_total <= energy_bound

@@ -58,11 +58,13 @@ class EndpointSpec:
             raise ValueError("radius must be >= 0")
 
 
+_RHO_GROWTH = 10.0      # penalty weight factor between continuation stages
+
+
 @dataclass(frozen=True)
 class OptConfig:
     n_bins: int = 1
     rho0: float = 10.0
-    rho_growth: float = 10.0
     n_rho: int = 6
     max_inner: int = 60
     fd_step: float = 1e-4
@@ -160,7 +162,7 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
             best = _better(best, cur, target.radius, tol)
         if violation(gap) <= tol and rho > opt_cfg.rho0 * 10:
             break
-        rho *= opt_cfg.rho_growth
+        rho *= _RHO_GROWTH
     best = _better(best, (cost_of(phi), phi.copy(), gap), target.radius, tol)
 
     c_val, phi_best, gap_best = best

@@ -24,10 +24,12 @@ import numpy as np
 
 from .jumps import Control, JumpModel, drift_coefficient
 from .params import Parameters
-from .spectral import NormReport, SpectralBasis, StateField, compute_norms, make_nonlin
+from .spectral import (PAD_FACTOR, NormReport, SpectralBasis, StateField,
+                       compute_norms, make_nonlin)
 from .timestep import BlowUpError, etdrk2_step, linear_tables
 
-DEFAULT_BLOWUP_FACTOR = 1e6
+# a path blows up when its L2 norm exceeds BLOWUP_FACTOR * (||u0|| + 1)
+BLOWUP_FACTOR = 1e6
 
 
 @dataclass(frozen=True)
@@ -90,9 +92,7 @@ def _norm_p_list(params: Parameters) -> list[int]:
 
 def march(params: Parameters, basis: SpectralBasis, u0: StateField,
           grid: TimeGrid, event_times: np.ndarray, kick_factors: np.ndarray,
-          drift, n_bins: int,
-          blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
-          on_save=None, on_kick=None) -> MarchResult:
+          drift, n_bins: int, on_save=None, on_kick=None) -> MarchResult:
     """Integrate S paths of du/dt = Au + Bu + d(t)u from u0, kicking at events.
 
     d(t) = drift[b] is constant on control bin b; ``drift`` is a float or
@@ -126,7 +126,7 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     L = Lbase + d[:, None, None]
     cache = np.stack(linear_tables(dt, L))      # (3, n_bins, n1, n2)
     step_bin = np.arange(n_steps) // (n_steps // n_bins)
-    cap = blowup_factor * (u0.l2() + 1.0)
+    cap = BLOWUP_FACTOR * (u0.l2() + 1.0)
     grid_times = np.arange(1, n_steps + 1) * dt
     saved = np.zeros(n_steps + 1, dtype=bool)
     saved[grid.saved_steps(n_bins)] = True
@@ -221,7 +221,6 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
 def march_trajectory(params: Parameters, basis: SpectralBasis, u0: StateField,
                      grid: TimeGrid, event_times: np.ndarray,
                      kick_factors: np.ndarray, drift, n_bins: int,
-                     blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
                      with_norms: bool = True, on_kick=None) -> Trajectory:
     """``march`` of a single path (S = 1), its saved states as a Trajectory.
 
@@ -236,7 +235,7 @@ def march_trajectory(params: Parameters, basis: SpectralBasis, u0: StateField,
         states.append(StateField(modes[0], basis))
 
     res = march(params, basis, u0, grid, event_times, kick_factors, drift,
-                n_bins, blowup_factor, on_save=on_save, on_kick=on_kick)
+                n_bins, on_save=on_save, on_kick=on_kick)
     if res.errors[0] is not None:
         raise res.errors[0]
     p_list = _norm_p_list(params)
@@ -246,13 +245,12 @@ def march_trajectory(params: Parameters, basis: SpectralBasis, u0: StateField,
 
 def solve_skeleton(params: Parameters, basis: SpectralBasis, u0: StateField,
                    jm: JumpModel, ctrl: Control, grid: TimeGrid,
-                   blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
                    with_norms: bool = True) -> Trajectory:
     """Integrate the controlled deterministic equation on [0, T]."""
     none = np.empty((1, 0))
     return march_trajectory(params, basis, u0, grid, none, none,
                             drift_coefficient(jm, ctrl), ctrl.n_bins,
-                            blowup_factor, with_norms=with_norms)
+                            with_norms=with_norms)
 
 
 def embed_modes(modes: np.ndarray, basis_to: SpectralBasis) -> np.ndarray:
@@ -266,7 +264,7 @@ def embed_modes(modes: np.ndarray, basis_to: SpectralBasis) -> np.ndarray:
 
 def galerkin_refine(params: Parameters, jm: JumpModel, ctrl: Control,
                     u0: StateField, grid: TimeGrid, n_list: list[int],
-                    pad_factor: int = 4) -> list[tuple[int, float]]:
+                    pad_factor: int = PAD_FACTOR) -> list[tuple[int, float]]:
     """Endpoint self-convergence study over basis sizes.
 
     Runs the skeleton at each n in n_list (increasing; the largest is the

@@ -20,8 +20,7 @@ import numpy as np
 from .jumps import (Control, JumpModel, JumpSample, NoiseScale,
                     sample_controlled_prm, sample_prm)
 from .params import Parameters
-from .skeleton import (DEFAULT_BLOWUP_FACTOR, MarchResult, TimeGrid, Trajectory,
-                       march, march_trajectory)
+from .skeleton import MarchResult, TimeGrid, Trajectory, march, march_trajectory
 from .spectral import SpectralBasis, StateField
 
 
@@ -60,8 +59,8 @@ def march_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
                  -np.sum(jm.g * jm.nu), n_bins, on_save=on_save)
 
 
-def _solve_path(params, basis, u0, jm, eps, ctrl, grid, events, blowup_factor,
-                event_log, with_norms) -> Trajectory:
+def _solve_path(params, basis, u0, jm, eps, ctrl, grid, events, event_log,
+                with_norms) -> Trajectory:
     times, factors = _pad_events([events], jm, eps.epsilon,
                                  keep_identity=event_log is not None)
     on_kick = None
@@ -73,14 +72,12 @@ def _solve_path(params, basis, u0, jm, eps, ctrl, grid, events, blowup_factor,
                               float(np.sqrt(np.sum(np.abs(after) ** 2)))))
     n_bins = 1 if ctrl is None else ctrl.n_bins
     return march_trajectory(params, basis, u0, grid, times, factors,
-                            -np.sum(jm.g * jm.nu), n_bins, blowup_factor,
-                            with_norms, on_kick)
+                            -np.sum(jm.g * jm.nu), n_bins, with_norms, on_kick)
 
 
 def solve_spde(params: Parameters, basis: SpectralBasis, u0: StateField,
                jm: JumpModel, eps: NoiseScale, grid: TimeGrid, seed: int,
                events: JumpSample | None = None,
-               blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
                event_log: list | None = None, with_norms: bool = True) -> Trajectory:
     """One path of the small-noise SPDE, deterministic given the seed.
 
@@ -91,14 +88,13 @@ def solve_spde(params: Parameters, basis: SpectralBasis, u0: StateField,
     if events is None:
         events = sample_prm(jm, eps, grid.T, seed)
     return _solve_path(params, basis, u0, jm, eps, None, grid, events,
-                       blowup_factor, event_log, with_norms)
+                       event_log, with_norms)
 
 
 def solve_controlled_spde(params: Parameters, basis: SpectralBasis, u0: StateField,
                           jm: JumpModel, eps: NoiseScale, ctrl: Control,
                           grid: TimeGrid, seed: int,
                           events: JumpSample | None = None,
-                          blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
                           event_log: list | None = None,
                           with_norms: bool = True) -> Trajectory:
     """One path of the controlled SPDE driven by the thinned PRM.
@@ -110,4 +106,4 @@ def solve_controlled_spde(params: Parameters, basis: SpectralBasis, u0: StateFie
     if events is None:
         events = sample_controlled_prm(jm, eps, ctrl, seed)
     return _solve_path(params, basis, u0, jm, eps, ctrl, grid, events,
-                       blowup_factor, event_log, with_norms)
+                       event_log, with_norms)

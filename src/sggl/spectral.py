@@ -33,6 +33,9 @@ import numpy as np
 
 from .params import Parameters
 
+# default oversampling: n modes on an axis get pad_factor (n + 1) - 1 grid points
+PAD_FACTOR = 4
+
 
 def _float_view(X: np.ndarray) -> np.ndarray:
     """X as C-contiguous complex128 (copied only if it is not), viewed as float64."""
@@ -102,7 +105,8 @@ class SpectralBasis:
         return _right(_left(self._P1, values), self._RP2)
 
 
-def make_basis(n1: int, n2: int, params: Parameters, pad_factor: int = 4) -> SpectralBasis:
+def make_basis(n1: int, n2: int, params: Parameters,
+               pad_factor: int = PAD_FACTOR) -> SpectralBasis:
     """Build the n1 x n2 sine basis for the domain in ``params``."""
     if n1 < 1 or n2 < 1:
         raise ValueError(f"basis dimensions must be >= 1, got {n1}x{n2}")

@@ -9,7 +9,12 @@ errors in the library transforms.
 import numpy as np
 import pytest
 
-from sggl import Parameters, make_basis
+from sggl import JumpModel, Parameters, make_basis
+
+
+def jm2():
+    """The two-mark jump model of the tests: amplitudes of opposite sign."""
+    return JumpModel(nu=np.array([1.0, 0.5]), g=np.array([0.5, -0.3]))
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,8 @@ from sggl import (Control, EndpointSpec, JumpModel, NoiseScale, OptConfig,
                   tail_probability, zero_field)
 from sggl.cli import main
 
+from conftest import jm2
+
 
 def _report(num: int, label: str, ok: bool, detail: str, t0: float,
             budget: float):
@@ -34,10 +36,6 @@ def full_params():
                       L1=np.pi, L2=np.pi,
                       lambda1=np.array([0.1 + 0j, 0.05 + 0j]),
                       lambda2=np.array([0.05 + 0j, -0.02 + 0j]))
-
-
-def jm2():
-    return JumpModel(nu=np.array([1.0, 0.5]), g=np.array([0.5, -0.3]))
 
 
 def test_criterion_1_spectral_exactness(params_pi):
@@ -135,7 +133,7 @@ def test_criterion_5_energy_bound_audit(params_pi):
             continue
         checked += 1
         traj = solve_skeleton(params_pi, basis, u0, jm, ctrl, grid)
-        rep = energy_audit(traj, params_pi, jm, ctrl=ctrl, slack=0.2)
+        rep = energy_audit(traj, params_pi, jm, ctrl=ctrl)
         if not (rep.energy_ok and rep.grad_ok):
             violations += 1
     _report(5, "a priori energy bounds hold for bounded-cost controls",

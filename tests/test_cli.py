@@ -108,6 +108,10 @@ def test_parse_rejects_sigma_boundary(tmp_path):
     ("harness", "slope_floor"), ("harness", "ldp_band"),
     ("harness", "tail_radius"), ("harness", "audit_level"),
     ("harness", "audit_cases"),
+    # keys with a single value in use, now module constants
+    ("harness", "blowup_factor"), ("harness", "r2_floor"),
+    ("harness", "energy_slack"), ("harness", "c_f"), ("harness", "c_g"),
+    ("harness", "p_audit"),
 ])
 def test_parse_rejects_unknown_key(tmp_path, section, key):
     path = tmp_path / "run.ini"
@@ -220,8 +224,15 @@ def test_cli_usage_errors(tmp_path):
     ("eps_list = 0.25, 0.125", "eps_list = "),
     ("target_radius = 0.05", "target_radius = 0.05\nn_bins = 0"),
     ("target_phi = 1.5, 1.0", "target_phi = "),
+    ("n_samples = 6", "n_samples = 0"),
+    ("target_radius = 0.05", "target_radius = -1"),
+    ("target_radius = 0.05", "target_radius = 0.05\nfd_step = 0"),
+    ("master_seed = 777", "master_seed = -1"),
+    ("target_radius = 0.05", "target_radius = 0.05\ngap_tol = nan"),
 ], ids=["n_samples", "eps_list", "master_seed", "modes", "target_phi", "rho0",
-        "eps_list_empty", "n_bins_zero", "target_phi_empty"])
+        "eps_list_empty", "n_bins_zero", "target_phi_empty", "n_samples_zero",
+        "target_radius_negative", "fd_step_zero", "master_seed_negative",
+        "gap_tol_nan"])
 def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, line, bad):
     text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
     assert f"\n{line}\n" in text
@@ -285,6 +296,28 @@ def test_default_config_rate_ball_excludes_noiseless_endpoint():
                                spec.grid, with_norms=False).endpoint
     gap = np.sqrt(np.sum(np.abs(noiseless.modes - center.modes) ** 2))
     assert gap > spec.target_radius
+
+
+def test_cli_negative_seed_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
+
+
+def test_cli_blowup_is_reported(tmp_path, capsys):
+    # a large initial mode blows past the cap within the first step
+    text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
+    path = tmp_path / "run.ini"
+    path.write_text(text.replace("modes = 1, 1, 0.3, 0.0; 2, 2, 0.1, 0.05",
+                                 "modes = 1, 1, 5.0, 0.0")
+                        .replace("n_steps = 20", "n_steps = 4"))
+    out = str(tmp_path / "o")
+    assert main(["skeleton", "--config", str(path), "--out", out]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    doc = read_error(out)
+    assert doc["error"] == "BlowUpError" and "step 1" in doc["message"]
 
 
 def test_cli_seed_override_changes_output(tmp_path):

@@ -15,9 +15,7 @@ from sggl.skeleton import march
 from sggl.spde import march_batch
 from sggl.timestep import linear_tables
 
-
-def jm2():
-    return JumpModel(nu=np.array([1.0, 0.5]), g=np.array([0.5, -0.3]))
+from conftest import jm2
 
 
 def reversed_map(fn, args):

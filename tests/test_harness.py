@@ -9,9 +9,7 @@ from sggl import (Control, EndpointSpec, JumpModel, NoiseScale, TimeGrid,
                   tail_probability, zero_field)
 from sggl.harness import _fit_loglog, _wilson
 
-
-def jm2():
-    return JumpModel(nu=np.array([1.0, 0.5]), g=np.array([0.5, -0.3]))
+from conftest import jm2
 
 
 def small_setup(params_pi, n=4, amp=0.2):

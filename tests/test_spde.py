@@ -9,9 +9,7 @@ from sggl import (Control, JumpModel, NoiseScale, Parameters, TimeGrid,
                   solve_controlled_spde, solve_skeleton, solve_spde,
                   zero_field)
 
-
-def jm2():
-    return JumpModel(nu=np.array([1.0, 0.5]), g=np.array([0.5, -0.3]))
+from conftest import jm2
 
 
 def scalar_setup(params_pi):

@@ -20,12 +20,12 @@ from contextlib import contextmanager
 from dataclasses import asdict, fields
 
 from . import harness, outputs
-from .config import ConfigError, RunSpec, parse_config, seed
+from .config import ConfigError, RunSpec, count, parse_config, seed
 from .jumps import Control, NoiseScale
 from .params import ParameterError
 from .rate import EndpointSpec, OptConfig, estimate_rate
 from .skeleton import solve_skeleton
-from .spde import solve_controlled_spde, solve_spde
+from .spde import solve_spde
 from .timestep import BlowUpError
 from .verify import run_invariant_suite
 
@@ -76,15 +76,11 @@ def cmd_skeleton(spec: RunSpec, out: str, args) -> int:
 def cmd_path(spec: RunSpec, out: str, args) -> int:
     """One path at the first eps: the raw SPDE for ``simulate``, the SPDE
     under the config control for ``controlled``."""
-    eps = NoiseScale(spec.eps_list[0])
     log: list = []
-    common = dict(seed=spec.master_seed, event_log=log)
-    if args.command == "controlled":
-        traj = solve_controlled_spde(spec.params, spec.basis, spec.u0, spec.jm,
-                                     eps, spec.ctrl, spec.grid, **common)
-    else:
-        traj = solve_spde(spec.params, spec.basis, spec.u0, spec.jm, eps,
-                          spec.grid, **common)
+    ctrl = spec.ctrl if args.command == "controlled" else None
+    traj = solve_spde(spec.params, spec.basis, spec.u0, spec.jm,
+                      NoiseScale(spec.eps_list[0]), spec.grid, spec.master_seed,
+                      ctrl=ctrl, event_log=log)
     _write_trajectory(spec, out, traj)
     outputs.write_event_log(os.path.join(out, "events.csv"), log,
                             spec.config_hash, spec.master_seed)
@@ -179,14 +175,13 @@ def cmd_tail(spec: RunSpec, out: str, args) -> int:
         report = harness.tail_probability(
             spec.params, spec.basis, spec.jm, spec.u0, spec.grid, target,
             spec.eps_list, spec.options["n_samples"], spec.master_seed,
-            rate_value=rate_res.value, rate_feasible=rate_res.feasible,
             _pool_map=mapper)
     outputs.write_cells_csv(os.path.join(out, "tail.csv"), report.cells,
                             harness.TailCell, spec.config_hash,
                             spec.master_seed)
     outputs.write_json(os.path.join(out, "tail.json"), {
-        "rate_value": report.rate_value,
-        "rate_feasible": report.rate_feasible,
+        "rate_value": rate_res.value,
+        "rate_feasible": rate_res.feasible,
         "cells": [asdict(c) for c in report.cells],
     }, spec.config_hash, spec.master_seed)
     return EXIT_OK
@@ -233,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=seed, default=None,
                         help="override the config master seed")
-        sp.add_argument("--workers", type=int, default=None,
+        sp.add_argument("--workers", type=count, default=None,
                         help="trajectory worker pool size "
                              "(default: SGGL_WORKERS, else the config)")
         if name == "sweep":
@@ -246,12 +241,12 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        if args.workers is None:
-            env = os.environ.get("SGGL_WORKERS", "0")
+        env = os.environ.get("SGGL_WORKERS")
+        if args.workers is None and env is not None:
             try:
-                args.workers = int(env) or None
+                args.workers = count(env)
             except ValueError:
-                ap.error(f"SGGL_WORKERS must be an integer, got {env!r}")
+                ap.error(f"SGGL_WORKERS must be an integer >= 1, got {env!r}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 

@@ -76,7 +76,8 @@ def _integer(text: str, low: int) -> int:
     return value
 
 
-def _count(text: str) -> int:
+def count(text: str) -> int:
+    """A count: an integer >= 1.  Also the type of ``--workers``."""
     return _integer(text, 1)
 
 
@@ -117,7 +118,7 @@ def _modes(text: str) -> list[tuple[int, int, complex]]:
         vals = entry.split(",")
         if len(vals) != 4:
             raise ValueError("entries must be 'k, m, re, im'")
-        entries.append((_count(vals[0]), _count(vals[1]),
+        entries.append((count(vals[0]), count(vals[1]),
                         _finite(vals[2]) + 1j * _finite(vals[3])))
     return entries
 
@@ -131,22 +132,22 @@ _SCHEMA: dict[str, dict] = {
                 "L1": (_positive, _REQUIRED), "L2": (_positive, _REQUIRED),
                 "lambda1": (_complex_pair, Parameters.lambda1),
                 "lambda2": (_complex_pair, Parameters.lambda2)},
-    "spectral": {"n1": (_count, _REQUIRED), "n2": (_count, _REQUIRED),
-                 "pad_factor": (_count, PAD_FACTOR)},
+    "spectral": {"n1": (count, _REQUIRED), "n2": (count, _REQUIRED),
+                 "pad_factor": (count, PAD_FACTOR)},
     "jumps": {"nu": (_list_of(_positive), _REQUIRED),
               "g": (_list_of(_finite), _REQUIRED)},
     "control": {"phi": (_matrix, None)},            # None: phi = 1 on one bin
-    "time": {"T": (_positive, _REQUIRED), "n_steps": (_count, _REQUIRED),
-             "save_stride": (_count, TimeGrid.save_stride)},
+    "time": {"T": (_positive, _REQUIRED), "n_steps": (count, _REQUIRED),
+             "save_stride": (count, TimeGrid.save_stride)},
     "noise": {"eps_list": (_list_of(_positive), (0.125,))},
     "initial": {"modes": (_modes, ())},               # (): u0 = 0
     "rate": {"target_phi": (_matrix, None), "target_radius": (_non_negative, 0.0),
              # the optimizer's keys are OptConfig's fields: its ints are
              # counts, its floats step sizes and tolerances
-             **{f.name: (_count if isinstance(f.default, int) else _positive,
+             **{f.name: (count if isinstance(f.default, int) else _positive,
                          f.default) for f in fields(OptConfig)}},
-    "harness": {"n_samples": (_count, 200)},
-    "run": {"master_seed": (seed, 0), "workers": (_count, 1)},
+    "harness": {"n_samples": (count, 200)},
+    "run": {"master_seed": (seed, 0), "workers": (count, 1)},
 }
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jumps import (Control, JumpModel, NoiseScale, constant_control,
-                    sample_controlled_prm, sample_prm, trajectory_seed)
+                    sample_prm, trajectory_seed)
 from .params import Parameters
 from .rate import EndpointSpec
 from .skeleton import TimeGrid, Trajectory, solve_skeleton
@@ -87,7 +87,6 @@ class SweepReport:
     slope: float
     r2: float
     slope_flag: bool          # True when the fit is unreliable (R^2 < R2_FLOOR)
-    master_seed: int
 
 
 def _skeleton_path(skel: Trajectory, grid: TimeGrid, n_bins: int):
@@ -116,9 +115,9 @@ def _sweep_batch(args):
      weights, lo, hi) = args
     u0 = StateField(np.asarray(u0_modes), basis)
     noise = NoiseScale(eps)
-    samples = [sample_controlled_prm(jm, noise, ctrl, trajectory_seed(master_seed, i))
+    samples = [sample_prm(jm, noise, grid.T, trajectory_seed(master_seed, i), ctrl)
                for i in range(lo, hi)]
-    p = int(round(2 * params.sigma + 2))
+    p = params.lp_exponent
     grad_w = np.abs(basis.eigenvalues)
     rows = np.zeros((hi - lo, 3))
 
@@ -184,8 +183,7 @@ def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
     else:
         slope, r2 = 0.0, 1.0   # degenerate (noise-free) sweep: statistics are 0
     return SweepReport(cells=cells, slope=slope, r2=r2,
-                       slope_flag=(r2 < R2_FLOOR and np.any(sup_means > 0)),
-                       master_seed=master_seed)
+                       slope_flag=(r2 < R2_FLOOR and np.any(sup_means > 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +205,6 @@ class TailCell:
 @dataclass
 class TailReport:
     cells: list[TailCell]
-    rate_value: float         # estimated I for the event (may be inf proxy)
-    rate_feasible: bool
-    master_seed: int
 
 
 def _tail_batch(args):
@@ -248,13 +243,11 @@ def _wilson(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 def tail_probability(params: Parameters, basis: SpectralBasis, jm: JumpModel,
                      u0: StateField, grid: TimeGrid, event: EndpointSpec,
                      eps_list: list[float], n_samples: int, master_seed: int,
-                     rate_value: float = math.nan, rate_feasible: bool = True,
                      _pool_map=None) -> TailReport:
     """Empirical decay of P(endpoint in the event ball) across eps.
 
     Precondition: the event excludes the noiseless endpoint, else the
-    probability tends to one and there is nothing to estimate.  The caller
-    supplies the rate estimate for the same event (or nan to skip).
+    probability tends to one and there is nothing to estimate.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -284,8 +277,7 @@ def tail_probability(params: Parameters, basis: SpectralBasis, jm: JumpModel,
             cells.append(TailCell(eps, n_samples, hits, p_hat,
                                   eps * math.log(p_hat),
                                   eps * se_p / p_hat, lo, hi, censored=False))
-    return TailReport(cells=cells, rate_value=rate_value,
-                      rate_feasible=rate_feasible, master_seed=master_seed)
+    return TailReport(cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +325,7 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
     p = min(2 * sigma - 0.5, max(2.0, sigma))
     T = float(traj.times[-1])
     dts = np.diff(traj.times)
-    p2s2 = int(round(2 * sigma + 2))
+    p2s2 = params.lp_exponent
 
     sup_sq = 0.0
     int_grad = 0.0

@@ -7,6 +7,11 @@ times of a rate-lambda process are obtained by time-rescaling a unit-rate
 exponential-gap stream.  The rescaling nests samples across intensities, so
 a sweep over noise scales epsilon with a shared seed uses common random
 numbers.
+
+One sampler, ``sample_prm``, draws both the driving measure of intensity
+eps^-1 nu and, given a control phi, the controlled measure of intensity
+eps^-1 phi nu, by thinning each mark's dominating stream; phi = 1 gives
+back the driving measure.
 """
 
 from __future__ import annotations
@@ -140,36 +145,29 @@ def _rate_scaled_times(rng: np.random.Generator, rate: float, T: float) -> np.nd
     return arrivals / rate
 
 
-def sample_prm(jm: JumpModel, eps: NoiseScale, T: float, seed: int) -> JumpSample:
-    """Sample the driving PRM with intensity (1/eps) * dt x nu."""
+def sample_prm(jm: JumpModel, eps: NoiseScale, T: float, seed: int,
+               ctrl: Control | None = None) -> JumpSample:
+    """Sample the PRM of intensity (1/eps) phi(t, z) nu(dz) dt on [0, T].
+
+    ``ctrl`` None means phi = 1, the driving noise itself.  Under a control,
+    mark j is sampled at its dominating intensity M_j = max_b phi[b, j] and
+    an event at (t, j) is kept with probability phi(t, z_j)/M_j, the
+    acceptance draws following the mark's event stream.  With phi identically
+    1 this reproduces the uncontrolled sample pathwise for a shared seed.
+    """
     if not T > 0:
         raise ValueError("T must be > 0")
+    if ctrl is not None and ctrl.T != T:
+        raise ValueError(f"control horizon {ctrl.T} differs from the "
+                         f"sampling horizon {T}")
     times_all, marks_all = [], []
     for j in range(jm.n_marks):
-        rng = mark_rng(seed, j)
-        t = _rate_scaled_times(rng, jm.nu[j] / eps.epsilon, T)
-        times_all.append(t)
-        marks_all.append(np.full(t.size, j, dtype=int))
-    return _merge(times_all, marks_all, T)
-
-
-def sample_controlled_prm(jm: JumpModel, eps: NoiseScale, ctrl: Control, seed: int) -> JumpSample:
-    """Sample the controlled PRM with intensity (1/eps) phi(t,z) nu(dz) dt.
-
-    Thinning against the per-mark dominating intensity M_j = max_b phi[b][j]:
-    an event at (t, j) of the dominating process is kept with probability
-    phi(t, z_j)/M_j.  With phi identically 1 this reproduces sample_prm
-    pathwise for a shared seed.
-    """
-    T = ctrl.T
-    times_all, marks_all = [], []
-    for j in range(jm.n_marks):
-        M = float(ctrl.phi[:, j].max())
+        M = 1.0 if ctrl is None else float(ctrl.phi[:, j].max())
         if M == 0.0:
             continue
         rng = mark_rng(seed, j)
         t = _rate_scaled_times(rng, M * jm.nu[j] / eps.epsilon, T)
-        if t.size:
+        if ctrl is not None and t.size:
             bins = np.minimum((t * ctrl.n_bins / T).astype(int), ctrl.n_bins - 1)
             accept = rng.random(t.size) < ctrl.phi[bins, j] / M
             t = t[accept]

@@ -54,3 +54,9 @@ class Parameters:
             raise ParameterError("domain dimensions L1, L2 must be > 0")
         object.__setattr__(self, "lambda1", tuple(complex(v) for v in self.lambda1))
         object.__setattr__(self, "lambda2", tuple(complex(v) for v in self.lambda2))
+
+    @property
+    def lp_exponent(self) -> int:
+        """The exponent 2 sigma + 2, rounded to an integer, of the
+        L^(2 sigma + 2) norm that the energy estimate controls."""
+        return int(round(2 * self.sigma + 2))

@@ -86,10 +86,6 @@ class MarchResult(NamedTuple):
     table_hits: int
 
 
-def _norm_p_list(params: Parameters) -> list[int]:
-    return [int(round(2 * params.sigma + 2))]
-
-
 def march(params: Parameters, basis: SpectralBasis, u0: StateField,
           grid: TimeGrid, event_times: np.ndarray, kick_factors: np.ndarray,
           drift, n_bins: int, on_save=None, on_kick=None) -> MarchResult:
@@ -115,8 +111,8 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     Callbacks see the batch rows they concern: ``on_save(rows, k, modes)``
     after grid steps k that ``grid.saved_steps`` keeps, and
     ``on_kick(rows, j, before, after)`` at each path's j-th event.  A path
-    whose norm leaves the blow-up cap at a grid time is frozen and its
-    ``BlowUpError`` recorded.
+    whose norm leaves the blow-up cap after any sub-step, a kick included,
+    is frozen and its ``BlowUpError`` recorded.
     """
     n_steps = grid.refined_steps(n_bins)
     dt = grid.T / n_steps
@@ -186,25 +182,22 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
             if on_kick is not None:
                 on_kick(kr, j, before, after)
 
-        # rows on a grid time: blow-up check, saving, finishing
+        # blow-up check on every row; saving and finishing on a grid time
         kg = k_after[:, r]
         w = c.view(np.float64).reshape(rows.size, n_real)
         sq = (w * w).sum(axis=1)
-        ok = (sq <= cap * cap) > kick       # a NaN norm fails too
-        n_bad = rows.size - n_kick - np.count_nonzero(ok)
+        ok = sq <= cap * cap                # a NaN norm fails too
+        n_bad = rows.size - np.count_nonzero(ok)
         if n_bad:
-            bad = ok < ~kick
-            for i in np.flatnonzero(bad):
+            for i in np.flatnonzero(~ok):
                 errors[rows[i]] = BlowUpError(int(kg[i]), float(end[i, r]),
                                               float(np.sqrt(sq[i])), cap)
         if on_save is not None:
-            keep = ok & saved[kg]
+            keep = (ok > kick) & saved[kg]      # a kicked row is off the grid
             if np.count_nonzero(keep):
                 on_save(rows[keep], kg[keep], c.compress(keep, axis=0))
         if n_bad or r + 1 == next_end:
-            done = last == r + 1
-            if n_bad:
-                done |= bad
+            done = (last == r + 1) | ~ok
             endpoints[rows[done]] = c[done]
             stay = ~done
             rows, c, e, last, is_ev, k_after, end, uniform, bins = (
@@ -238,7 +231,7 @@ def march_trajectory(params: Parameters, basis: SpectralBasis, u0: StateField,
                 n_bins, on_save=on_save, on_kick=on_kick)
     if res.errors[0] is not None:
         raise res.errors[0]
-    p_list = _norm_p_list(params)
+    p_list = [params.lp_exponent]
     norms = [compute_norms(u, p_list) for u in states] if with_norms else []
     return Trajectory(np.asarray(times), states, norms)
 

@@ -1,4 +1,4 @@
-"""Pathwise integration of the jump-driven SPDE and its controlled variant.
+"""Pathwise integration of the jump-driven SPDE, raw or under a control.
 
 Between events the dynamics are deterministic, with the constant drift
 -(sum_j g_j nu_j) u of the compensated noise term; at a sampled event
@@ -9,16 +9,16 @@ still compensated by eps^-1 nu, so only its events differ from the raw
 process, never its drift.  Jump times are inserted exactly into the step
 sequence, so a scalar single-mode run admits a closed-form product oracle.
 
-``march_batch`` marches a batch of sampled paths in lock step; the
-single-path solvers are the same march with one path.
+``march_batch`` marches a batch of sampled paths in lock step;
+``solve_spde``, the single-path solver, is the same march with one path and
+samples its own events, from the thinned measure when given a control.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jumps import (Control, JumpModel, JumpSample, NoiseScale,
-                    sample_controlled_prm, sample_prm)
+from .jumps import Control, JumpModel, JumpSample, NoiseScale, sample_prm
 from .params import Parameters
 from .skeleton import MarchResult, TimeGrid, Trajectory, march, march_trajectory
 from .spectral import SpectralBasis, StateField
@@ -59,8 +59,22 @@ def march_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
                  -np.sum(jm.g * jm.nu), n_bins, on_save=on_save)
 
 
-def _solve_path(params, basis, u0, jm, eps, ctrl, grid, events, event_log,
-                with_norms) -> Trajectory:
+def solve_spde(params: Parameters, basis: SpectralBasis, u0: StateField,
+               jm: JumpModel, eps: NoiseScale, grid: TimeGrid, seed: int,
+               ctrl: Control | None = None, events: JumpSample | None = None,
+               event_log: list | None = None, with_norms: bool = True) -> Trajectory:
+    """One path of the small-noise SPDE, deterministic given the seed.
+
+    Under ``ctrl`` the path is driven by the thinned PRM of intensity
+    eps^-1 phi nu and marched on the control's bins.  The drift is the raw
+    -(sum_j g_j nu_j) either way: the control changes only the events, so
+    under a 1-bin control and the same ``events`` the two paths agree bit for
+    bit.  ``events`` overrides sampling (used by tests that inject a fixed or
+    empty event set); ``event_log`` collects (t, mark, ||u(t-)||, ||u(t)||)
+    for every event, identity kicks included.
+    """
+    if events is None:
+        events = sample_prm(jm, eps, grid.T, seed, ctrl)
     times, factors = _pad_events([events], jm, eps.epsilon,
                                  keep_identity=event_log is not None)
     on_kick = None
@@ -73,37 +87,3 @@ def _solve_path(params, basis, u0, jm, eps, ctrl, grid, events, event_log,
     n_bins = 1 if ctrl is None else ctrl.n_bins
     return march_trajectory(params, basis, u0, grid, times, factors,
                             -np.sum(jm.g * jm.nu), n_bins, with_norms, on_kick)
-
-
-def solve_spde(params: Parameters, basis: SpectralBasis, u0: StateField,
-               jm: JumpModel, eps: NoiseScale, grid: TimeGrid, seed: int,
-               events: JumpSample | None = None,
-               event_log: list | None = None, with_norms: bool = True) -> Trajectory:
-    """One path of the small-noise SPDE, deterministic given the seed.
-
-    The compensator of the compensated-noise term contributes the constant
-    drift -(sum_j g_j nu_j) between kicks; ``events`` overrides sampling
-    (used by tests that inject a fixed or empty event set).
-    """
-    if events is None:
-        events = sample_prm(jm, eps, grid.T, seed)
-    return _solve_path(params, basis, u0, jm, eps, None, grid, events,
-                       event_log, with_norms)
-
-
-def solve_controlled_spde(params: Parameters, basis: SpectralBasis, u0: StateField,
-                          jm: JumpModel, eps: NoiseScale, ctrl: Control,
-                          grid: TimeGrid, seed: int,
-                          events: JumpSample | None = None,
-                          event_log: list | None = None,
-                          with_norms: bool = True) -> Trajectory:
-    """One path of the controlled SPDE driven by the thinned PRM.
-
-    The drift is the raw one, -(sum_j g_j nu_j) u: the control changes only
-    the events, so under a 1-bin control and the same ``events`` this is
-    ``solve_spde`` bit for bit.
-    """
-    if events is None:
-        events = sample_controlled_prm(jm, eps, ctrl, seed)
-    return _solve_path(params, basis, u0, jm, eps, ctrl, grid, events,
-                       event_log, with_norms)

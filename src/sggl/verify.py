@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RunSpec
-from .jumps import (NoiseScale, constant_control, sample_controlled_prm,
-                    sample_prm)
+from .jumps import NoiseScale, constant_control, sample_prm
 from .rate import cost, ell
 from .skeleton import solve_skeleton
 from .spde import solve_spde
@@ -65,8 +64,8 @@ def run_invariant_suite(spec: RunSpec) -> list[str]:
     s2 = sample_prm(jm, eps, grid.T, seed=spec.master_seed)
     check("prm_determinism", np.array_equal(s1.times, s2.times)
           and np.array_equal(s1.marks, s2.marks))
-    c1 = sample_controlled_prm(jm, eps, ctrl1, seed=spec.master_seed)
-    c2 = sample_controlled_prm(jm, eps, ctrl1, seed=spec.master_seed)
+    c1 = sample_prm(jm, eps, grid.T, spec.master_seed, ctrl1)
+    c2 = sample_prm(jm, eps, grid.T, spec.master_seed, ctrl1)
     check("thinning_determinism", np.array_equal(c1.times, c2.times))
     check("thinning_phi1_identity", np.array_equal(c1.times, s1.times)
           and np.array_equal(c1.marks, s1.marks))

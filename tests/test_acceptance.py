@@ -14,8 +14,7 @@ from sggl import (Control, EndpointSpec, JumpModel, NoiseScale, OptConfig,
                   Parameters, StateField, TimeGrid, apply_A, constant_control,
                   convergence_sweep, cost, ell, energy_audit, estimate_rate,
                   galerkin_refine, make_basis, mode_field, sample_prm,
-                  solve_controlled_spde, solve_skeleton, solve_spde,
-                  tail_probability, zero_field)
+                  solve_skeleton, solve_spde, tail_probability, zero_field)
 from sggl.cli import main
 
 from conftest import jm2
@@ -69,8 +68,8 @@ def test_criterion_2_zero_state_invariance(params_pi):
     ok = all_zero(solve_skeleton(params_pi, basis, u0, jm, ctrl, grid))
     for seed in range(100):
         a = solve_spde(params_pi, basis, u0, jm, NoiseScale(0.25), grid, seed)
-        b = solve_controlled_spde(params_pi, basis, u0, jm, NoiseScale(0.25),
-                                  ctrl, grid, seed)
+        b = solve_spde(params_pi, basis, u0, jm, NoiseScale(0.25), grid, seed,
+                       ctrl=ctrl)
         ok = ok and all_zero(a) and all_zero(b)
     _report(2, "zero field invariant under all three solvers", ok,
             "100 seeds, exact", t0, 10.0)
@@ -227,8 +226,7 @@ def test_criterion_7_ldp_upper_bound(params_pi):
 
     eps_list = [0.2, 0.17, 0.1445, 0.1228]
     rep = tail_probability(params_pi, basis, jm, u0, grid, event, eps_list,
-                           n_samples=5000, master_seed=2024,
-                           rate_value=rate, rate_feasible=res.feasible)
+                           n_samples=5000, master_seed=2024)
     cells = [c for c in rep.cells if not c.censored]
     ok = len(cells) == len(eps_list)
     margins = []

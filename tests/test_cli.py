@@ -397,12 +397,20 @@ def test_cli_every_output_has_header(tmp_path):
 
 def test_cli_non_integer_workers_env_is_usage_error(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
-    monkeypatch.setenv("SGGL_WORKERS", "abc")
-    assert main(["skeleton", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "SGGL_WORKERS" in err and "Traceback" not in err
+    run = ["skeleton", "--config", cfg, "--out", str(tmp_path / "o")]
+    # worker counts below 1 are usage errors too, from the env or the flag
+    for env in ("abc", "0", "-3"):
+        monkeypatch.setenv("SGGL_WORKERS", env)
+        assert main(run) == 2
+        err = capsys.readouterr().err
+        assert "SGGL_WORKERS" in err and "Traceback" not in err
+    monkeypatch.delenv("SGGL_WORKERS")
+    for flag in ("0", "-3", "abc"):
+        assert main(run + ["--workers", flag]) == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err and "Traceback" not in err
     monkeypatch.setenv("SGGL_WORKERS", "1")
-    assert main(["skeleton", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert main(run) == 0
 
 
 def test_cli_sweep_resume_from_truncated_checkpoint(tmp_path, capsys):

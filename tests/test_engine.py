@@ -1,14 +1,15 @@
 """Lock-step batched marcher: agreement with single paths, batching
 independence, blow-up ordering, table cache, and control-bin edges."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from sggl import (BlowUpError, Control, EndpointSpec, JumpModel, JumpSample,
                   NoiseScale, StateField, TimeGrid, constant_control,
                   convergence_sweep, drift_coefficient, make_basis, mode_field,
-                  sample_controlled_prm, sample_prm, solve_controlled_spde,
-                  solve_skeleton, solve_spde, tail_probability,
+                  sample_prm, solve_skeleton, solve_spde, tail_probability,
                   trajectory_seed)
 from sggl import harness
 from sggl.skeleton import march
@@ -63,7 +64,7 @@ def test_batched_endpoints_match_single_paths(params_pi, controlled):
     ctrl = Control(T=grid.T, phi=np.array([[1.5, 0.5], [1.0, 1.5]])) if controlled else None
     seeds = [trajectory_seed(5, i) for i in range(9)]
     if controlled:
-        samples = [sample_controlled_prm(jm, eps, ctrl, s) for s in seeds]
+        samples = [sample_prm(jm, eps, ctrl.T, s, ctrl) for s in seeds]
     else:
         samples = [sample_prm(jm, eps, grid.T, s) for s in seeds]
     res = march_batch(params_pi, basis, u0, jm, eps, ctrl, grid, samples)
@@ -71,8 +72,8 @@ def test_batched_endpoints_match_single_paths(params_pi, controlled):
     assert sum(s.n_events for s in samples) > 0
     for seed, got in zip(seeds, res.endpoints):
         if controlled:
-            one = solve_controlled_spde(params_pi, basis, u0, jm, eps, ctrl, grid,
-                                        seed, with_norms=False)
+            one = solve_spde(params_pi, basis, u0, jm, eps, grid, seed,
+                             ctrl=ctrl, with_norms=False)
         else:
             one = solve_spde(params_pi, basis, u0, jm, eps, grid, seed,
                              with_norms=False)
@@ -155,6 +156,24 @@ def test_blowup_raises_lowest_index_path(params_pi, monkeypatch):
         assert (exc.value.step, exc.value.t) == (single[1].step, single[1].t)
 
 
+def test_blowup_detected_on_the_kick_substep(params_pi):
+    # a kick far past the cap is caught on its own sub-step, before the next
+    # step evaluates |u|^{2 sigma} u on it, so the error reports a finite norm
+    basis = make_basis(2, 2, params_pi, pad_factor=4)
+    u0 = mode_field(basis, 1, 1, 0.1)
+    jm = JumpModel(nu=np.array([1e-9]), g=np.array([1e9]))
+    grid = TimeGrid(T=0.5, n_steps=50)
+    events = JumpSample(np.array([0.105]), np.zeros(1, dtype=int), grid.T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(BlowUpError) as exc:
+            solve_spde(params_pi, basis, u0, jm, NoiseScale(0.25), grid, 0,
+                       events=events)
+    err = exc.value
+    assert (err.step, err.t) == (10, 0.105)
+    assert np.isfinite(err.norm) and err.norm > err.cap
+
+
 def test_blowup_freezes_only_its_path(params_pi):
     basis = make_basis(2, 2, params_pi, pad_factor=4)
     u0 = mode_field(basis, 1, 1, 0.1)
@@ -188,7 +207,7 @@ def test_table_cache_serves_whole_grid_steps(params_pi):
     # a jump-dense path: every sub-step that does not span a whole grid step
     # builds fresh tables, so only the uniform grid steps are cache hits
     eps = NoiseScale(1 / 256)
-    samples = [sample_controlled_prm(jm, eps, ctrl, s) for s in (1, 2)]
+    samples = [sample_prm(jm, eps, ctrl.T, s, ctrl) for s in (1, 2)]
     res = march_batch(params_pi, basis, u0, jm, eps, ctrl, grid, samples)
     assert min(s.n_events for s in samples) > grid.n_steps
     assert res.substeps == 2 * grid.n_steps + sum(s.n_events for s in samples)

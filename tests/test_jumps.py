@@ -5,8 +5,7 @@ import pytest
 from scipy.stats import chisquare, poisson
 
 from sggl import (Control, JumpModel, NoiseScale, constant_control,
-                  drift_coefficient, sample_controlled_prm, sample_prm,
-                  validate_model)
+                  drift_coefficient, sample_prm, validate_model)
 
 
 def jm1(g=0.5, nu=1.0):
@@ -110,18 +109,19 @@ def test_sample_prm_uniform_times():
 
 def test_thinning_identity_control():
     jm = JumpModel(nu=np.array([1.0, 0.5]), g=np.array([0.5, -0.3]))
-    ctrl = constant_control(1.0, 2, 1.0)
-    for seed in (1, 2, 3):
-        a = sample_prm(jm, NoiseScale(0.25), 1.0, seed)
-        b = sample_controlled_prm(jm, NoiseScale(0.25), ctrl, seed)
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.marks, b.marks)
+    for ctrl in (constant_control(1.0, 2, 1.0),
+                 constant_control(1.0, 2, 1.0, n_bins=3)):
+        for seed in (1, 2, 3):
+            a = sample_prm(jm, NoiseScale(0.25), 1.0, seed)
+            b = sample_prm(jm, NoiseScale(0.25), 1.0, seed, ctrl=ctrl)
+            assert np.array_equal(a.times, b.times)
+            assert np.array_equal(a.marks, b.marks)
 
 
 def test_thinning_zero_control():
     jm = jm1()
     ctrl = constant_control(1.0, 1, 0.0)
-    s = sample_controlled_prm(jm, NoiseScale(0.1), ctrl, seed=5)
+    s = sample_prm(jm, NoiseScale(0.1), ctrl.T, 5, ctrl)
     assert s.n_events == 0
 
 
@@ -131,11 +131,11 @@ def test_thinning_piecewise_mean():
     ctrl = Control(T=1.0, phi=np.array([[2.0], [0.0]]))
     n = 100_000
     counts = np.fromiter(
-        (sample_controlled_prm(jm, NoiseScale(1.0), ctrl, s).n_events
+        (sample_prm(jm, NoiseScale(1.0), ctrl.T, s, ctrl).n_events
          for s in range(n)), dtype=float)
     assert abs(counts.mean() - 1.0) <= 3.0 * np.sqrt(1.0 / n)
     # no event survives in the zero-intensity second half
-    late = max(sample_controlled_prm(jm, NoiseScale(1.0), ctrl, s).times.max(initial=0.0)
+    late = max(sample_prm(jm, NoiseScale(1.0), ctrl.T, s, ctrl).times.max(initial=0.0)
                for s in range(200))
     assert late <= 0.5
 
@@ -148,7 +148,7 @@ def test_thinning_poisson_gof():
     ctrl = constant_control(1.0, 1, phi)
     n = 10_000
     counts = np.fromiter(
-        (sample_controlled_prm(jm, NoiseScale(0.5), ctrl, s).n_events
+        (sample_prm(jm, NoiseScale(0.5), ctrl.T, s, ctrl).n_events
          for s in range(n)), dtype=int)
     kmax = int(counts.max())
     observed = np.bincount(counts, minlength=kmax + 1).astype(float)
@@ -166,10 +166,19 @@ def test_thinning_poisson_gof():
 def test_thinning_determinism():
     jm = JumpModel(nu=np.array([1.0, 2.0]), g=np.array([0.2, -0.1]))
     ctrl = Control(T=1.0, phi=np.array([[1.5, 0.5], [0.2, 2.0]]))
-    a = sample_controlled_prm(jm, NoiseScale(0.2), ctrl, seed=9)
-    b = sample_controlled_prm(jm, NoiseScale(0.2), ctrl, seed=9)
+    a = sample_prm(jm, NoiseScale(0.2), ctrl.T, 9, ctrl)
+    b = sample_prm(jm, NoiseScale(0.2), ctrl.T, 9, ctrl)
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.marks, b.marks)
+
+
+def test_thinning_rejects_control_on_other_horizon():
+    # a control is sampled on its own horizon only, never cut or stretched
+    jm = jm1()
+    ctrl = constant_control(1.0, 1, 2.0, n_bins=2)
+    for T in (0.5, 2.0):
+        with pytest.raises(ValueError, match="horizon"):
+            sample_prm(jm, NoiseScale(0.1), T, 5, ctrl)
 
 
 def test_control_rejects_negative():

@@ -5,9 +5,8 @@ import pytest
 
 from sggl import (Control, JumpModel, NoiseScale, Parameters, TimeGrid,
                   constant_control, drift_coefficient, empty_sample,
-                  make_basis, mode_field, sample_controlled_prm, sample_prm,
-                  solve_controlled_spde, solve_skeleton, solve_spde,
-                  zero_field)
+                  make_basis, mode_field, sample_prm, solve_skeleton,
+                  solve_spde, zero_field)
 
 from conftest import jm2
 
@@ -28,9 +27,9 @@ def test_zero_initial_state(params_pi, basis8):
         traj = solve_spde(params_pi, basis8, zero_field(basis8), jm,
                           NoiseScale(0.25), grid, seed)
         assert all(np.all(u.modes == 0) for u in traj.states)
-        traj = solve_controlled_spde(params_pi, basis8, zero_field(basis8),
-                                     jm, NoiseScale(0.25),
-                                     constant_control(0.3, 2, 1.7), grid, seed)
+        traj = solve_spde(params_pi, basis8, zero_field(basis8), jm,
+                          NoiseScale(0.25), grid, seed,
+                          ctrl=constant_control(0.3, 2, 1.7))
         assert all(np.all(u.modes == 0) for u in traj.states)
 
 
@@ -55,8 +54,8 @@ def test_controlled_identity_control_matches_spde(params_pi, basis8):
     ctrl = constant_control(0.3, 2, 1.0)
     for seed in (0, 1, 2):
         a = solve_spde(params_pi, basis8, u0, jm, NoiseScale(0.25), grid, seed)
-        b = solve_controlled_spde(params_pi, basis8, u0, jm, NoiseScale(0.25),
-                                  ctrl, grid, seed)
+        b = solve_spde(params_pi, basis8, u0, jm, NoiseScale(0.25), grid, seed,
+                       ctrl=ctrl)
         for x, y in zip(a.states, b.states):
             assert np.array_equal(x.modes, y.modes)
 
@@ -70,10 +69,10 @@ def test_controlled_path_is_raw_spde_on_its_events(params_pi, basis8):
     eps = NoiseScale(0.25)
     ctrl = Control(T=0.3, phi=np.array([[1.7, 0.4]]))
     for seed in (0, 1, 2):
-        events = sample_controlled_prm(jm, eps, ctrl, seed)
+        events = sample_prm(jm, eps, ctrl.T, seed, ctrl)
         a = solve_spde(params_pi, basis8, u0, jm, eps, grid, seed, events=events)
-        b = solve_controlled_spde(params_pi, basis8, u0, jm, eps, ctrl, grid,
-                                  seed, events=events)
+        b = solve_spde(params_pi, basis8, u0, jm, eps, grid, seed, ctrl=ctrl,
+                       events=events)
         assert events.n_events > 0
         assert np.array_equal(a.times, b.times)
         for x, y in zip(a.states, b.states):
@@ -88,9 +87,8 @@ def test_empty_events_balanced_model_equals_skeleton(params_pi, basis8):
     u0 = mode_field(basis8, 1, 1, 0.2)
     grid = TimeGrid(T=0.3, n_steps=30)
     skel = solve_skeleton(params_pi, basis8, u0, jm, ctrl, grid)
-    path = solve_controlled_spde(params_pi, basis8, u0, jm, NoiseScale(0.1),
-                                 ctrl, grid, seed=0,
-                                 events=empty_sample(0.3))
+    path = solve_spde(params_pi, basis8, u0, jm, NoiseScale(0.1), grid, seed=0,
+                      ctrl=ctrl, events=empty_sample(0.3))
     for a, b in zip(path.states, skel.states):
         assert np.array_equal(a.modes, b.modes)
 
@@ -140,9 +138,8 @@ def test_scalar_controlled_product_formula(params_pi):
     mu = basis.eigenvalues[0, 0]
     drift = drift_coefficient(jm, ctrl)[0] - 0.3 * phi * 1.5
     for seed in range(20):
-        events = sample_controlled_prm(jm, eps, ctrl, seed)
-        traj = solve_controlled_spde(params_pi, basis, u0, jm, eps, ctrl,
-                                     grid, seed)
+        events = sample_prm(jm, eps, ctrl.T, seed, ctrl)
+        traj = solve_spde(params_pi, basis, u0, jm, eps, grid, seed, ctrl=ctrl)
         want = (u0.modes[0, 0] * np.exp(((1 + 0.5j) * mu + 1.0 + drift) * T)
                 * (1 + eps.epsilon * 0.3) ** events.n_events)
         assert abs(traj.endpoint.modes[0, 0] - want) <= 1e-8 * abs(want)

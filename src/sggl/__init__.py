@@ -9,8 +9,7 @@ from .jumps import (JumpModel, JumpSample, Control, NoiseScale, validate_model,
                     sample_prm, drift_coefficient,
                     constant_control, empty_sample, trajectory_seed)
 from .timestep import BlowUpError
-from .skeleton import (TimeGrid, Trajectory, solve_skeleton, galerkin_refine,
-                       embed_modes)
+from .skeleton import TimeGrid, Trajectory, solve_skeleton, galerkin_refine
 from .spde import solve_spde
 from .rate import ell, cost, in_level_set, estimate_rate, EndpointSpec, OptConfig, RateResult
 from .harness import (convergence_sweep, tail_probability, energy_audit,

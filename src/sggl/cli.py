@@ -104,6 +104,8 @@ def cmd_rate(spec: RunSpec, out: str, args) -> int:
         "endpoint_gap": res.endpoint_gap,
         "iterations": res.iterations,
         "feasible": res.feasible,
+        "marches": res.marches,
+        "skeleton_paths": res.skeleton_paths,
         "control_phi": res.control.phi.tolist(),
         "target_radius": target.radius,
     }, spec.config_hash, spec.master_seed)

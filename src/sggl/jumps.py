@@ -16,7 +16,7 @@ back the driving measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,9 +108,9 @@ def validate_model(jm: JumpModel, delta: float) -> float:
     return float(np.sum(np.exp(delta * jm.g**2) * jm.nu))
 
 
-def mark_rng(seed: int, mark: int, salt: int = 0) -> np.random.Generator:
-    # Philox is counter-based; (seed, salt, mark) keys independent substreams
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(salt, mark))
+def mark_rng(seed: int, mark: int) -> np.random.Generator:
+    # Philox is counter-based; (seed, mark) keys independent substreams
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(0, mark))
     return np.random.Generator(np.random.Philox(ss))
 
 

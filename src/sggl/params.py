@@ -12,7 +12,7 @@ complex constant 2-vectors lambda1, lambda2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 BETA_CONSTRAINT = "0<|β|<√(2σ+1)/σ"
 SIGMA_CONSTRAINT = "σ>2"

@@ -7,6 +7,13 @@ a target field) is estimated by exterior-penalty minimization of the cost
 subject to the skeleton endpoint landing in the ball: one penalty
 continuation from the noiseless control phi = 1, with projected
 finite-difference gradient descent over the control entries.
+
+Every skeleton solve of the search is a row of a batched ``march`` with one
+drift row per control: a gradient's forward differences share one march,
+and the line search marches its candidate steps in batches that double in
+size.  A row's result does not depend on its batch and candidates are
+accepted in their serial order, so the estimate is the one that solving
+the skeletons one at a time gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jumps import Control, JumpModel
+from .jumps import Control, JumpModel, drift_coefficient
 from .params import Parameters
-from .skeleton import TimeGrid, solve_skeleton
-from .timestep import BlowUpError
+from .skeleton import TimeGrid, march
 from .spectral import SpectralBasis, StateField
 
 
@@ -74,24 +80,30 @@ class OptConfig:
 
 @dataclass
 class RateResult:
+    """Estimate and its cost: ``marches`` batched skeleton marches that
+    solved ``skeleton_paths`` skeletons in all."""
+
     value: float
     control: Control
     endpoint_gap: float
     iterations: int
     feasible: bool
+    marches: int
+    skeleton_paths: int
 
 
-def _endpoint_gap(phi: np.ndarray, target: EndpointSpec, params, basis, jm,
-                  u0, grid) -> float:
-    ctrl = Control(T=grid.T, phi=phi)
-    try:
-        traj = solve_skeleton(params, basis, u0, jm, ctrl, grid, with_norms=False)
-    except BlowUpError:
-        # an exploding skeleton can never satisfy the endpoint constraint;
-        # an infinite gap lets the line search back off the candidate
-        return math.inf
-    diff = traj.endpoint.modes - target.center.modes
-    return float(np.sqrt(np.sum(np.abs(diff) ** 2)))
+def _endpoint_gaps(phis: np.ndarray, target: EndpointSpec, params, basis, jm,
+                   u0, grid) -> list[float]:
+    """Endpoint gap of the skeleton under each control ``phis[i]``, all
+    marched at once; inf for a skeleton that blew up."""
+    drift = np.stack([drift_coefficient(jm, Control(T=grid.T, phi=p)) for p in phis])
+    none = np.empty((len(phis), 0))
+    res = march(params, basis, u0, grid, none, none, drift, phis.shape[1])
+    # an exploding skeleton can never satisfy the endpoint constraint; an
+    # infinite gap lets the line search back off the candidate
+    return [math.inf if err is not None else
+            float(np.sqrt(np.sum(np.abs(end - target.center.modes) ** 2)))
+            for end, err in zip(res.endpoints, res.errors)]
 
 
 def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis,
@@ -102,17 +114,25 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     Exterior penalty with geometric continuation in rho, started once from
     phi = 1; the inner loop is projected gradient descent (phi >= 0) with
     forward-difference gradients and backtracking line search, and the
-    result is the best iterate seen (feasible first, then cheapest).  Control dimension n_bins x K stays small,
-    so finite differences are affordable.  Infeasibility within the budget is
-    reported via the ``feasible`` flag (the numerical proxy for an infinite
-    rate), never as a sentinel value.
+    result is the best iterate seen (feasible first, then cheapest).  Control
+    dimension n_bins x K stays small, so finite differences are affordable:
+    the n_bins x K perturbed controls of a gradient share one march.  The
+    line search tries steps s, s/2, s/4, ... (at most 25), marched in that
+    order in batches of 2, 4, 8, ..., and accepts the first that improves
+    the objective, so it accepts what a serial search would, bit for bit.
+    Infeasibility within the budget is reported via the ``feasible`` flag
+    (the numerical proxy for an infinite rate), never as a sentinel value.
     """
     K = jm.n_marks
     shape = (opt_cfg.n_bins, K)
     tol = opt_cfg.gap_tol
+    marches = paths = 0
 
-    def gap_of(phi):
-        return _endpoint_gap(phi, target, params, basis, jm, u0, grid)
+    def gaps_of(phis):
+        nonlocal marches, paths
+        marches += 1
+        paths += len(phis)
+        return _endpoint_gaps(phis, target, params, basis, jm, u0, grid)
 
     def cost_of(phi):
         return cost(Control(T=grid.T, phi=phi), jm)
@@ -120,42 +140,41 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     def violation(gap):
         return max(0.0, gap - target.radius)
 
+    def objective(phi, gap):
+        return cost_of(phi) + rho * violation(gap) ** 2
+
     best = None   # (cost, phi, gap)
     iterations = 0
     phi = np.ones(shape)
-    gap = gap_of(phi)
+    gap = gaps_of(phi[None])[0]
     rho = opt_cfg.rho0
+    h = opt_cfg.fd_step
     for _outer in range(opt_cfg.n_rho):
-        def objective(p, g=None):
-            g = gap_of(p) if g is None else g
-            return cost_of(p) + rho * violation(g) ** 2, g
-
-        f, gap = objective(phi, gap)
+        f = objective(phi, gap)
         step = opt_cfg.step0
         for _inner in range(opt_cfg.max_inner):
             iterations += 1
-            grad = np.zeros(shape)
-            h = opt_cfg.fd_step
-            for idx in np.ndindex(shape):
-                p2 = phi.copy()
-                p2[idx] += h
-                f2, _ = objective(p2)
-                grad[idx] = (f2 - f) / h
+            probes = phi + h * np.eye(phi.size).reshape((-1,) + shape)
+            f2 = np.array([objective(p, g) for p, g in zip(probes, gaps_of(probes))])
+            grad = ((f2 - f) / h).reshape(shape)
             gnorm = float(np.sqrt(np.sum(grad**2)))
             if gnorm < 1e-10:
                 break
-            # backtracking projected line search
+            # backtracking projected line search over a ladder of batches
+            scales = step * 0.5 ** np.arange(25)
             improved = False
-            s = step
-            for _bt in range(25):
-                cand = np.maximum(0.0, phi - s * grad)
-                fc, gc = objective(cand)
-                if fc < f - 1e-14:
-                    phi, f, gap = cand, fc, gc
-                    step = min(s * 2.0, 1e3)
-                    improved = True
-                    break
-                s *= 0.5
+            lo, size = 0, 2
+            while lo < scales.size and not improved:
+                batch = scales[lo:lo + size]
+                cands = np.maximum(0.0, phi - batch[:, None, None] * grad)
+                for s, cand, gc in zip(batch, cands, gaps_of(cands)):
+                    fc = objective(cand, gc)
+                    if fc < f - 1e-14:
+                        phi, f, gap = cand, fc, gc
+                        step = min(s * 2.0, 1e3)
+                        improved = True
+                        break
+                lo, size = lo + size, 2 * size
             if not improved:
                 break
             cur = (cost_of(phi), phi.copy(), gap)
@@ -169,7 +188,7 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     feasible = violation(gap_best) <= tol
     return RateResult(value=c_val, control=Control(T=grid.T, phi=phi_best),
                       endpoint_gap=gap_best, iterations=iterations,
-                      feasible=feasible)
+                      feasible=feasible, marches=marches, skeleton_paths=paths)
 
 
 def _better(best, cand, radius: float, tol: float):

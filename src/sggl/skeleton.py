@@ -10,9 +10,10 @@ The module also hosts ``march``, the one marching engine behind every
 solver.  It advances a batch of S paths in lock step on (S, n1, n2) arrays:
 uniform ETDRK2 steps, refined so control-bin edges are step boundaries, with
 each path's sampled jump times inserted exactly and followed by its
-multiplicative kick.  The drift is given as one value per control bin.  A
-skeleton solve is a march of one path without events and with the drift
-values c_b.
+multiplicative kick.  The drift is one value per control bin, shared by
+the batch or given per path.  A skeleton solve is a march of one path
+without events and with the drift values c_b; skeletons under different
+controls march together as paths with their own drift rows.
 """
 
 from __future__ import annotations
@@ -91,9 +92,11 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
           drift, n_bins: int, on_save=None, on_kick=None) -> MarchResult:
     """Integrate S paths of du/dt = Au + Bu + d(t)u from u0, kicking at events.
 
-    d(t) = drift[b] is constant on control bin b; ``drift`` is a float or
-    one value per bin, broadcast to ``n_bins`` values.  The stiff linear part
-    (1+i alpha)Lap + gamma + d is mode-diagonal and integrated exactly.
+    d(t) = drift[b] is constant on control bin b.  ``drift`` is a float or
+    an (n_bins,) vector, shared by every path, or an (S, n_bins) array whose
+    row s is path s's drift, so paths under different controls share one
+    march.  The stiff linear part (1+i alpha)Lap + gamma + d is
+    mode-diagonal and integrated exactly.
     ``event_times`` and ``kick_factors`` are (S, E) arrays: row s holds path
     s's increasing event times, padded with +inf, and the factors its state
     is multiplied by after the drift step ending at each event (left-limit
@@ -105,8 +108,11 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     k counts its finished grid steps and fixes its control bin
     k // (steps per bin), so bins never depend on rounded float times.  A
     sub-step that starts on a grid time and ends on the next one uses the
-    bin's cached uniform-step tables; any other sub-step builds its tables
-    for its own h (h = 0, an event on a grid time, gives identity tables).
+    cached uniform-step tables of its bin (of its drift row and bin, for
+    per-path drift); any other sub-step builds its tables for its own h
+    (h = 0, an event on a grid time, gives identity tables).  A path's
+    arithmetic is the same whatever else its batch holds, so its result is
+    its S = 1 march's, bit for bit.
 
     Callbacks see the batch rows they concern: ``on_save(rows, k, modes)``
     after grid steps k that ``grid.saved_steps`` keeps, and
@@ -118,16 +124,27 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     dt = grid.T / n_steps
     nonlin = make_nonlin(params, basis)
     Lbase = (1.0 + 1j * params.alpha) * basis.eigenvalues + params.gamma
-    d = np.broadcast_to(np.asarray(drift, dtype=float), (n_bins,))
-    L = Lbase + d[:, None, None]
-    cache = np.stack(linear_tables(dt, L))      # (3, n_bins, n1, n2)
+    S, E = event_times.shape
+    d = np.asarray(drift, dtype=float)
+    # L and the cache hold one entry per bin, or per (path, bin) for
+    # per-path drift: path s's bin b is entry s * n_bins + b
+    if d.ndim == 2:
+        if d.shape != (S, n_bins):
+            raise ValueError(f"per-path drift must be shaped ({S}, {n_bins}), "
+                             f"got {d.shape}")
+        L = (Lbase + d[..., None, None]).reshape((S * n_bins,) + Lbase.shape)
+        first_entry = np.arange(S)[:, None] * n_bins
+    else:
+        d = np.broadcast_to(d, (n_bins,))
+        L = Lbase + d[:, None, None]
+        first_entry = 0
+    cache = np.stack(linear_tables(dt, L))      # (3, entries, n1, n2)
     step_bin = np.arange(n_steps) // (n_steps // n_bins)
     cap = BLOWUP_FACTOR * (u0.l2() + 1.0)
     grid_times = np.arange(1, n_steps + 1) * dt
     saved = np.zeros(n_steps + 1, dtype=bool)
     saved[grid.saved_steps(n_bins)] = True
 
-    S, E = event_times.shape
     ev = np.asarray(event_times, dtype=float)
     # Each path's sub-steps in order: one per grid step and one per event up
     # to the last grid time, an event first where it equals a grid time.
@@ -144,7 +161,8 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     end[es, pos] = ev[es, ej]
     uniform = ~is_ev                        # a whole grid step
     uniform[:, 1:] &= ~is_ev[:, :-1]
-    bins = step_bin[np.minimum(k_after - ~is_ev, n_steps - 1)]   # its control bin
+    # its control bin's entry in L and the cache
+    entry = step_bin[np.minimum(k_after - ~is_ev, n_steps - 1)] + first_entry
 
     endpoints = np.repeat(u0.modes.astype(complex)[None], S, axis=0)
     errors: list = [None] * S
@@ -160,7 +178,7 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     for r in range(R):
         kick = is_ev[:, r]
         uni = uniform[:, r]
-        b = bins[:, r]
+        b = entry[:, r]
         tables = cache.take(b, axis=1)
         n_uni = np.count_nonzero(uni)
         if n_uni < rows.size:
@@ -200,9 +218,9 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
             done = (last == r + 1) | ~ok
             endpoints[rows[done]] = c[done]
             stay = ~done
-            rows, c, e, last, is_ev, k_after, end, uniform, bins = (
+            rows, c, e, last, is_ev, k_after, end, uniform, entry = (
                 a[stay] for a in (rows, c, e, last, is_ev, k_after, end,
-                                  uniform, bins))
+                                  uniform, entry))
             if not rows.size:
                 break
             next_end = last.min()

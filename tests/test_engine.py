@@ -81,6 +81,40 @@ def test_batched_endpoints_match_single_paths(params_pi, controlled):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def per_row_setup(params_pi):
+    basis = make_basis(4, 4, params_pi, pad_factor=4)
+    u0 = mode_field(basis, 1, 1, 0.3)
+    grid = TimeGrid(T=0.25, n_steps=25)
+    drifts = np.array([[0.5, -0.3], [-1.0, 2.0], [0.0, 0.7]])
+    return basis, u0, grid, drifts
+
+
+def test_per_row_drift_rows_match_their_single_marches(params_pi):
+    # each row of a march with per-path drift is its own S = 1 march, bit
+    # for bit; a fourth row whose drift blows it up is frozen alone
+    basis, u0, grid, drifts = per_row_setup(params_pi)
+    none = np.empty((1, 0))
+    alone = [march(params_pi, basis, u0, grid, none, none, d, 2).endpoints[0]
+             for d in drifts]
+    assert not np.array_equal(alone[0], alone[1])
+    for rows in (drifts, np.vstack([drifts, [[1e3, 0.0]]])):
+        none = np.empty((len(rows), 0))
+        res = march(params_pi, basis, u0, grid, none, none, rows, 2)
+        assert res.errors[:3] == [None] * 3
+        for got, want in zip(res.endpoints, alone):
+            assert np.array_equal(got, want)
+    assert isinstance(res.errors[3], BlowUpError)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3)])
+def test_per_row_drift_shape_is_checked(params_pi, shape):
+    # a 2-D drift needs one row per path and one column per bin
+    basis, u0, grid, _ = per_row_setup(params_pi)
+    none = np.empty((3, 0))
+    with pytest.raises(ValueError, match="per-path drift"):
+        march(params_pi, basis, u0, grid, none, none, np.zeros(shape), 2)
+
+
 def tail_setup(params_pi):
     basis = make_basis(2, 2, params_pi, pad_factor=4)
     u0 = mode_field(basis, 1, 1, 1e-3)

@@ -6,6 +6,10 @@ import pytest
 from sggl import (Control, EndpointSpec, JumpModel, OptConfig, TimeGrid,
                   constant_control, cost, ell, estimate_rate, in_level_set,
                   make_basis, mode_field, solve_skeleton)
+from sggl import rate
+from sggl.skeleton import MarchResult, march
+
+from conftest import jm2
 
 
 def jm1(g=0.5, nu=1.0):
@@ -178,6 +182,38 @@ def test_rate_result_fields(params_pi):
     assert res.endpoint_gap >= 0
     assert res.iterations >= 0
     assert res.control.phi.shape == (2, 1)
+    # a start, then a gradient and at least one line-search batch per iteration
+    assert res.skeleton_paths >= res.marches >= 1 + res.iterations
+
+
+def test_rate_search_independent_of_batching(params_pi, monkeypatch):
+    # the batched search gives what solving its skeletons one at a time
+    # gives, bit for bit: 2 bins x 2 marks, so four perturbations a gradient
+    basis, u0, _, grid = rate_setup(params_pi)
+    jm = jm2()
+    phi_star = Control(T=grid.T, phi=np.array([[1.8, 0.6], [0.9, 1.4]]))
+    center = solve_skeleton(params_pi, basis, u0, jm, phi_star, grid).endpoint
+    target = EndpointSpec(center=center, radius=1e-2 * center.l2())
+    opt = OptConfig(n_bins=2)
+
+    def one_row_at_a_time(params, basis, u0, grid, times, factors, drift,
+                          n_bins, **kw):
+        parts = [march(params, basis, u0, grid, times[i:i + 1],
+                       factors[i:i + 1], drift[i:i + 1], n_bins, **kw)
+                 for i in range(len(drift))]
+        return MarchResult(np.concatenate([p.endpoints for p in parts]),
+                           [e for p in parts for e in p.errors],
+                           sum(p.substeps for p in parts),
+                           sum(p.table_hits for p in parts))
+
+    batched = estimate_rate(target, params_pi, basis, jm, u0, grid, opt)
+    monkeypatch.setattr(rate, "march", one_row_at_a_time)
+    serial = estimate_rate(target, params_pi, basis, jm, u0, grid, opt)
+    assert batched.feasible and batched.skeleton_paths >= 4 * batched.iterations
+    for name in ("value", "endpoint_gap", "iterations", "feasible", "marches",
+                 "skeleton_paths"):
+        assert getattr(batched, name) == getattr(serial, name), name
+    assert np.array_equal(batched.control.phi, serial.control.phi)
 
 
 def test_endpoint_spec_rejects_negative_radius(params_pi, basis8):

@@ -184,6 +184,9 @@ def cmd_tail(spec: RunSpec, out: str, args) -> int:
     outputs.write_json(os.path.join(out, "tail.json"), {
         "rate_value": rate_res.value,
         "rate_feasible": rate_res.feasible,
+        "marches": report.marches,
+        "substeps": report.substeps,
+        "table_hits": report.table_hits,
         "cells": [asdict(c) for c in report.cells],
     }, spec.config_hash, spec.master_seed)
     return EXIT_OK

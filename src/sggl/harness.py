@@ -2,12 +2,14 @@
 energy-bound audits.
 
 Monte Carlo runs march fixed batches of BATCH consecutive path indices in
-lock step (``spde.march_batch``).  Per-path seeds are derived from the
-master seed by index and batches are cut by index, never by worker count,
-so reports are bit-identical under any parallel schedule; MC reductions are
-done with numpy pairwise summation over index-ordered arrays.  A path that
-blows up is frozen; the run then raises the ``BlowUpError`` of the lowest
-path index, the one a path-by-path run would have met first.
+lock step (``spde.march_batch``); a tail batch marches all of its
+(path, eps) rows together, a sweep batch the paths of one eps cell.
+Per-path seeds are derived from the master seed by index and batches are
+cut by index, never by worker count, so reports are bit-identical under any
+parallel schedule; MC reductions are done with numpy pairwise summation over
+index-ordered arrays.  A path that blows up is frozen; the run then raises
+the ``BlowUpError`` of the lowest path index (then lowest eps), the one a
+path-by-path run would have met first.
 """
 
 from __future__ import annotations
@@ -205,11 +207,20 @@ class TailCell:
 @dataclass
 class TailReport:
     cells: list[TailCell]
+    # the Monte Carlo marches, one per batch; their sub-steps, and those
+    # that reused a cached uniform-step table
+    marches: int
+    substeps: int
+    table_hits: int
 
 
 def _tail_batch(args):
-    """(lo, hits, first blow-up) for paths lo..hi-1 over every eps.
+    """(lo, hits, substeps, table hits, first blow-up) for paths lo..hi-1
+    over every eps.
 
+    Every (path, eps) pair is sampled and the pairs march together, row
+    i * m + j holding path lo+i at eps_list[j] (m eps values): the rows share
+    the raw drift, grid and bin and differ only in their events and kicks.
     hits[i, j] is 1 when path lo+i ends in the event ball at eps_list[j];
     blow-ups are ordered by path, then by eps, as a path-by-path run
     meets them.
@@ -217,17 +228,14 @@ def _tail_batch(args):
     (params, basis, jm, u0_modes, grid, center_modes, radius, eps_list,
      master_seed, lo, hi) = args
     u0 = StateField(np.asarray(u0_modes), basis)
+    noises = [NoiseScale(eps) for eps in eps_list]
     seeds = [trajectory_seed(master_seed, i) for i in range(lo, hi)]
-    hits = np.zeros((hi - lo, len(eps_list)), dtype=int)
-    errors = np.full((hi - lo, len(eps_list)), None, dtype=object)
-    for j, eps in enumerate(eps_list):
-        noise = NoiseScale(eps)
-        samples = [sample_prm(jm, noise, grid.T, s) for s in seeds]
-        res = march_batch(params, basis, u0, jm, noise, None, grid, samples)
-        gap = np.sqrt(np.sum(np.abs(res.endpoints - center_modes) ** 2, axis=(1, 2)))
-        hits[:, j] = gap <= radius
-        errors[:, j] = res.errors
-    return lo, hits, _first_error(errors.ravel())
+    samples = [sample_prm(jm, noise, grid.T, s) for s in seeds for noise in noises]
+    res = march_batch(params, basis, u0, jm, noises * len(seeds), None, grid,
+                      samples)
+    gap = np.sqrt(np.sum(np.abs(res.endpoints - center_modes) ** 2, axis=(1, 2)))
+    hits = (gap <= radius).astype(int).reshape(hi - lo, len(eps_list))
+    return lo, hits, res.substeps, res.table_hits, _first_error(res.errors)
 
 
 def _wilson(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -262,7 +270,8 @@ def tail_probability(params: Parameters, basis: SpectralBasis, jm: JumpModel,
     args = [(params, basis, jm, u0.modes, grid, event.center.modes,
              event.radius, list(eps_list), master_seed, lo, hi)
             for lo, hi in _batches(n_samples)]
-    hit_matrix = np.concatenate([r[1] for r in _map_batches(_tail_batch, args, _pool_map)])
+    done = _map_batches(_tail_batch, args, _pool_map)
+    hit_matrix = np.concatenate([r[1] for r in done])
 
     cells = []
     for k, eps in enumerate(eps_list):
@@ -277,7 +286,9 @@ def tail_probability(params: Parameters, basis: SpectralBasis, jm: JumpModel,
             cells.append(TailCell(eps, n_samples, hits, p_hat,
                                   eps * math.log(p_hat),
                                   eps * se_p / p_hat, lo, hi, censored=False))
-    return TailReport(cells=cells)
+    return TailReport(cells=cells, marches=len(done),
+                      substeps=sum(r[2] for r in done),
+                      table_hits=sum(r[3] for r in done))
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,10 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
 
     Each round every unfinished path takes its own sub-step, to its next
     event or its next grid time, whichever comes first; every path's
-    sequence of sub-steps is laid out before stepping.  A path's grid index
-    k counts its finished grid steps and fixes its control bin
+    sequence of sub-steps is laid out before stepping, and each round reads
+    the unfinished paths' entries of its row, so a path that leaves the
+    batch drops only its state, never a copy of the schedule.  A path's grid
+    index k counts its finished grid steps and fixes its control bin
     k // (steps per bin), so bins never depend on rounded float times.  A
     sub-step that starts on a grid time and ends on the next one uses the
     cached uniform-step tables of its bin (of its drift row and bin, for
@@ -133,7 +135,7 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
             raise ValueError(f"per-path drift must be shaped ({S}, {n_bins}), "
                              f"got {d.shape}")
         L = (Lbase + d[..., None, None]).reshape((S * n_bins,) + Lbase.shape)
-        first_entry = np.arange(S)[:, None] * n_bins
+        first_entry = np.arange(S) * n_bins
     else:
         d = np.broadcast_to(d, (n_bins,))
         L = Lbase + d[:, None, None]
@@ -148,19 +150,20 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     ev = np.asarray(event_times, dtype=float)
     # Each path's sub-steps in order: one per grid step and one per event up
     # to the last grid time, an event first where it equals a grid time.
-    # Column r of the (S, R) arrays below describes each path's r-th one;
+    # Row r of the (R, S) arrays below describes each path's r-th one;
     # path s takes last[s] of them.
     last = n_steps + np.count_nonzero(ev <= grid_times[-1], axis=1)
     R = last.max(initial=0)
     es, ej = np.nonzero(np.arange(E) < (last - n_steps)[:, None])
     pos = ej + np.searchsorted(grid_times, ev[es, ej])
-    is_ev = np.zeros((S, R), dtype=bool)
-    is_ev[es, pos] = True
-    k_after = np.cumsum(~is_ev, axis=1)     # grid steps finished after it
+    is_ev = np.zeros((R, S), dtype=bool)
+    is_ev[pos, es] = True
+    k_after = np.cumsum(~is_ev, axis=0)     # grid steps finished after it
     end = grid_times[np.minimum(k_after, n_steps) - 1]     # time it ends at
-    end[es, pos] = ev[es, ej]
+    end[pos, es] = ev[es, ej]
+    del es, ej, pos                         # one entry per event: set-up only
     uniform = ~is_ev                        # a whole grid step
-    uniform[:, 1:] &= ~is_ev[:, :-1]
+    uniform[1:] &= ~is_ev[:-1]
     # its control bin's entry in L and the cache
     entry = step_bin[np.minimum(k_after - ~is_ev, n_steps - 1)] + first_entry
 
@@ -170,21 +173,23 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     # State of the unfinished paths, row i being path rows[i]; a path's row
     # is dropped (its endpoint stored) when it finishes or blows up.
     rows = np.arange(S)
+    sel = slice(None)       # their columns of the schedule: all, until one ends
     c = endpoints.copy()
     e = np.zeros(S, dtype=np.int64)         # events passed
     next_end = last.min() if S else 0
     substeps = hits = 0
 
     for r in range(R):
-        kick = is_ev[:, r]
-        uni = uniform[:, r]
-        b = entry[:, r]
+        kick = is_ev[r][sel]
+        uni = uniform[r][sel]
+        b = entry[r][sel]
         tables = cache.take(b, axis=1)
         n_uni = np.count_nonzero(uni)
         if n_uni < rows.size:
             fresh = ~uni
-            start = end[fresh, r - 1] if r else 0.0
-            tables[:, fresh] = linear_tables(end[fresh, r] - start, L[b[fresh]])
+            fr = rows[fresh]
+            start = end[r - 1][fr] if r else 0.0
+            tables[:, fresh] = linear_tables(end[r][fr] - start, L[b[fresh]])
         c = etdrk2_step(c, tables, nonlin)
         substeps += rows.size
         hits += n_uni
@@ -201,32 +206,31 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
                 on_kick(kr, j, before, after)
 
         # blow-up check on every row; saving and finishing on a grid time
-        kg = k_after[:, r]
+        kg = k_after[r][sel]
         w = c.view(np.float64).reshape(rows.size, n_real)
         sq = (w * w).sum(axis=1)
         ok = sq <= cap * cap                # a NaN norm fails too
         n_bad = rows.size - np.count_nonzero(ok)
         if n_bad:
             for i in np.flatnonzero(~ok):
-                errors[rows[i]] = BlowUpError(int(kg[i]), float(end[i, r]),
+                errors[rows[i]] = BlowUpError(int(kg[i]), float(end[r, rows[i]]),
                                               float(np.sqrt(sq[i])), cap)
         if on_save is not None:
             keep = (ok > kick) & saved[kg]      # a kicked row is off the grid
             if np.count_nonzero(keep):
                 on_save(rows[keep], kg[keep], c.compress(keep, axis=0))
         if n_bad or r + 1 == next_end:
-            done = (last == r + 1) | ~ok
+            done = (last[rows] == r + 1) | ~ok
             endpoints[rows[done]] = c[done]
             stay = ~done
-            rows, c, e, last, is_ev, k_after, end, uniform, entry = (
-                a[stay] for a in (rows, c, e, last, is_ev, k_after, end,
-                                  uniform, entry))
+            rows, c, e = rows[stay], c[stay], e[stay]
+            sel = rows
             if not rows.size:
                 break
-            next_end = last.min()
+            next_end = last[rows].min()
 
     return MarchResult(endpoints=endpoints, errors=errors, substeps=substeps,
-                       table_hits=hits)
+                       table_hits=int(hits))
 
 
 def march_trajectory(params: Parameters, basis: SpectralBasis, u0: StateField,

@@ -9,7 +9,8 @@ still compensated by eps^-1 nu, so only its events differ from the raw
 process, never its drift.  Jump times are inserted exactly into the step
 sequence, so a scalar single-mode run admits a closed-form product oracle.
 
-``march_batch`` marches a batch of sampled paths in lock step;
+``march_batch`` marches a batch of sampled paths in lock step, at one noise
+scale or at one per path;
 ``solve_spde``, the single-path solver, is the same march with one path and
 samples its own events, from the thinned measure when given a control.
 """
@@ -24,14 +25,17 @@ from .skeleton import MarchResult, TimeGrid, Trajectory, march, march_trajectory
 from .spectral import SpectralBasis, StateField
 
 
-def _pad_events(samples: list[JumpSample], jm: JumpModel, eps: float,
+def _pad_events(samples: list[JumpSample], jm: JumpModel,
+                eps: float | list[float],
                 keep_identity: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(S, E) event times padded with +inf and kick factors padded with 1.0.
 
-    A path whose kicks are all the identity loses its events unless
+    ``eps`` is one noise scale for every sample or a sequence of one per
+    sample.  A path whose kicks are all the identity loses its events unless
     ``keep_identity``, so it steps exactly like the deterministic run.
     """
-    kicks = [1.0 + eps * jm.g[s.marks] for s in samples]
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(samples),))
+    kicks = [1.0 + e * jm.g[s.marks] for s, e in zip(samples, eps)]
     if not keep_identity:
         kicks = [f if np.any(f != 1.0) else f[:0] for f in kicks]
     width = max((f.size for f in kicks), default=0)
@@ -44,16 +48,20 @@ def _pad_events(samples: list[JumpSample], jm: JumpModel, eps: float,
 
 
 def march_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
-                jm: JumpModel, eps: NoiseScale, ctrl: Control | None,
-                grid: TimeGrid, samples: list[JumpSample],
-                on_save=None) -> MarchResult:
+                jm: JumpModel, eps: NoiseScale | list[NoiseScale],
+                ctrl: Control | None, grid: TimeGrid,
+                samples: list[JumpSample], on_save=None) -> MarchResult:
     """March one path per sample in lock step: raw SPDE if ``ctrl`` is None,
     else the controlled SPDE (samples drawn from the thinned PRM).
 
-    A controlled march keeps the control's bins, so its grid is the one its
-    skeleton is solved on.
+    ``eps`` is a ``NoiseScale`` shared by every sample, or a sequence of one
+    ``NoiseScale`` per sample: paths at different noise scales differ only in
+    their events and kicks, so they march together.  A controlled march keeps
+    the control's bins, so its grid is the one its skeleton is solved on.
     """
-    times, factors = _pad_events(samples, jm, eps.epsilon)
+    eps = (eps.epsilon if isinstance(eps, NoiseScale)
+           else [e.epsilon for e in eps])
+    times, factors = _pad_events(samples, jm, eps)
     n_bins = 1 if ctrl is None else ctrl.n_bins
     return march(params, basis, u0, grid, times, factors,
                  -np.sum(jm.g * jm.nu), n_bins, on_save=on_save)

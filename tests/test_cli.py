@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from sggl import cli
+from sggl import cli, harness
 from sggl.cli import main
 from sggl.config import ConfigError, parse_config
 from sggl.jumps import Control, constant_control
@@ -384,6 +384,22 @@ def test_cli_rate_report(tmp_path):
     if doc["feasible"]:
         assert doc["endpoint_gap"] <= doc["target_radius"] + 1e-4   # default gap_tol
     assert "config_sha256" in doc["header"]
+
+
+def test_cli_tail_report_counts(tmp_path):
+    # a tail batch marches its paths at every eps together: one march per
+    # batch of harness.BATCH paths, each path taking a sub-step per grid
+    # step at least, per eps
+    text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text.replace("target_radius = 0.05", "target_radius = 0.005")
+                   .replace("n_samples = 6", "n_samples = 130"))
+    out = str(tmp_path / "t")
+    assert main(["tail", "--config", str(cfg), "--out", out]) == 0
+    doc = json.loads(open(os.path.join(out, "tail.json")).read())
+    assert doc["marches"] == -(-130 // harness.BATCH) == 3
+    assert doc["substeps"] >= 130 * 2 * 20
+    assert 0 <= doc["table_hits"] <= doc["substeps"]
 
 
 def test_cli_every_output_has_header(tmp_path):

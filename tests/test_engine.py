@@ -152,10 +152,31 @@ def test_mc_results_independent_of_batching(params_pi, monkeypatch):
     assert run(1, reversed_map) == one_batch
 
 
+def test_tail_eps_rows_do_not_interact(params_pi, monkeypatch):
+    # a tail batch marches every (path, eps) row together; each eps cell is
+    # that of a run at its eps alone, and merging adds no sub-step
+    basis, u0, jm, grid, event = tail_setup(params_pi)
+    eps_list = [0.2, 0.12]
+
+    def run(eps, pool_map):
+        return tail_probability(params_pi, basis, jm, u0, grid, event, eps,
+                                n_samples=13, master_seed=3, _pool_map=pool_map)
+
+    for batch, pool_map in [(64, None), (4, reversed_map), (1, reversed_map)]:
+        monkeypatch.setattr(harness, "BATCH", batch)
+        merged = run(eps_list, pool_map)
+        alone = [run([eps], pool_map) for eps in eps_list]
+        assert [c.hits for c in merged.cells] == [a.cells[0].hits for a in alone]
+        assert merged.substeps == sum(a.substeps for a in alone)
+        assert merged.table_hits == sum(a.table_hits for a in alone)
+        assert merged.marches == alone[0].marches == -(-13 // batch)
+    assert sum(c.hits for c in merged.cells) > 0
+
+
 # ---------------------------------------------------------------------------
 # blow-up
 
-def test_blowup_raises_lowest_index_path(params_pi, monkeypatch):
+def planted_blowups(params_pi):
     # paths 1, 3 and 5 take a huge kick; path 1 kicks last, so a run that
     # stopped at the first blow-up in time would report another path
     basis = make_basis(2, 2, params_pi, pad_factor=4)
@@ -172,22 +193,57 @@ def test_blowup_raises_lowest_index_path(params_pi, monkeypatch):
         times = np.array([kick_at[i]]) if i in kick_at else np.empty(0)
         return JumpSample(times, np.zeros(times.size, dtype=int), T)
 
-    single = {}
-    for i, t in kick_at.items():
+    def single(i, eps):
+        # the BlowUpError of path i run alone at eps
         with pytest.raises(BlowUpError) as exc:
-            solve_spde(params_pi, basis, u0, jm, NoiseScale(0.25), grid, 0,
+            solve_spde(params_pi, basis, u0, jm, NoiseScale(eps), grid, 0,
                        events=planted_prm(jm, None, grid.T, trajectory_seed(master, i)))
-        single[i] = exc.value
+        return exc.value
+
+    far = EndpointSpec(center=mode_field(basis, 2, 2, 5.0), radius=1e-3)
+    return basis, u0, jm, grid, master, far, planted_prm, single
+
+
+def test_blowup_raises_lowest_index_path(params_pi, monkeypatch):
+    basis, u0, jm, grid, master, far, planted_prm, single_run = planted_blowups(params_pi)
+    single = {i: single_run(i, 0.25) for i in (1, 3, 5)}
     assert single[1].step > single[3].step > single[5].step
 
     monkeypatch.setattr(harness, "sample_prm", planted_prm)
-    far = EndpointSpec(center=mode_field(basis, 2, 2, 5.0), radius=1e-3)
     for batch, pool_map in [(64, None), (4, None), (4, reversed_map), (2, reversed_map)]:
         monkeypatch.setattr(harness, "BATCH", batch)
         with pytest.raises(BlowUpError) as exc:
             tail_probability(params_pi, basis, jm, u0, grid, far, [0.25],
                              n_samples=7, master_seed=master, _pool_map=pool_map)
         assert (exc.value.step, exc.value.t) == (single[1].step, single[1].t)
+
+
+@pytest.mark.parametrize("eps_list", [[0.25, 0.5], [0.5, 0.25]])
+def test_blowup_order_across_eps_in_one_march(params_pi, monkeypatch, eps_list):
+    # every path meets the same planted events at each eps, so path 1 blows
+    # up at both; the run reports it at eps_list[0], told apart by the norm
+    # (kicks 1 + 0.25e9 and 1 + 0.5e9).  Blow-ups are ordered by path, then
+    # by eps: with path 1 kicked at eps_list[1] only, it is still reported
+    basis, u0, jm, grid, master, far, planted_prm, single_run = planted_blowups(params_pi)
+    first = single_run(1, eps_list[0])
+    second = single_run(1, eps_list[1])
+    assert first.norm != second.norm
+
+    def late_prm(jm_, eps, T, seed):
+        # path 1 unkicked at eps_list[0]: it still precedes path 3 and 5
+        if seed == trajectory_seed(master, 1) and eps.epsilon == eps_list[0]:
+            return JumpSample(np.empty(0), np.zeros(0, dtype=int), T)
+        return planted_prm(jm_, eps, T, seed)
+
+    for prm, want in [(planted_prm, first), (late_prm, second)]:
+        monkeypatch.setattr(harness, "sample_prm", prm)
+        for batch, pool_map in [(64, None), (4, reversed_map), (2, reversed_map)]:
+            monkeypatch.setattr(harness, "BATCH", batch)
+            with pytest.raises(BlowUpError) as exc:
+                tail_probability(params_pi, basis, jm, u0, grid, far, eps_list,
+                                 n_samples=7, master_seed=master, _pool_map=pool_map)
+            got = exc.value
+            assert (got.step, got.t, got.norm) == (want.step, want.t, want.norm)
 
 
 def test_blowup_detected_on_the_kick_substep(params_pi):

@@ -25,7 +25,7 @@ from .params import Parameters
 from .rate import EndpointSpec
 from .skeleton import TimeGrid, Trajectory, solve_skeleton
 from .spde import march_batch
-from .spectral import SpectralBasis, StateField
+from .spectral import SpectralBasis, StateField, norm_powers, scalar_pow
 
 # paths marched together; the batch of path i is i // BATCH
 BATCH = 64
@@ -91,46 +91,34 @@ class SweepReport:
     slope_flag: bool          # True when the fit is unreliable (R^2 < R2_FLOOR)
 
 
-def _skeleton_path(skel: Trajectory, grid: TimeGrid, n_bins: int):
-    """Skeleton states and time weights indexed by grid step k.
-
-    Entry k is set for the saved steps only, which are the only k a
-    marched path reports.  The weight of step k is the time since the
-    previous saved step.
-    """
-    ks = grid.saved_steps(n_bins)
-    modes = np.zeros((ks[-1] + 1,) + skel.states[0].modes.shape, dtype=complex)
-    modes[ks] = np.stack([u.modes for u in skel.states])
-    weights = np.zeros(ks[-1] + 1)
-    weights[ks[1:]] = np.diff(skel.times)
-    return modes, weights
-
-
 def _sweep_batch(args):
     """(lo, rows, first blow-up) for paths lo..hi-1 of one eps cell.
 
     Row i holds (sup_t ||d||^2, sum dt ||grad d||^2,
     sum dt ||d||_{2s+2}^{2s+2}) for d = path - skeleton, reduced at each
-    saved grid time as the path crosses it.
+    saved grid time as the path crosses it; dt is the time since the
+    previous saved state.
     """
-    (params, basis, jm, u0_modes, ctrl, grid, eps, master_seed, skel_modes,
-     weights, lo, hi) = args
+    (params, basis, jm, u0_modes, ctrl, grid, eps, master_seed, skel,
+     lo, hi) = args
     u0 = StateField(np.asarray(u0_modes), basis)
     noise = NoiseScale(eps)
     samples = [sample_prm(jm, noise, grid.T, trajectory_seed(master_seed, i), ctrl)
                for i in range(lo, hi)]
     p = params.lp_exponent
-    grad_w = np.abs(basis.eigenvalues)
+    saved = grid.saved_steps(ctrl.n_bins)
+    slot = np.zeros(saved[-1] + 1, dtype=int)     # skeleton row of saved step k
+    slot[saved] = np.arange(saved.size)
+    dts = np.diff(skel.times, prepend=0.0)
     rows = np.zeros((hi - lo, 3))
 
     def on_save(r, k, modes):
-        d = modes - skel_modes[k]
-        sq = np.abs(d) ** 2
-        w = weights[k]
-        rows[r, 0] = np.maximum(rows[r, 0], np.sum(sq, axis=(1, 2)))
-        rows[r, 1] += w * np.sum(grad_w * sq, axis=(1, 2))
-        absD = np.abs(basis.to_grid(d))
-        rows[r, 2] += w * (basis.cell_area * np.sum(absD ** p, axis=(1, 2)))
+        i = slot[k]
+        l2sq, gradsq, lp = norm_powers(basis, modes - skel.modes[i], [p])
+        w = dts[i]
+        rows[r, 0] = np.maximum(rows[r, 0], l2sq)
+        rows[r, 1] += w * gradsq
+        rows[r, 2] += w * lp[p]
 
     res = march_batch(params, basis, u0, jm, noise, ctrl, grid, samples,
                       on_save=on_save)
@@ -142,9 +130,8 @@ def sweep_cell(params: Parameters, basis: SpectralBasis, jm: JumpModel,
                n_samples: int, master_seed: int, skel: Trajectory,
                _pool_map=None) -> SweepCell:
     """One eps cell of the convergence sweep (MC over trajectory indices)."""
-    skel_modes, weights = _skeleton_path(skel, grid, ctrl.n_bins)
-    args = [(params, basis, jm, u0.modes, ctrl, grid, eps, master_seed,
-             skel_modes, weights, lo, hi) for lo, hi in _batches(n_samples)]
+    args = [(params, basis, jm, u0.modes, ctrl, grid, eps, master_seed, skel,
+             lo, hi) for lo, hi in _batches(n_samples)]
     rows = np.concatenate([r[1] for r in _map_batches(_sweep_batch, args, _pool_map)])
     mean = rows.mean(axis=0)
     se = rows.std(axis=0, ddof=1) / math.sqrt(n_samples) if n_samples > 1 else np.zeros(3)
@@ -233,7 +220,7 @@ def _tail_batch(args):
     samples = [sample_prm(jm, noise, grid.T, s) for s in seeds for noise in noises]
     res = march_batch(params, basis, u0, jm, noises * len(seeds), None, grid,
                       samples)
-    gap = np.sqrt(np.sum(np.abs(res.endpoints - center_modes) ** 2, axis=(1, 2)))
+    gap = np.sqrt(norm_powers(basis, res.endpoints - center_modes)[0])
     hits = (gap <= radius).astype(int).reshape(hi - lo, len(eps_list))
     return lo, hits, res.substeps, res.table_hits, _first_error(res.errors)
 
@@ -261,7 +248,7 @@ def tail_probability(params: Parameters, basis: SpectralBasis, jm: JumpModel,
         raise ValueError("n_samples must be >= 1")
     ctrl1 = constant_control(grid.T, jm.n_marks, 1.0)
     skel = solve_skeleton(params, basis, u0, jm, ctrl1, grid, with_norms=False)
-    d0 = float(np.sqrt(np.sum(np.abs(skel.endpoint.modes - event.center.modes) ** 2)))
+    d0 = float(np.sqrt(norm_powers(basis, skel.endpoint.modes - event.center.modes)[0]))
     if d0 <= event.radius:
         raise ValueError(
             "event must exclude the noiseless endpoint "
@@ -331,37 +318,26 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
     trajectories pass eps and the realized events: each kick scales the
     admissible bound by max(1, (1+eps*g)^2).
     """
-    basis = traj.states[0].basis
+    basis, modes = traj.basis, traj.modes
     sigma = params.sigma
     p = min(2 * sigma - 0.5, max(2.0, sigma))
     T = float(traj.times[-1])
     dts = np.diff(traj.times)
     p2s2 = params.lp_exponent
 
-    sup_sq = 0.0
-    int_grad = 0.0
-    int_lp = 0.0
-    sup_gp = 0.0
-    int_lap = 0.0
-    int_mixed = 0.0
-    for i, u in enumerate(traj.states):
-        sq = np.abs(u.modes) ** 2
-        l2sq = float(np.sum(sq))
-        gradsq = float(np.sum(np.abs(basis.eigenvalues) * sq))
-        lapsq = float(np.sum(basis.eigenvalues ** 2 * sq))
-        sup_sq = max(sup_sq, l2sq)
-        sup_gp = max(sup_gp, gradsq ** (p / 2))
-        if i > 0:
-            dt = float(dts[i - 1])
-            U = basis.to_grid(u.modes)
-            absU = np.abs(U)
-            Ux, Uy = basis.grad_to_grid(u.modes)
-            grad_abs2 = np.abs(Ux) ** 2 + np.abs(Uy) ** 2
-            int_grad += dt * gradsq
-            int_lp += dt * float(basis.cell_area * np.sum(absU ** p2s2))
-            int_lap += dt * gradsq ** ((p - 2) / 2) * lapsq
-            int_mixed += dt * gradsq ** ((p - 2) / 2) * float(
-                basis.cell_area * np.sum(absU ** (2 * sigma) * grad_abs2))
+    l2sq, gradsq, lp = norm_powers(basis, modes, [p2s2])
+    lapsq = np.sum(basis.eigenvalues ** 2 * np.abs(modes) ** 2, axis=(-2, -1))
+    Ux, Uy = basis.grad_to_grid(modes)
+    mixed = basis.cell_area * np.sum(np.abs(basis.to_grid(modes)) ** (2 * sigma)
+                                     * (np.abs(Ux) ** 2 + np.abs(Uy) ** 2), axis=(-2, -1))
+    gp = scalar_pow(gradsq, (p - 2) / 2)
+    sup_sq = float(np.max(l2sq))
+    sup_gp = float(np.max(scalar_pow(gradsq, p / 2)))
+    # right-endpoint sums over the saved states, added in time order
+    int_grad = float(np.cumsum(dts * gradsq[1:])[-1])
+    int_lp = float(np.cumsum(dts * lp[p2s2][1:])[-1])
+    int_lap = float(np.cumsum(dts * gp[1:] * lapsq[1:])[-1])
+    int_mixed = float(np.cumsum(dts * gp[1:] * mixed[1:])[-1])
 
     # time-integrated drift-deviation factor int sum_j |g_j||phi-1| nu_j ds
     if ctrl is not None:
@@ -376,9 +352,7 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
         kicks = 1.0 + eps.epsilon * jm.g[events.marks]
         jump_factor = float(np.prod(np.maximum(1.0, kicks ** 2)))
 
-    u0 = traj.states[0]
-    u0_sq = float(np.sum(np.abs(u0.modes) ** 2))
-    grad0_sq = float(np.sum(np.abs(basis.eigenvalues) * np.abs(u0.modes) ** 2))
+    u0_sq, grad0_sq = float(l2sq[0]), float(gradsq[0])
 
     energy_total = sup_sq + int_grad + int_lp
     energy_bound = (_GRONWALL_PREFACTOR * u0_sq

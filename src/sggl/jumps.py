@@ -189,3 +189,9 @@ def drift_coefficient(jm: JumpModel, ctrl: Control) -> np.ndarray:
     """c_b = sum_j g_j (phi[b, j] - 1) nu_j, the skeleton compensator drift
     on each control bin b, as an (n_bins,) vector."""
     return np.sum(jm.g * (ctrl.phi - 1.0) * jm.nu, axis=1)
+
+
+def compensator_drift(jm: JumpModel) -> float:
+    """-sum_j g_j nu_j, the drift of the compensated driving noise; the raw
+    and the controlled SPDE share it, since a control changes only events."""
+    return float(-np.sum(jm.g * jm.nu))

@@ -32,9 +32,10 @@ def write_trajectory_csv(path: str, traj: Trajectory, config_hash: str,
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header_line(config_hash, master_seed))
         fh.write("t,l2,grad_l2,l2sigma2\n")
-        for t, nr in zip(traj.times, traj.norms):
-            lp = next(iter(nr.lp.values())) if nr.lp else float("nan")
-            fh.write(f"{_fmt(t)},{_fmt(nr.l2)},{_fmt(nr.grad_l2)},{_fmt(lp)}\n")
+        nr = traj.norms
+        lp, = nr.lp.values()
+        for row in zip(traj.times, nr.l2, nr.grad_l2, lp):
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def write_fields_bin(path: str, traj: Trajectory, config_hash: str,
@@ -45,16 +46,11 @@ def write_fields_bin(path: str, traj: Trajectory, config_hash: str,
     (n1, n2, count), then count * n1 * n2 interleaved (re, im) float64 LE,
     states in time order, row-major modes.
     """
-    basis = traj.states[0].basis
+    count, n1, n2 = traj.modes.shape
     with open(path, "wb") as fh:
         fh.write(header_line(config_hash, master_seed).encode("utf-8"))
-        fh.write(struct.pack("<QQQ", basis.n1, basis.n2, len(traj.states)))
-        for st in traj.states:
-            inter = np.empty(st.modes.size * 2)
-            flat = st.modes.ravel()
-            inter[0::2] = flat.real
-            inter[1::2] = flat.imag
-            fh.write(inter.astype("<f8").tobytes())
+        fh.write(struct.pack("<QQQ", n1, n2, count))
+        fh.write(traj.modes.astype("<c16").tobytes())
 
 
 def read_fields_bin(path: str) -> tuple[str, np.ndarray]:
@@ -62,9 +58,8 @@ def read_fields_bin(path: str) -> tuple[str, np.ndarray]:
     with open(path, "rb") as fh:
         header = fh.readline().decode("utf-8")
         n1, n2, count = struct.unpack("<QQQ", fh.read(24))
-        raw = np.frombuffer(fh.read(count * n1 * n2 * 16), dtype="<f8")
-    cplx = raw[0::2] + 1j * raw[1::2]
-    return header, cplx.reshape(count, n1, n2)
+        modes = np.frombuffer(fh.read(count * n1 * n2 * 16), dtype="<c16")
+    return header, modes.astype(complex).reshape(count, n1, n2)
 
 
 def write_json(path: str, payload: dict, config_hash: str, master_seed: int):

@@ -26,7 +26,7 @@ import numpy as np
 from .jumps import Control, JumpModel, drift_coefficient
 from .params import Parameters
 from .skeleton import TimeGrid, march
-from .spectral import SpectralBasis, StateField
+from .spectral import SpectralBasis, StateField, norm_powers
 
 
 def ell(r) -> float:
@@ -102,7 +102,7 @@ def _endpoint_gaps(phis: np.ndarray, target: EndpointSpec, params, basis, jm,
     # an exploding skeleton can never satisfy the endpoint constraint; an
     # infinite gap lets the line search back off the candidate
     return [math.inf if err is not None else
-            float(np.sqrt(np.sum(np.abs(end - target.center.modes) ** 2)))
+            float(np.sqrt(norm_powers(basis, end - target.center.modes)[0]))
             for end, err in zip(res.endpoints, res.errors)]
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .jumps import Control, JumpModel, drift_coefficient
 from .params import Parameters
 from .spectral import (PAD_FACTOR, NormReport, SpectralBasis, StateField,
-                       compute_norms, make_nonlin)
+                       compute_norms, make_nonlin, norm_powers)
 from .timestep import BlowUpError, etdrk2_step, linear_tables
 
 # a path blows up when its L2 norm exceeds BLOWUP_FACTOR * (||u0|| + 1)
@@ -63,13 +63,17 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
+    """Saved states ``modes`` (K, n1, n2) at ``times`` (K,) in ``basis``,
+    with their norms (arrays of shape (K,)), or None when not computed."""
+
     times: np.ndarray
-    states: list[StateField]
-    norms: list[NormReport]
+    modes: np.ndarray
+    basis: SpectralBasis
+    norms: NormReport | None
 
     @property
     def endpoint(self) -> StateField:
-        return self.states[-1]
+        return StateField(self.modes[-1], self.basis)
 
 
 class MarchResult(NamedTuple):
@@ -93,9 +97,9 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     """Integrate S paths of du/dt = Au + Bu + d(t)u from u0, kicking at events.
 
     d(t) = drift[b] is constant on control bin b.  ``drift`` is a float or
-    an (n_bins,) vector, shared by every path, or an (S, n_bins) array whose
-    row s is path s's drift, so paths under different controls share one
-    march.  The stiff linear part (1+i alpha)Lap + gamma + d is
+    an (n_bins,) vector, broadcast to every path, or an (S, n_bins) array
+    whose row s is path s's drift, so paths under different controls share
+    one march.  The stiff linear part (1+i alpha)Lap + gamma + d is
     mode-diagonal and integrated exactly.
     ``event_times`` and ``kick_factors`` are (S, E) arrays: row s holds path
     s's increasing event times, padded with +inf, and the factors its state
@@ -110,11 +114,10 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     index k counts its finished grid steps and fixes its control bin
     k // (steps per bin), so bins never depend on rounded float times.  A
     sub-step that starts on a grid time and ends on the next one uses the
-    cached uniform-step tables of its bin (of its drift row and bin, for
-    per-path drift); any other sub-step builds its tables for its own h
-    (h = 0, an event on a grid time, gives identity tables).  A path's
-    arithmetic is the same whatever else its batch holds, so its result is
-    its S = 1 march's, bit for bit.
+    cached uniform-step tables of its path and bin; any other sub-step
+    builds its tables for its own h (h = 0, an event on a grid time, gives
+    identity tables).  A path's arithmetic is the same whatever else its
+    batch holds, so its result is its S = 1 march's, bit for bit.
 
     Callbacks see the batch rows they concern: ``on_save(rows, k, modes)``
     after grid steps k that ``grid.saved_steps`` keeps, and
@@ -128,18 +131,13 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     Lbase = (1.0 + 1j * params.alpha) * basis.eigenvalues + params.gamma
     S, E = event_times.shape
     d = np.asarray(drift, dtype=float)
-    # L and the cache hold one entry per bin, or per (path, bin) for
-    # per-path drift: path s's bin b is entry s * n_bins + b
-    if d.ndim == 2:
-        if d.shape != (S, n_bins):
-            raise ValueError(f"per-path drift must be shaped ({S}, {n_bins}), "
-                             f"got {d.shape}")
-        L = (Lbase + d[..., None, None]).reshape((S * n_bins,) + Lbase.shape)
-        first_entry = np.arange(S) * n_bins
-    else:
-        d = np.broadcast_to(d, (n_bins,))
-        L = Lbase + d[:, None, None]
-        first_entry = 0
+    if d.ndim == 2 and d.shape != (S, n_bins):
+        raise ValueError(f"per-path drift must be shaped ({S}, {n_bins}), "
+                         f"got {d.shape}")
+    # L and the cache hold one entry per (path, bin): path s's bin b is
+    # entry s * n_bins + b
+    d = np.broadcast_to(d, (S, n_bins))
+    L = (Lbase + d[..., None, None]).reshape((S * n_bins,) + Lbase.shape)
     cache = np.stack(linear_tables(dt, L))      # (3, entries, n1, n2)
     step_bin = np.arange(n_steps) // (n_steps // n_bins)
     cap = BLOWUP_FACTOR * (u0.l2() + 1.0)
@@ -165,7 +163,7 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     uniform = ~is_ev                        # a whole grid step
     uniform[1:] &= ~is_ev[:-1]
     # its control bin's entry in L and the cache
-    entry = step_bin[np.minimum(k_after - ~is_ev, n_steps - 1)] + first_entry
+    entry = step_bin[np.minimum(k_after - ~is_ev, n_steps - 1)] + np.arange(S) * n_bins
 
     endpoints = np.repeat(u0.modes.astype(complex)[None], S, axis=0)
     errors: list = [None] * S
@@ -241,21 +239,20 @@ def march_trajectory(params: Parameters, basis: SpectralBasis, u0: StateField,
 
     Raises the path's ``BlowUpError`` if it blew up.
     """
-    dt = grid.T / grid.refined_steps(n_bins)
-    times = [0.0]
-    states = [StateField(u0.modes.astype(complex), basis)]
+    ks = grid.saved_steps(n_bins)
+    stack = np.empty((ks.size,) + u0.modes.shape, dtype=complex)
+    stack[0] = u0.modes
 
     def on_save(rows, k, modes):
-        times.append(float(k[0] * dt))
-        states.append(StateField(modes[0], basis))
+        stack[np.searchsorted(ks, k)] = modes
 
     res = march(params, basis, u0, grid, event_times, kick_factors, drift,
                 n_bins, on_save=on_save, on_kick=on_kick)
     if res.errors[0] is not None:
         raise res.errors[0]
-    p_list = [params.lp_exponent]
-    norms = [compute_norms(u, p_list) for u in states] if with_norms else []
-    return Trajectory(np.asarray(times), states, norms)
+    norms = (compute_norms(StateField(stack, basis), [params.lp_exponent])
+             if with_norms else None)
+    return Trajectory(ks * (grid.T / grid.refined_steps(n_bins)), stack, basis, norms)
 
 
 def solve_skeleton(params: Parameters, basis: SpectralBasis, u0: StateField,
@@ -286,7 +283,7 @@ def galerkin_refine(params: Parameters, jm: JumpModel, ctrl: Control,
     reference) and reports ||u_n(T) - u_nmax(T)|| for the coarser sizes.
     """
     from .spectral import make_basis
-    if sorted(n_list) != list(n_list) or len(n_list) < 2:
+    if len(n_list) < 2 or any(a >= b for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be increasing with at least two entries")
     endpoints = {}
     for n in n_list:
@@ -300,5 +297,5 @@ def galerkin_refine(params: Parameters, jm: JumpModel, ctrl: Control,
     out = []
     for n in n_list[:-1]:
         diff = ref - embed_modes(endpoints[n], basis_max)
-        out.append((n, float(np.sqrt(np.sum(np.abs(diff) ** 2)))))
+        out.append((n, float(np.sqrt(norm_powers(basis_max, diff)[0]))))
     return out

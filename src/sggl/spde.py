@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jumps import Control, JumpModel, JumpSample, NoiseScale, sample_prm
+from .jumps import (Control, JumpModel, JumpSample, NoiseScale, compensator_drift,
+                    sample_prm)
 from .params import Parameters
 from .skeleton import MarchResult, TimeGrid, Trajectory, march, march_trajectory
-from .spectral import SpectralBasis, StateField
+from .spectral import SpectralBasis, StateField, norm_powers
 
 
 def _pad_events(samples: list[JumpSample], jm: JumpModel,
@@ -64,7 +65,7 @@ def march_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
     times, factors = _pad_events(samples, jm, eps)
     n_bins = 1 if ctrl is None else ctrl.n_bins
     return march(params, basis, u0, grid, times, factors,
-                 -np.sum(jm.g * jm.nu), n_bins, on_save=on_save)
+                 compensator_drift(jm), n_bins, on_save=on_save)
 
 
 def solve_spde(params: Parameters, basis: SpectralBasis, u0: StateField,
@@ -89,9 +90,9 @@ def solve_spde(params: Parameters, basis: SpectralBasis, u0: StateField,
     if event_log is not None:
         def on_kick(rows, j, before, after):
             i = int(j[0])
+            pre, post = np.sqrt(norm_powers(basis, np.concatenate([before, after]))[0])
             event_log.append((float(events.times[i]), int(events.marks[i]),
-                              float(np.sqrt(np.sum(np.abs(before) ** 2))),
-                              float(np.sqrt(np.sum(np.abs(after) ** 2)))))
+                              float(pre), float(post)))
     n_bins = 1 if ctrl is None else ctrl.n_bins
     return march_trajectory(params, basis, u0, grid, times, factors,
-                            -np.sum(jm.g * jm.nu), n_bins, with_norms, on_kick)
+                            compensator_drift(jm), n_bins, with_norms, on_kick)

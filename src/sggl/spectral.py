@@ -146,8 +146,7 @@ class StateField:
         return StateField(self.modes.copy(), self.basis)
 
     def l2(self) -> float:
-        # Parseval: the basis is orthonormal in L2
-        return float(np.sqrt(np.sum(np.abs(self.modes) ** 2)))
+        return float(np.sqrt(norm_powers(self.basis, self.modes)[0]))
 
 
 def zero_field(basis: SpectralBasis) -> StateField:
@@ -165,9 +164,12 @@ def mode_field(basis: SpectralBasis, k: int, m: int, amp: complex = 1.0) -> Stat
 
 @dataclass
 class NormReport:
-    l2: float
-    grad_l2: float
-    lp: dict[int, float]
+    """Norms of one field (floats) or of each field of a stack (arrays
+    shaped like the stack's leading axes)."""
+
+    l2: float | np.ndarray
+    grad_l2: float | np.ndarray
+    lp: dict[int, float | np.ndarray]
 
 
 def _check_finite(u: StateField):
@@ -309,16 +311,39 @@ def apply_B(u: StateField, params: Parameters) -> StateField:
     return StateField(modes, u.basis)
 
 
-def compute_norms(u: StateField, p_list: list[int] | None = None) -> NormReport:
-    """L2 and H1 seminorms via Parseval, Lp norms via collocation quadrature."""
-    _check_finite(u)
-    b = u.basis
-    sq = np.abs(u.modes) ** 2
-    l2 = float(np.sqrt(np.sum(sq)))
-    grad = float(np.sqrt(np.sum(np.abs(b.eigenvalues) * sq)))
-    lp: dict[int, float] = {}
+def norm_powers(basis: SpectralBasis, modes: np.ndarray, p_list=()):
+    """(||u||^2, ||grad u||^2, {p: int |u|^p dx}) of each field of a
+    (..., n1, n2) coefficient stack, each shaped like its leading axes.
+
+    The squared L2 norm and H1 seminorm come from Parseval (the basis is
+    orthonormal in L2), the Lp integrals from collocation quadrature on the
+    padded grid.
+    """
+    sq = np.abs(modes) ** 2
+    l2sq = np.sum(sq, axis=(-2, -1))
+    gradsq = np.sum(np.abs(basis.eigenvalues) * sq, axis=(-2, -1))
+    lp = {}
     if p_list:
-        absU = np.abs(b.to_grid(u.modes))
-        for p in p_list:
-            lp[p] = float((b.cell_area * np.sum(absU ** p)) ** (1.0 / p))
-    return NormReport(l2=l2, grad_l2=grad, lp=lp)
+        absU = np.abs(basis.to_grid(modes))
+        lp = {p: basis.cell_area * np.sum(absU ** p, axis=(-2, -1)) for p in p_list}
+    return l2sq, gradsq, lp
+
+
+def scalar_pow(x, e: float):
+    """x ** e elementwise, one Python float at a time.
+
+    numpy's vectorised array pow rounds some values differently from the
+    scalar libm pow; the written norms and audit figures are the scalar
+    pow's.  A 0-d input gives a numpy scalar.
+    """
+    out = np.array([v ** e for v in np.ravel(x).tolist()])
+    return out.reshape(np.shape(x))[()]
+
+
+def compute_norms(u: StateField, p_list: list[int] | None = None) -> NormReport:
+    """L2 norm, H1 seminorm and Lp norms (``norm_powers``) of one field, or
+    of each field of a stack: ``u.modes`` shaped (..., n1, n2)."""
+    _check_finite(u)
+    l2sq, gradsq, lp = norm_powers(u.basis, u.modes, p_list)
+    return NormReport(l2=np.sqrt(l2sq), grad_l2=np.sqrt(gradsq),
+                      lp={p: scalar_pow(v, 1.0 / p) for p, v in lp.items()})

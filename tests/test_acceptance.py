@@ -63,7 +63,7 @@ def test_criterion_2_zero_state_invariance(params_pi):
     ctrl = constant_control(grid.T, 2, 1.5)
 
     def all_zero(traj):
-        return all(not np.any(s.modes) for s in traj.states)
+        return not np.any(traj.modes)
 
     ok = all_zero(solve_skeleton(params_pi, basis, u0, jm, ctrl, grid))
     for seed in range(100):
@@ -314,7 +314,7 @@ def test_criterion_9_deterministic_reruns(tmp_path):
             ok = ok and main([cmd, "--config", str(cfg), "--out",
                               str(out)] + extra) == 0
             for name in sorted(os.listdir(out)):
-                data = open(out / name, "rb").read()
+                data = (out / name).read_bytes()
                 key = (cmd, name)
                 if key in blobs:
                     ok = ok and blobs[key] == data

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ def test_cli_skeleton_outputs(tmp_path):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "out")
     assert main(["skeleton", "--config", cfg, "--out", out]) == 0
-    csv = open(os.path.join(out, "trajectory.csv")).read().splitlines()
+    csv = Path(os.path.join(out, "trajectory.csv")).read_text().splitlines()
     assert csv[0].startswith("# config_sha256=")
     assert "master_seed=777" in csv[0]
     assert csv[1] == "t,l2,grad_l2,l2sigma2"
@@ -179,11 +180,11 @@ def test_cli_audit_and_verify(tmp_path):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "out_audit")
     assert main(["audit", "--config", cfg, "--out", out]) == 0
-    doc = json.loads(open(os.path.join(out, "audit.json")).read())
+    doc = json.loads(Path(os.path.join(out, "audit.json")).read_text())
     assert doc["energy_ok"] and doc["grad_ok"]
     out2 = str(tmp_path / "out_verify")
     assert main(["verify", "--config", cfg, "--out", out2]) == 0
-    doc2 = json.loads(open(os.path.join(out2, "verify.json")).read())
+    doc2 = json.loads(Path(os.path.join(out2, "verify.json")).read_text())
     assert doc2["ok"] and doc2["failures"] == []
 
 
@@ -327,8 +328,8 @@ def test_cli_seed_override_changes_output(tmp_path):
                  "--seed", "101"]) == 0
     assert main(["simulate", "--config", cfg, "--out", out2,
                  "--seed", "202"]) == 0
-    a = open(os.path.join(out1, "trajectory.csv")).read()
-    b = open(os.path.join(out2, "trajectory.csv")).read()
+    a = Path(os.path.join(out1, "trajectory.csv")).read_text()
+    b = Path(os.path.join(out2, "trajectory.csv")).read_text()
     assert a != b
 
 
@@ -350,8 +351,8 @@ def test_cli_sweep_worker_count_invariant(tmp_path):
                  "--workers", "1"]) == 0
     assert main(["sweep", "--config", cfg, "--out", out2,
                  "--workers", "3"]) == 0
-    a = open(os.path.join(out1, "sweep.csv"), "rb").read()
-    b = open(os.path.join(out2, "sweep.csv"), "rb").read()
+    a = Path(os.path.join(out1, "sweep.csv")).read_bytes()
+    b = Path(os.path.join(out2, "sweep.csv")).read_bytes()
     assert a == b
 
 
@@ -359,13 +360,13 @@ def test_cli_sweep_resume_from_checkpoint(tmp_path):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "w")
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
-    full = open(os.path.join(out, "sweep.csv"), "rb").read()
-    ckpt = json.loads(open(os.path.join(out, "sweep.checkpoint.json")).read())
+    full = Path(os.path.join(out, "sweep.csv")).read_bytes()
+    ckpt = json.loads(Path(os.path.join(out, "sweep.checkpoint.json")).read_text())
     assert len(ckpt["cells"]) == 2
     # drop the report but keep the checkpoint; resume must rebuild it
     os.remove(os.path.join(out, "sweep.csv"))
     assert main(["sweep", "--config", cfg, "--out", out, "--resume"]) == 0
-    assert open(os.path.join(out, "sweep.csv"), "rb").read() == full
+    assert Path(os.path.join(out, "sweep.csv")).read_bytes() == full
 
 
 def test_cli_rate_report(tmp_path):
@@ -377,7 +378,7 @@ def test_cli_rate_report(tmp_path):
     cfg.write_text(text.replace("target_radius = 0.05", "target_radius = 0.005"))
     out = str(tmp_path / "r")
     assert main(["rate", "--config", str(cfg), "--out", out]) == 0
-    doc = json.loads(open(os.path.join(out, "rate.json")).read())
+    doc = json.loads(Path(os.path.join(out, "rate.json")).read_text())
     assert doc["target_radius"] == 0.005
     assert doc["value"] > 0
     assert doc["feasible"] in (True, False)
@@ -396,7 +397,7 @@ def test_cli_tail_report_counts(tmp_path):
                    .replace("n_samples = 6", "n_samples = 130"))
     out = str(tmp_path / "t")
     assert main(["tail", "--config", str(cfg), "--out", out]) == 0
-    doc = json.loads(open(os.path.join(out, "tail.json")).read())
+    doc = json.loads(Path(os.path.join(out, "tail.json")).read_text())
     assert doc["marches"] == -(-130 // harness.BATCH) == 3
     assert doc["substeps"] >= 130 * 2 * 20
     assert 0 <= doc["table_hits"] <= doc["substeps"]
@@ -433,9 +434,9 @@ def test_cli_sweep_resume_from_truncated_checkpoint(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "w")
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
-    full = open(os.path.join(out, "sweep.csv"), "rb").read()
+    full = Path(os.path.join(out, "sweep.csv")).read_bytes()
     ckpt = os.path.join(out, "sweep.checkpoint.json")
-    blob = open(ckpt, "rb").read()
+    blob = Path(ckpt).read_bytes()
     # a crash in the middle of a non-atomic write leaves truncated JSON
     with open(ckpt, "wb") as fh:
         fh.write(blob[:len(blob) // 2])
@@ -443,7 +444,7 @@ def test_cli_sweep_resume_from_truncated_checkpoint(tmp_path, capsys):
     capsys.readouterr()
     assert main(["sweep", "--config", cfg, "--out", out, "--resume"]) == 0
     assert "checkpoint" in capsys.readouterr().err
-    assert open(os.path.join(out, "sweep.csv"), "rb").read() == full
-    assert open(ckpt, "rb").read() == blob
+    assert Path(os.path.join(out, "sweep.csv")).read_bytes() == full
+    assert Path(ckpt).read_bytes() == blob
     assert sorted(os.listdir(out)) == ["sweep.checkpoint.json", "sweep.csv",
                                        "sweep.json"]

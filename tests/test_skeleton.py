@@ -1,12 +1,15 @@
 """Skeleton solver: fixed points, oracles, convergence, and refinement."""
 
+import os
+
 import numpy as np
 import pytest
 
 from sggl import (BlowUpError, Control, Parameters, StateField, TimeGrid,
-                  constant_control, drift_coefficient,
+                  compute_norms, constant_control, drift_coefficient,
                   galerkin_refine, make_basis, make_nonlin, mode_field,
                   solve_skeleton, zero_field)
+from sggl.config import parse_config
 
 from conftest import jm2, rel_err
 
@@ -46,8 +49,7 @@ def test_zero_fixed_point(params_pi, basis8):
     grid = TimeGrid(T=0.5, n_steps=50)
     traj = solve_skeleton(params_pi, basis8, zero_field(basis8), jm2(),
                           constant_control(0.5, 2, 1.3), grid)
-    for u in traj.states:
-        assert np.all(u.modes == 0)
+    assert np.all(traj.modes == 0)
 
 
 def test_trajectory_time_axis(params_pi, basis8):
@@ -57,7 +59,29 @@ def test_trajectory_time_axis(params_pi, basis8):
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.5, abs=1e-15)
     assert np.all(np.diff(traj.times) > 0)
-    assert len(traj.states) == len(traj.times) == len(traj.norms)
+    assert len(traj.modes) == len(traj.times) == len(traj.norms.l2)
+
+
+def test_stacked_norms_match_per_field_norms():
+    # the skeleton of configs/default.ini: the norms of its stacked states
+    # equal each state's own compute_norms and the per-field formulas bit
+    # for bit, the Lp root (a scalar pow per value) included
+    spec = parse_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                     "configs", "default.ini"))
+    b, grid, n_bins = spec.basis, spec.grid, spec.ctrl.n_bins
+    traj = solve_skeleton(spec.params, b, spec.u0, spec.jm, spec.ctrl, grid)
+    dt = grid.T / grid.refined_steps(n_bins)
+    assert np.array_equal(traj.times, grid.saved_steps(n_bins) * dt)
+    p = spec.params.lp_exponent
+    nr = traj.norms
+    for i, modes in enumerate(traj.modes):
+        one = compute_norms(StateField(modes, b), [p])
+        sq = np.abs(modes) ** 2
+        lp = float((b.cell_area * np.sum(np.abs(b.to_grid(modes)) ** p)) ** (1.0 / p))
+        assert nr.l2[i] == one.l2 == float(np.sqrt(np.sum(sq)))
+        assert nr.grad_l2[i] == one.grad_l2 == float(
+            np.sqrt(np.sum(np.abs(b.eigenvalues) * sq)))
+        assert nr.lp[p][i] == one.lp[p] == lp
 
 
 def test_linearized_single_mode(params_pi, basis8):
@@ -181,8 +205,8 @@ def test_control_continuity_bin_refinement(params_pi):
 
     def sup_dist(n_bins):
         traj = solve_skeleton(p, basis, u0, jm, binned(n_bins), grid)
-        return max(np.sqrt(np.sum(np.abs(a.modes - b.modes) ** 2))
-                   for a, b in zip(traj.states, ref.states))
+        return max(np.sqrt(np.sum(np.abs(a - b) ** 2))
+                   for a, b in zip(traj.modes, ref.modes))
 
     d = [sup_dist(n) for n in (2, 4, 8, 16)]
     for a, b in zip(d, d[1:]):
@@ -220,6 +244,7 @@ def test_galerkin_refine_monotone(params_pi):
 
 def test_galerkin_refine_needs_increasing_list(params_pi, basis8):
     u0 = mode_field(basis8, 1, 1, 0.1)
-    with pytest.raises(ValueError):
-        galerkin_refine(params_pi, jm2(), constant_control(0.2, 2, 1.0), u0,
-                        TimeGrid(T=0.2, n_steps=10), [8, 4])
+    for n_list in ([8, 4], [4, 4, 8]):
+        with pytest.raises(ValueError):
+            galerkin_refine(params_pi, jm2(), constant_control(0.2, 2, 1.0), u0,
+                            TimeGrid(T=0.2, n_steps=10), n_list)

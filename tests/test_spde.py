@@ -26,11 +26,11 @@ def test_zero_initial_state(params_pi, basis8):
     for seed in range(10):
         traj = solve_spde(params_pi, basis8, zero_field(basis8), jm,
                           NoiseScale(0.25), grid, seed)
-        assert all(np.all(u.modes == 0) for u in traj.states)
+        assert np.all(traj.modes == 0)
         traj = solve_spde(params_pi, basis8, zero_field(basis8), jm,
                           NoiseScale(0.25), grid, seed,
                           ctrl=constant_control(0.3, 2, 1.7))
-        assert all(np.all(u.modes == 0) for u in traj.states)
+        assert np.all(traj.modes == 0)
 
 
 def test_zero_amplitude_equals_skeleton(params_pi, basis8):
@@ -42,9 +42,9 @@ def test_zero_amplitude_equals_skeleton(params_pi, basis8):
     skel = solve_skeleton(params_pi, basis8, u0, jm,
                           constant_control(0.4, 1, 1.0), grid)
     path = solve_spde(params_pi, basis8, u0, jm, NoiseScale(0.2), grid, seed=3)
-    assert len(path.states) == len(skel.states)
-    for a, b in zip(path.states, skel.states):
-        assert np.array_equal(a.modes, b.modes)
+    assert len(path.modes) == len(skel.modes)
+    for a, b in zip(path.modes, skel.modes):
+        assert np.array_equal(a, b)
 
 
 def test_controlled_identity_control_matches_spde(params_pi, basis8):
@@ -56,8 +56,8 @@ def test_controlled_identity_control_matches_spde(params_pi, basis8):
         a = solve_spde(params_pi, basis8, u0, jm, NoiseScale(0.25), grid, seed)
         b = solve_spde(params_pi, basis8, u0, jm, NoiseScale(0.25), grid, seed,
                        ctrl=ctrl)
-        for x, y in zip(a.states, b.states):
-            assert np.array_equal(x.modes, y.modes)
+        for x, y in zip(a.modes, b.modes):
+            assert np.array_equal(x, y)
 
 
 def test_controlled_path_is_raw_spde_on_its_events(params_pi, basis8):
@@ -75,8 +75,8 @@ def test_controlled_path_is_raw_spde_on_its_events(params_pi, basis8):
                        events=events)
         assert events.n_events > 0
         assert np.array_equal(a.times, b.times)
-        for x, y in zip(a.states, b.states):
-            assert np.array_equal(x.modes, y.modes)
+        for x, y in zip(a.modes, b.modes):
+            assert np.array_equal(x, y)
 
 
 def test_empty_events_balanced_model_equals_skeleton(params_pi, basis8):
@@ -89,8 +89,8 @@ def test_empty_events_balanced_model_equals_skeleton(params_pi, basis8):
     skel = solve_skeleton(params_pi, basis8, u0, jm, ctrl, grid)
     path = solve_spde(params_pi, basis8, u0, jm, NoiseScale(0.1), grid, seed=0,
                       ctrl=ctrl, events=empty_sample(0.3))
-    for a, b in zip(path.states, skel.states):
-        assert np.array_equal(a.modes, b.modes)
+    for a, b in zip(path.modes, skel.modes):
+        assert np.array_equal(a, b)
 
 
 def test_pathwise_determinism(params_pi, basis8):
@@ -100,8 +100,8 @@ def test_pathwise_determinism(params_pi, basis8):
     a = solve_spde(params_pi, basis8, u0, jm, NoiseScale(0.2), grid, seed=11)
     b = solve_spde(params_pi, basis8, u0, jm, NoiseScale(0.2), grid, seed=11)
     assert np.array_equal(a.times, b.times)
-    for x, y in zip(a.states, b.states):
-        assert np.array_equal(x.modes, y.modes)
+    for x, y in zip(a.modes, b.modes):
+        assert np.array_equal(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +175,13 @@ def test_energy_stable_as_eps_shrinks(params_pi, basis8):
         for seed in range(n):
             traj = solve_spde(params_pi, basis8, u0, jm, NoiseScale(eps),
                               grid, seed)
-            sup_sq = max(r.l2 ** 2 for r in traj.norms)
+            nr = traj.norms
+            sup_sq = max(nr.l2 ** 2)
             dt = np.diff(traj.times)
-            grad = sum(d * r.grad_l2 ** 2
-                       for d, r in zip(dt, traj.norms[1:]))
-            lp = sum(d * r.lp[sigma_p] ** sigma_p
-                     for d, r in zip(dt, traj.norms[1:]))
+            grad = sum(d * g ** 2
+                       for d, g in zip(dt, nr.grad_l2[1:]))
+            lp = sum(d * v ** sigma_p
+                     for d, v in zip(dt, nr.lp[sigma_p][1:]))
             vals.append(sup_sq + grad + lp)
         return float(np.mean(vals))
 

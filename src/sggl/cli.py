@@ -16,8 +16,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from dataclasses import asdict, fields
+from contextlib import contextmanager, suppress
+from dataclasses import asdict, astuple, fields
 
 from . import harness, outputs
 from .config import ConfigError, RunSpec, count, parse_config, seed
@@ -49,20 +49,33 @@ def _pool_mapper(workers: int):
 
 
 def _emit_error(out_dir: str, exc: Exception):
-    outputs.ensure_dir(out_dir)
+    """Write ``error.json`` to ``out_dir`` if it can be written at all."""
     payload = {"error": type(exc).__name__, "message": str(exc)}
-    with open(os.path.join(out_dir, "error.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    with suppress(OSError):
+        outputs.ensure_dir(out_dir)
+        with open(os.path.join(out_dir, "error.json"), "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
 
 
 def _opt_config(spec: RunSpec) -> OptConfig:
     return OptConfig(**{f.name: spec.options[f.name] for f in fields(OptConfig)})
 
 
+def _write_cells(spec: RunSpec, path: str, cells: list, cell_type):
+    """One row per report cell, one column per field of ``cell_type``."""
+    outputs.write_csv(path, [f.name for f in fields(cell_type)],
+                      map(astuple, cells), spec.config_hash, spec.master_seed)
+
+
 def _write_trajectory(spec: RunSpec, out: str, traj):
-    outputs.write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj,
-                                 spec.config_hash, spec.master_seed)
+    # l2sigma2 is the L^(2 sigma + 2) norm
+    nr = traj.norms
+    lp, = nr.lp.values()
+    outputs.write_csv(os.path.join(out, "trajectory.csv"),
+                      ["t", "l2", "grad_l2", "l2sigma2"],
+                      zip(traj.times, nr.l2, nr.grad_l2, lp),
+                      spec.config_hash, spec.master_seed)
     outputs.write_fields_bin(os.path.join(out, "fields.bin"), traj,
                              spec.config_hash, spec.master_seed)
 
@@ -82,8 +95,9 @@ def cmd_path(spec: RunSpec, out: str, args) -> int:
                       NoiseScale(spec.eps_list[0]), spec.grid, spec.master_seed,
                       ctrl=ctrl, event_log=log)
     _write_trajectory(spec, out, traj)
-    outputs.write_event_log(os.path.join(out, "events.csv"), log,
-                            spec.config_hash, spec.master_seed)
+    outputs.write_csv(os.path.join(out, "events.csv"),
+                      ["t", "mark", "pre_l2", "post_l2"], log,
+                      spec.config_hash, spec.master_seed)
     return EXIT_OK
 
 
@@ -156,9 +170,8 @@ def cmd_sweep(spec: RunSpec, out: str, args) -> int:
             spec.params, spec.basis, spec.jm, spec.u0, spec.ctrl, spec.grid,
             spec.eps_list, spec.options["n_samples"], spec.master_seed,
             _pool_map=mapper, precomputed=precomputed, on_cell=on_cell)
-    outputs.write_cells_csv(os.path.join(out, "sweep.csv"), report.cells,
-                            harness.SweepCell, spec.config_hash,
-                            spec.master_seed)
+    _write_cells(spec, os.path.join(out, "sweep.csv"), report.cells,
+                 harness.SweepCell)
     outputs.write_json(os.path.join(out, "sweep.json"), {
         "slope": report.slope,
         "r2": report.r2,
@@ -178,9 +191,8 @@ def cmd_tail(spec: RunSpec, out: str, args) -> int:
             spec.params, spec.basis, spec.jm, spec.u0, spec.grid, target,
             spec.eps_list, spec.options["n_samples"], spec.master_seed,
             _pool_map=mapper)
-    outputs.write_cells_csv(os.path.join(out, "tail.csv"), report.cells,
-                            harness.TailCell, spec.config_hash,
-                            spec.master_seed)
+    _write_cells(spec, os.path.join(out, "tail.csv"), report.cells,
+                 harness.TailCell)
     outputs.write_json(os.path.join(out, "tail.json"), {
         "rate_value": rate_res.value,
         "rate_feasible": rate_res.feasible,
@@ -267,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error(args.out, exc)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BlowUpError, ValueError, RuntimeError) as exc:
+    except (BlowUpError, ValueError, RuntimeError, OSError) as exc:
         _emit_error(args.out, exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

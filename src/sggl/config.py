@@ -153,6 +153,8 @@ _SCHEMA: dict[str, dict] = {
 
 def _read(cfg: configparser.ConfigParser) -> dict[str, dict]:
     """Every schema key's value, by section then key."""
+    if cfg.defaults():      # configparser copies its keys into every section
+        raise ConfigError("unknown section [DEFAULT]")
     for section in cfg.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")

@@ -1,9 +1,10 @@
 """Monte Carlo experiment harness: epsilon sweeps, tail probabilities,
 energy-bound audits.
 
-Monte Carlo runs march fixed batches of BATCH consecutive path indices in
-lock step (``spde.march_batch``); a tail batch marches all of its
-(path, eps) rows together, a sweep batch the paths of one eps cell.
+Monte Carlo runs cut their path indices into fixed batches of BATCH
+consecutive ones and reduce what each batch's march returns; the rows and
+their events are built by ``spde.march_batch``.  A tail batch marches all of
+its (path, eps) rows together, a sweep batch the paths of one eps cell.
 Per-path seeds are derived from the master seed by index and batches are
 cut by index, never by worker count, so reports are bit-identical under any
 parallel schedule; MC reductions are done with numpy pairwise summation over
@@ -16,16 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .jumps import (Control, JumpModel, NoiseScale, constant_control,
-                    sample_prm, trajectory_seed)
+from .jumps import Control, JumpModel, constant_control, trajectory_seed
 from .params import Parameters
 from .rate import EndpointSpec
 from .skeleton import TimeGrid, Trajectory, solve_skeleton
 from .spde import march_batch
-from .spectral import SpectralBasis, StateField, norm_powers, scalar_pow
+from .spectral import (SpectralBasis, StateField, lp_integrals, norm_powers,
+                       scalar_pow)
 
 # paths marched together; the batch of path i is i // BATCH
 BATCH = 64
@@ -33,23 +35,25 @@ BATCH = 64
 R2_FLOOR = 0.9
 
 
-def _batches(n_samples: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + BATCH, n_samples)) for lo in range(0, n_samples, BATCH)]
-
-
 def _first_error(errors):
     """The first non-None entry of an index-ordered error list, or None."""
     return next((err for err in errors if err is not None), None)
 
 
-def _map_batches(fn, args, _pool_map):
-    """Run ``fn`` over batch arguments; results in batch order.
+def _seeds(master_seed: int, lo: int, hi: int) -> list[int]:
+    return [trajectory_seed(master_seed, i) for i in range(lo, hi)]
 
-    Each batch returns its result and its first blow-up; after every batch
-    has run, the lowest-index blow-up is raised, whatever the schedule.
+
+def _map_batches(task, n_samples: int, _pool_map):
+    """``task((lo, hi))`` over the batches of paths lo..hi-1; results in
+    batch order, which the mapper keeps, as ``map`` and ``Executor.map`` do.
+
+    Each batch returns its first blow-up last; after every batch has run,
+    the lowest-index blow-up is raised, whatever the schedule.
     """
     mapper = _pool_map if _pool_map is not None else map
-    done = sorted(mapper(fn, args), key=lambda r: r[0])
+    spans = [(lo, min(lo + BATCH, n_samples)) for lo in range(0, n_samples, BATCH)]
+    done = list(mapper(task, spans))
     err = _first_error([r[-1] for r in done])
     if err is not None:
         raise err
@@ -91,51 +95,31 @@ class SweepReport:
     slope_flag: bool          # True when the fit is unreliable (R^2 < R2_FLOOR)
 
 
-def _sweep_batch(args):
-    """(lo, rows, first blow-up) for paths lo..hi-1 of one eps cell.
+def _sweep_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
+                 jm: JumpModel, ctrl: Control, grid: TimeGrid, master_seed: int,
+                 skel: Trajectory, eps: float, span: tuple[int, int]):
+    """(rows, first blow-up) for paths lo..hi-1 of one eps cell.
 
     Row i holds (sup_t ||d||^2, sum dt ||grad d||^2,
     sum dt ||d||_{2s+2}^{2s+2}) for d = path - skeleton, reduced at each
     saved grid time as the path crosses it; dt is the time since the
     previous saved state.
     """
-    (params, basis, jm, u0_modes, ctrl, grid, eps, master_seed, skel,
-     lo, hi) = args
-    u0 = StateField(np.asarray(u0_modes), basis)
-    noise = NoiseScale(eps)
-    samples = [sample_prm(jm, noise, grid.T, trajectory_seed(master_seed, i), ctrl)
-               for i in range(lo, hi)]
+    lo, hi = span
     p = params.lp_exponent
-    saved = grid.saved_steps(ctrl.n_bins)
-    slot = np.zeros(saved[-1] + 1, dtype=int)     # skeleton row of saved step k
-    slot[saved] = np.arange(saved.size)
     dts = np.diff(skel.times, prepend=0.0)
     rows = np.zeros((hi - lo, 3))
 
-    def on_save(r, k, modes):
-        i = slot[k]
+    def on_save(r, i, modes):
         l2sq, gradsq, lp = norm_powers(basis, modes - skel.modes[i], [p])
         w = dts[i]
         rows[r, 0] = np.maximum(rows[r, 0], l2sq)
         rows[r, 1] += w * gradsq
         rows[r, 2] += w * lp[p]
 
-    res = march_batch(params, basis, u0, jm, noise, ctrl, grid, samples,
-                      on_save=on_save)
-    return lo, rows, _first_error(res.errors)
-
-
-def sweep_cell(params: Parameters, basis: SpectralBasis, jm: JumpModel,
-               u0: StateField, ctrl: Control, grid: TimeGrid, eps: float,
-               n_samples: int, master_seed: int, skel: Trajectory,
-               _pool_map=None) -> SweepCell:
-    """One eps cell of the convergence sweep (MC over trajectory indices)."""
-    args = [(params, basis, jm, u0.modes, ctrl, grid, eps, master_seed, skel,
-             lo, hi) for lo, hi in _batches(n_samples)]
-    rows = np.concatenate([r[1] for r in _map_batches(_sweep_batch, args, _pool_map)])
-    mean = rows.mean(axis=0)
-    se = rows.std(axis=0, ddof=1) / math.sqrt(n_samples) if n_samples > 1 else np.zeros(3)
-    return SweepCell(eps, mean[0], se[0], mean[1], se[1], mean[2], se[2], n_samples)
+    res = march_batch(params, basis, u0, jm, [eps], ctrl, grid,
+                      _seeds(master_seed, lo, hi), on_save=on_save)
+    return rows, _first_error(res.errors)
 
 
 def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
@@ -154,14 +138,20 @@ def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     skel = solve_skeleton(params, basis, u0, jm, ctrl, grid, with_norms=False)
+    task = partial(_sweep_batch, params, basis, u0, jm, ctrl, grid, master_seed, skel)
     precomputed = precomputed or {}
     cells = []
     for eps in eps_list:
         if eps in precomputed:
             cells.append(precomputed[eps])
             continue
-        cell = sweep_cell(params, basis, jm, u0, ctrl, grid, eps, n_samples,
-                          master_seed, skel, _pool_map=_pool_map)
+        done = _map_batches(partial(task, eps), n_samples, _pool_map)
+        rows = np.concatenate([r[0] for r in done])
+        mean = rows.mean(axis=0)
+        se = (rows.std(axis=0, ddof=1) / math.sqrt(n_samples) if n_samples > 1
+              else np.zeros(3))
+        cell = SweepCell(eps, mean[0], se[0], mean[1], se[1], mean[2], se[2],
+                         n_samples)
         cells.append(cell)
         if on_cell is not None:
             on_cell(cell)
@@ -201,28 +191,23 @@ class TailReport:
     table_hits: int
 
 
-def _tail_batch(args):
-    """(lo, hits, substeps, table hits, first blow-up) for paths lo..hi-1
-    over every eps.
+def _tail_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
+                jm: JumpModel, grid: TimeGrid, event: EndpointSpec,
+                eps_list: list[float], master_seed: int, span: tuple[int, int]):
+    """(hits, substeps, table hits, first blow-up) for paths lo..hi-1 over
+    every eps.
 
-    Every (path, eps) pair is sampled and the pairs march together, row
-    i * m + j holding path lo+i at eps_list[j] (m eps values): the rows share
-    the raw drift, grid and bin and differ only in their events and kicks.
-    hits[i, j] is 1 when path lo+i ends in the event ball at eps_list[j];
-    blow-ups are ordered by path, then by eps, as a path-by-path run
-    meets them.
+    The batch's (path, eps) rows march together (``march_batch``), sharing
+    the raw drift, grid and bin.  hits[i, j] is 1 when path lo+i ends in the
+    event ball at eps_list[j]; blow-ups are ordered by path, then by eps, as
+    a path-by-path run meets them.
     """
-    (params, basis, jm, u0_modes, grid, center_modes, radius, eps_list,
-     master_seed, lo, hi) = args
-    u0 = StateField(np.asarray(u0_modes), basis)
-    noises = [NoiseScale(eps) for eps in eps_list]
-    seeds = [trajectory_seed(master_seed, i) for i in range(lo, hi)]
-    samples = [sample_prm(jm, noise, grid.T, s) for s in seeds for noise in noises]
-    res = march_batch(params, basis, u0, jm, noises * len(seeds), None, grid,
-                      samples)
-    gap = np.sqrt(norm_powers(basis, res.endpoints - center_modes)[0])
-    hits = (gap <= radius).astype(int).reshape(hi - lo, len(eps_list))
-    return lo, hits, res.substeps, res.table_hits, _first_error(res.errors)
+    lo, hi = span
+    res = march_batch(params, basis, u0, jm, eps_list, None, grid,
+                      _seeds(master_seed, lo, hi))
+    gap = np.sqrt(norm_powers(basis, res.endpoints - event.center.modes)[0])
+    hits = (gap <= event.radius).astype(int).reshape(hi - lo, len(eps_list))
+    return hits, res.substeps, res.table_hits, _first_error(res.errors)
 
 
 def _wilson(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -254,11 +239,10 @@ def tail_probability(params: Parameters, basis: SpectralBasis, jm: JumpModel,
             "event must exclude the noiseless endpoint "
             f"(distance {d0:.3g} <= radius {event.radius:.3g})")
 
-    args = [(params, basis, jm, u0.modes, grid, event.center.modes,
-             event.radius, list(eps_list), master_seed, lo, hi)
-            for lo, hi in _batches(n_samples)]
-    done = _map_batches(_tail_batch, args, _pool_map)
-    hit_matrix = np.concatenate([r[1] for r in done])
+    task = partial(_tail_batch, params, basis, u0, jm, grid, event,
+                   list(eps_list), master_seed)
+    done = _map_batches(task, n_samples, _pool_map)
+    hit_matrix = np.concatenate([r[0] for r in done])
 
     cells = []
     for k, eps in enumerate(eps_list):
@@ -274,8 +258,8 @@ def tail_probability(params: Parameters, basis: SpectralBasis, jm: JumpModel,
                                   eps * math.log(p_hat),
                                   eps * se_p / p_hat, lo, hi, censored=False))
     return TailReport(cells=cells, marches=len(done),
-                      substeps=sum(r[2] for r in done),
-                      table_hits=sum(r[3] for r in done))
+                      substeps=sum(r[1] for r in done),
+                      table_hits=sum(r[2] for r in done))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +290,7 @@ _C_F, _C_G, _SLACK = 2.0, 4.0, 0.2
 
 
 def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
-                 ctrl: Control | None = None, eps: NoiseScale | None = None,
+                 ctrl: Control | None = None, eps=None,
                  events=None) -> AuditReport:
     """Audit a trajectory against the reconstructed a-priori energy bounds.
 
@@ -315,8 +299,8 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
     * (1 + slack); the H1-level bound is the analogous expression at
     exponent p = min(2 sigma - 1/2, max(2, sigma)) starting from ||grad u0||^p
     with constant c_g (c_f, c_g, slack: _C_F, _C_G, _SLACK).  For jump
-    trajectories pass eps and the realized events: each kick scales the
-    admissible bound by max(1, (1+eps*g)^2).
+    trajectories pass eps (a ``NoiseScale``) and the realized events: each
+    kick scales the admissible bound by max(1, (1+eps*g)^2).
     """
     basis, modes = traj.basis, traj.modes
     sigma = params.sigma
@@ -325,17 +309,19 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
     dts = np.diff(traj.times)
     p2s2 = params.lp_exponent
 
-    l2sq, gradsq, lp = norm_powers(basis, modes, [p2s2])
+    l2sq, gradsq, _ = norm_powers(basis, modes)
+    absU = np.abs(basis.to_grid(modes))
+    lp = lp_integrals(basis, absU, [p2s2])[p2s2]
     lapsq = np.sum(basis.eigenvalues ** 2 * np.abs(modes) ** 2, axis=(-2, -1))
     Ux, Uy = basis.grad_to_grid(modes)
-    mixed = basis.cell_area * np.sum(np.abs(basis.to_grid(modes)) ** (2 * sigma)
+    mixed = basis.cell_area * np.sum(absU ** (2 * sigma)
                                      * (np.abs(Ux) ** 2 + np.abs(Uy) ** 2), axis=(-2, -1))
     gp = scalar_pow(gradsq, (p - 2) / 2)
     sup_sq = float(np.max(l2sq))
     sup_gp = float(np.max(scalar_pow(gradsq, p / 2)))
     # right-endpoint sums over the saved states, added in time order
     int_grad = float(np.cumsum(dts * gradsq[1:])[-1])
-    int_lp = float(np.cumsum(dts * lp[p2s2][1:])[-1])
+    int_lp = float(np.cumsum(dts * lp[1:])[-1])
     int_lap = float(np.cumsum(dts * gp[1:] * lapsq[1:])[-1])
     int_mixed = float(np.cumsum(dts * gp[1:] * mixed[1:])[-1])
 

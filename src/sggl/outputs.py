@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import fields
 
 import numpy as np
 
@@ -26,16 +25,21 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_trajectory_csv(path: str, traj: Trajectory, config_hash: str,
-                         master_seed: int):
-    """Columns: t, l2, grad_l2, l2sigma2 (the L^(2 sigma + 2) norm)."""
+def _csv_value(x) -> str:
+    if isinstance(x, bool):
+        return str(int(x))
+    return str(x) if isinstance(x, int) else _fmt(x)
+
+
+def write_csv(path: str, names: list[str], rows, config_hash: str,
+              master_seed: int):
+    """Headered CSV with columns ``names`` and one line per row of values:
+    floats with ``_fmt``, ints as integers, bools as 0/1."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header_line(config_hash, master_seed))
-        fh.write("t,l2,grad_l2,l2sigma2\n")
-        nr = traj.norms
-        lp, = nr.lp.values()
-        for row in zip(traj.times, nr.l2, nr.grad_l2, lp):
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        fh.write(",".join(names) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_value, row)) + "\n")
 
 
 def write_fields_bin(path: str, traj: Trajectory, config_hash: str,
@@ -69,32 +73,6 @@ def write_json(path: str, payload: dict, config_hash: str, master_seed: int):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=False)
         fh.write("\n")
-
-
-def write_event_log(path: str, event_log: list, config_hash: str, master_seed: int):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header_line(config_hash, master_seed))
-        fh.write("t,mark,pre_l2,post_l2\n")
-        for t, mark, pre, post in event_log:
-            fh.write(f"{_fmt(t)},{mark},{_fmt(pre)},{_fmt(post)}\n")
-
-
-def _csv_value(x) -> str:
-    if isinstance(x, bool):
-        return str(int(x))
-    return str(x) if isinstance(x, int) else _fmt(x)
-
-
-def write_cells_csv(path: str, cells: list, cell_type, config_hash: str,
-                    master_seed: int):
-    """One row per report cell, one column per field of ``cell_type``:
-    floats with ``_fmt``, ints as integers, bools as 0/1."""
-    names = [f.name for f in fields(cell_type)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header_line(config_hash, master_seed))
-        fh.write(",".join(names) + "\n")
-        for c in cells:
-            fh.write(",".join(_csv_value(getattr(c, n)) for n in names) + "\n")
 
 
 def ensure_dir(path: str):

@@ -43,10 +43,6 @@ class TimeGrid:
         if not (self.T > 0 and self.n_steps >= 1 and self.save_stride >= 1):
             raise ValueError("need T > 0, n_steps >= 1, save_stride >= 1")
 
-    @property
-    def dt(self) -> float:
-        return self.T / self.n_steps
-
     def refined_steps(self, n_bins: int) -> int:
         """Step count rounded up so control-bin edges are grid points."""
         q = -(-self.n_steps // n_bins)   # ceil division
@@ -119,8 +115,9 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     identity tables).  A path's arithmetic is the same whatever else its
     batch holds, so its result is its S = 1 march's, bit for bit.
 
-    Callbacks see the batch rows they concern: ``on_save(rows, k, modes)``
-    after grid steps k that ``grid.saved_steps`` keeps, and
+    Callbacks see the batch rows they concern: ``on_save(rows, i, modes)``
+    after the grid steps that ``grid.saved_steps`` keeps, i being their
+    positions in it, and
     ``on_kick(rows, j, before, after)`` at each path's j-th event.  A path
     whose norm leaves the blow-up cap after any sub-step, a kick included,
     is frozen and its ``BlowUpError`` recorded.
@@ -142,8 +139,9 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     step_bin = np.arange(n_steps) // (n_steps // n_bins)
     cap = BLOWUP_FACTOR * (u0.l2() + 1.0)
     grid_times = np.arange(1, n_steps + 1) * dt
-    saved = np.zeros(n_steps + 1, dtype=bool)
-    saved[grid.saved_steps(n_bins)] = True
+    ks = grid.saved_steps(n_bins)
+    slot = np.full(n_steps + 1, -1)     # saved-state index of each step, or -1
+    slot[ks] = np.arange(ks.size)
 
     ev = np.asarray(event_times, dtype=float)
     # Each path's sub-steps in order: one per grid step and one per event up
@@ -214,9 +212,10 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
                 errors[rows[i]] = BlowUpError(int(kg[i]), float(end[r, rows[i]]),
                                               float(np.sqrt(sq[i])), cap)
         if on_save is not None:
-            keep = (ok > kick) & saved[kg]      # a kicked row is off the grid
+            si = slot[kg]
+            keep = (ok > kick) & (si >= 0)      # a kicked row is off the grid
             if np.count_nonzero(keep):
-                on_save(rows[keep], kg[keep], c.compress(keep, axis=0))
+                on_save(rows[keep], si[keep], c.compress(keep, axis=0))
         if n_bad or r + 1 == next_end:
             done = (last[rows] == r + 1) | ~ok
             endpoints[rows[done]] = c[done]
@@ -243,8 +242,8 @@ def march_trajectory(params: Parameters, basis: SpectralBasis, u0: StateField,
     stack = np.empty((ks.size,) + u0.modes.shape, dtype=complex)
     stack[0] = u0.modes
 
-    def on_save(rows, k, modes):
-        stack[np.searchsorted(ks, k)] = modes
+    def on_save(rows, i, modes):
+        stack[i] = modes
 
     res = march(params, basis, u0, grid, event_times, kick_factors, drift,
                 n_bins, on_save=on_save, on_kick=on_kick)

@@ -9,8 +9,9 @@ still compensated by eps^-1 nu, so only its events differ from the raw
 process, never its drift.  Jump times are inserted exactly into the step
 sequence, so a scalar single-mode run admits a closed-form product oracle.
 
-``march_batch`` marches a batch of sampled paths in lock step, at one noise
-scale or at one per path;
+``march_batch`` marches the Monte Carlo rows of a batch of seeds, each
+seed at every noise scale of a list, in lock step; it is the one place where
+Monte Carlo events are sampled.
 ``solve_spde``, the single-path solver, is the same march with one path and
 samples its own events, from the thinned measure when given a control.
 """
@@ -26,16 +27,14 @@ from .skeleton import MarchResult, TimeGrid, Trajectory, march, march_trajectory
 from .spectral import SpectralBasis, StateField, norm_powers
 
 
-def _pad_events(samples: list[JumpSample], jm: JumpModel,
-                eps: float | list[float],
+def _pad_events(samples: list[JumpSample], jm: JumpModel, eps: list[float],
                 keep_identity: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(S, E) event times padded with +inf and kick factors padded with 1.0.
 
-    ``eps`` is one noise scale for every sample or a sequence of one per
-    sample.  A path whose kicks are all the identity loses its events unless
-    ``keep_identity``, so it steps exactly like the deterministic run.
+    ``eps`` holds the noise scale of each sample.  A path whose kicks are all
+    the identity loses its events unless ``keep_identity``, so it steps
+    exactly like the deterministic run.
     """
-    eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(samples),))
     kicks = [1.0 + e * jm.g[s.marks] for s, e in zip(samples, eps)]
     if not keep_identity:
         kicks = [f if np.any(f != 1.0) else f[:0] for f in kicks]
@@ -49,20 +48,20 @@ def _pad_events(samples: list[JumpSample], jm: JumpModel,
 
 
 def march_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
-                jm: JumpModel, eps: NoiseScale | list[NoiseScale],
-                ctrl: Control | None, grid: TimeGrid,
-                samples: list[JumpSample], on_save=None) -> MarchResult:
-    """March one path per sample in lock step: raw SPDE if ``ctrl`` is None,
-    else the controlled SPDE (samples drawn from the thinned PRM).
+                jm: JumpModel, eps_list: list[float], ctrl: Control | None,
+                grid: TimeGrid, seeds: list[int], on_save=None) -> MarchResult:
+    """March every (seed, eps) pair as one path, in lock step: the raw SPDE
+    if ``ctrl`` is None, else the controlled SPDE.
 
-    ``eps`` is a ``NoiseScale`` shared by every sample, or a sequence of one
-    ``NoiseScale`` per sample: paths at different noise scales differ only in
-    their events and kicks, so they march together.  A controlled march keeps
-    the control's bins, so its grid is the one its skeleton is solved on.
+    Row i * m + j is ``seeds[i]`` at ``eps_list[j]`` (m noise scales); its
+    events are drawn by ``sample_prm`` from that seed, thinned under ``ctrl``.
+    Rows at different noise scales differ only in their events and kicks, so
+    they march together.  A controlled march keeps the control's bins, so its
+    grid is the one its skeleton is solved on.
     """
-    eps = (eps.epsilon if isinstance(eps, NoiseScale)
-           else [e.epsilon for e in eps])
-    times, factors = _pad_events(samples, jm, eps)
+    samples = [sample_prm(jm, NoiseScale(e), grid.T, s, ctrl)
+               for s in seeds for e in eps_list]
+    times, factors = _pad_events(samples, jm, list(eps_list) * len(seeds))
     n_bins = 1 if ctrl is None else ctrl.n_bins
     return march(params, basis, u0, grid, times, factors,
                  compensator_drift(jm), n_bins, on_save=on_save)
@@ -84,7 +83,7 @@ def solve_spde(params: Parameters, basis: SpectralBasis, u0: StateField,
     """
     if events is None:
         events = sample_prm(jm, eps, grid.T, seed, ctrl)
-    times, factors = _pad_events([events], jm, eps.epsilon,
+    times, factors = _pad_events([events], jm, [eps.epsilon],
                                  keep_identity=event_log is not None)
     on_kick = None
     if event_log is not None:

@@ -142,9 +142,6 @@ class StateField:
     modes: np.ndarray
     basis: SpectralBasis
 
-    def copy(self) -> "StateField":
-        return StateField(self.modes.copy(), self.basis)
-
     def l2(self) -> float:
         return float(np.sqrt(norm_powers(self.basis, self.modes)[0]))
 
@@ -322,11 +319,14 @@ def norm_powers(basis: SpectralBasis, modes: np.ndarray, p_list=()):
     sq = np.abs(modes) ** 2
     l2sq = np.sum(sq, axis=(-2, -1))
     gradsq = np.sum(np.abs(basis.eigenvalues) * sq, axis=(-2, -1))
-    lp = {}
-    if p_list:
-        absU = np.abs(basis.to_grid(modes))
-        lp = {p: basis.cell_area * np.sum(absU ** p, axis=(-2, -1)) for p in p_list}
+    lp = lp_integrals(basis, np.abs(basis.to_grid(modes)), p_list) if p_list else {}
     return l2sq, gradsq, lp
+
+
+def lp_integrals(basis: SpectralBasis, absU: np.ndarray, p_list) -> dict:
+    """{p: int |u|^p dx} by collocation quadrature from the grid values
+    |u| (..., N1, N2) of each field of a stack."""
+    return {p: basis.cell_area * np.sum(absU ** p, axis=(-2, -1)) for p in p_list}
 
 
 def scalar_pow(x, e: float):

@@ -130,6 +130,13 @@ def test_parse_rejects_unknown_section(tmp_path):
         parse_config(path)
 
 
+def test_parse_rejects_default_section_by_name(tmp_path):
+    # configparser copies [DEFAULT] keys into every section: name the section
+    path = write_config(tmp_path, extra="\n[DEFAULT]\nfoo = 1\n")
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+        parse_config(path)
+
+
 def test_parse_rejects_missing_section(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[physics]\nalpha = 0\n")
@@ -230,10 +237,12 @@ def test_cli_usage_errors(tmp_path):
     ("target_radius = 0.05", "target_radius = 0.05\nfd_step = 0"),
     ("master_seed = 777", "master_seed = -1"),
     ("target_radius = 0.05", "target_radius = 0.05\ngap_tol = nan"),
+    # configparser copies [DEFAULT] keys into every section
+    ("workers = 1", "workers = 1\n\n[DEFAULT]\nfoo = 1"),
 ], ids=["n_samples", "eps_list", "master_seed", "modes", "target_phi", "rho0",
         "eps_list_empty", "n_bins_zero", "target_phi_empty", "n_samples_zero",
         "target_radius_negative", "fd_step_zero", "master_seed_negative",
-        "gap_tol_nan"])
+        "gap_tol_nan", "default_section"])
 def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, line, bad):
     text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
     assert f"\n{line}\n" in text
@@ -275,6 +284,21 @@ def test_pool_mapper_clamps_workers_to_usable_cpus(monkeypatch):
     with cli._pool_mapper(8) as mapper:
         assert mapper is None
     assert sizes == [3, 2]
+
+
+def test_cli_unwritable_output_is_an_error(tmp_path, capsys):
+    # an --out that cannot be made, or a report that cannot be written,
+    # exits 1 with a one-line error instead of a traceback
+    cfg = write_config(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["skeleton", "--config", cfg, "--out", str(afile / "sub")]) == 1
+    out = tmp_path / "o"
+    (out / "trajectory.csv").mkdir(parents=True)
+    assert main(["skeleton", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+    assert read_error(str(out))["error"] == "IsADirectoryError"
 
 
 def test_cli_resume_only_on_sweep(tmp_path):

@@ -11,7 +11,7 @@ from sggl import (BlowUpError, Control, EndpointSpec, JumpModel, JumpSample,
                   convergence_sweep, drift_coefficient, make_basis, mode_field,
                   sample_prm, solve_skeleton, solve_spde, tail_probability,
                   trajectory_seed)
-from sggl import harness
+from sggl import harness, spde
 from sggl.skeleton import march
 from sggl.spde import march_batch
 from sggl.timestep import linear_tables
@@ -20,8 +20,8 @@ from conftest import jm2
 
 
 def reversed_map(fn, args):
-    # an out-of-order parallel schedule
-    return [fn(a) for a in list(args)[::-1]]
+    # an out-of-order parallel schedule; results in argument order
+    return [fn(a) for a in list(args)[::-1]][::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ def test_batched_endpoints_match_single_paths(params_pi, controlled):
         samples = [sample_prm(jm, eps, ctrl.T, s, ctrl) for s in seeds]
     else:
         samples = [sample_prm(jm, eps, grid.T, s) for s in seeds]
-    res = march_batch(params_pi, basis, u0, jm, eps, ctrl, grid, samples)
+    res = march_batch(params_pi, basis, u0, jm, [eps.epsilon], ctrl, grid, seeds)
     assert res.errors == [None] * len(seeds)
     assert sum(s.n_events for s in samples) > 0
     for seed, got in zip(seeds, res.endpoints):
@@ -188,7 +188,7 @@ def planted_blowups(params_pi):
     index = {trajectory_seed(master, i): i for i in range(7)}
     kick_at = {1: 0.305, 3: 0.105, 5: 0.015}
 
-    def planted_prm(jm_, eps, T, seed):
+    def planted_prm(jm_, eps, T, seed, ctrl=None):
         i = index[seed]
         times = np.array([kick_at[i]]) if i in kick_at else np.empty(0)
         return JumpSample(times, np.zeros(times.size, dtype=int), T)
@@ -209,7 +209,7 @@ def test_blowup_raises_lowest_index_path(params_pi, monkeypatch):
     single = {i: single_run(i, 0.25) for i in (1, 3, 5)}
     assert single[1].step > single[3].step > single[5].step
 
-    monkeypatch.setattr(harness, "sample_prm", planted_prm)
+    monkeypatch.setattr(spde, "sample_prm", planted_prm)
     for batch, pool_map in [(64, None), (4, None), (4, reversed_map), (2, reversed_map)]:
         monkeypatch.setattr(harness, "BATCH", batch)
         with pytest.raises(BlowUpError) as exc:
@@ -229,14 +229,14 @@ def test_blowup_order_across_eps_in_one_march(params_pi, monkeypatch, eps_list):
     second = single_run(1, eps_list[1])
     assert first.norm != second.norm
 
-    def late_prm(jm_, eps, T, seed):
+    def late_prm(jm_, eps, T, seed, ctrl=None):
         # path 1 unkicked at eps_list[0]: it still precedes path 3 and 5
         if seed == trajectory_seed(master, 1) and eps.epsilon == eps_list[0]:
             return JumpSample(np.empty(0), np.zeros(0, dtype=int), T)
         return planted_prm(jm_, eps, T, seed)
 
     for prm, want in [(planted_prm, first), (late_prm, second)]:
-        monkeypatch.setattr(harness, "sample_prm", prm)
+        monkeypatch.setattr(spde, "sample_prm", prm)
         for batch, pool_map in [(64, None), (4, reversed_map), (2, reversed_map)]:
             monkeypatch.setattr(harness, "BATCH", batch)
             with pytest.raises(BlowUpError) as exc:
@@ -298,7 +298,7 @@ def test_table_cache_serves_whole_grid_steps(params_pi):
     # builds fresh tables, so only the uniform grid steps are cache hits
     eps = NoiseScale(1 / 256)
     samples = [sample_prm(jm, eps, ctrl.T, s, ctrl) for s in (1, 2)]
-    res = march_batch(params_pi, basis, u0, jm, eps, ctrl, grid, samples)
+    res = march_batch(params_pi, basis, u0, jm, [eps.epsilon], ctrl, grid, [1, 2])
     assert min(s.n_events for s in samples) > grid.n_steps
     assert res.substeps == 2 * grid.n_steps + sum(s.n_events for s in samples)
     assert res.substeps - res.table_hits > sum(s.n_events for s in samples)
@@ -344,8 +344,8 @@ def test_event_on_grid_time(params_pi):
     factors = np.array([[2.0, 3.0], [6.0, 1.0]])
     saved = {}
 
-    def on_save(rows, k, modes):
-        saved.update(((int(r), int(kk)), m[0, 0]) for r, kk, m in zip(rows, k, modes))
+    def on_save(rows, i, modes):
+        saved.update(((int(r), int(k)), m[0, 0]) for r, k, m in zip(rows, i, modes))
 
     res = march(params_pi, basis, u0, grid, times, factors, 0.0, 1,
                 on_save=on_save)
@@ -357,3 +357,32 @@ def test_event_on_grid_time(params_pi):
     # the state saved at t = 0.03 already carries the kick there
     want3 = 2.0 * c0 * np.exp(lam * 0.03)
     assert abs(saved[0, 3] - want3) <= 1e-10 * abs(want3)
+
+
+# ---------------------------------------------------------------------------
+# saved states
+
+@pytest.mark.parametrize("path", ["skeleton", "spde"])
+def test_strided_run_saves_the_stride_one_states(params_pi, path):
+    # n_steps = 10 with save_stride = 4 keeps steps 0, 4, 8, 10: each is
+    # stored at its saved-state index, as the stride-1 run's state there,
+    # bit for bit; the SPDE path takes kicks between saved steps
+    basis = make_basis(4, 4, params_pi, pad_factor=4)
+    u0 = mode_field(basis, 1, 1, 0.3)
+    jm = jm2()
+    ctrl = Control(T=0.25, phi=np.array([[1.5, 0.5], [1.0, 1.5]]))
+    events = JumpSample(np.array([0.03, 0.13, 0.21]), np.array([0, 1, 0]), 0.25)
+
+    def run(stride):
+        grid = TimeGrid(T=0.25, n_steps=10, save_stride=stride)
+        if path == "skeleton":
+            return solve_skeleton(params_pi, basis, u0, jm, ctrl, grid)
+        return solve_spde(params_pi, basis, u0, jm, NoiseScale(0.25), grid, 0,
+                          ctrl=ctrl, events=events)
+
+    every, strided = run(1), run(4)
+    ks = [0, 4, 8, 10]
+    assert TimeGrid(T=0.25, n_steps=10, save_stride=4).saved_steps(2).tolist() == ks
+    assert len(every.modes) == 11 and not np.array_equal(every.modes[4], every.modes[5])
+    assert np.array_equal(strided.modes, every.modes[ks])
+    assert np.array_equal(strided.times, every.times[ks])

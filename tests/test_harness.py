@@ -65,8 +65,8 @@ def test_sweep_reproducible_and_schedule_independent(params_pi):
     ctrl = constant_control(grid.T, 2, 1.5)
 
     def scrambled_map(fn, args):
-        # simulate an out-of-order parallel schedule
-        return [fn(a) for a in list(args)[::-1]]
+        # simulate an out-of-order parallel schedule; results in argument order
+        return [fn(a) for a in list(args)[::-1]][::-1]
 
     a = convergence_sweep(params_pi, basis, jm2(), u0, ctrl, grid,
                           [0.25, 0.125], n_samples=12, master_seed=9)

@@ -5,8 +5,9 @@ verify.  All take --config and --out; --seed overrides the config master
 seed and --workers (or SGGL_WORKERS) sizes the trajectory worker pool.
 Only sweep takes --resume, which continues an interrupted sweep from its
 checkpoint.  Exit codes: 0 ok, 1 invariant violation or module error,
-2 usage error.  A config error, whether found while parsing or inside a
-command, and a module error also write ``error.json`` to --out.
+2 usage error.  A config error, whether found while parsing, in a --seed,
+--workers or SGGL_WORKERS value or inside a command, and a module error
+also write ``error.json`` to --out.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import asdict, astuple, fields
 
 from . import harness, outputs
-from .config import ConfigError, RunSpec, count, parse_config, seed
+from .config import ConfigError, RunSpec, parse_config, run_value
 from .jumps import Control, NoiseScale
 from .params import ParameterError
 from .rate import EndpointSpec, OptConfig, estimate_rate
@@ -243,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="run specification file")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=seed, default=None,
+        sp.add_argument("--seed", default=None,
                         help="override the config master seed")
-        sp.add_argument("--workers", type=count, default=None,
+        sp.add_argument("--workers", default=None,
                         help="trajectory worker pool size "
                              "(default: SGGL_WORKERS, else the config)")
         if name == "sweep":
@@ -255,23 +256,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-        env = os.environ.get("SGGL_WORKERS")
-        if args.workers is None and env is not None:
-            try:
-                args.workers = count(env)
-            except ValueError:
-                ap.error(f"SGGL_WORKERS must be an integer >= 1, got {env!r}")
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
         spec = parse_config(args.config)
+        # a flag overrides the environment, which overrides the file
         if args.seed is not None:
-            spec.master_seed = args.seed
-        if args.workers is None:
+            spec.master_seed = run_value("master_seed", args.seed, "--seed")
+        if args.workers is not None:
+            args.workers = run_value("workers", args.workers, "--workers")
+        elif "SGGL_WORKERS" in os.environ:
+            args.workers = run_value("workers", os.environ["SGGL_WORKERS"],
+                                     "SGGL_WORKERS")
+        else:
             args.workers = spec.workers
         outputs.ensure_dir(args.out)
         return _COMMANDS[args.command](spec, args.out, args)

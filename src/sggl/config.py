@@ -77,12 +77,12 @@ def _integer(text: str, low: int) -> int:
 
 
 def count(text: str) -> int:
-    """A count: an integer >= 1.  Also the type of ``--workers``."""
+    """A count: an integer >= 1."""
     return _integer(text, 1)
 
 
 def seed(text: str) -> int:
-    """A master seed: an integer >= 0.  Also the type of ``--seed``."""
+    """A master seed: an integer >= 0."""
     return _integer(text, 0)
 
 
@@ -179,6 +179,16 @@ def _read(cfg: configparser.ConfigParser) -> dict[str, dict]:
                 raise ConfigError(
                     f"invalid [{section}] {key} = {given[key]!r}: {exc}") from exc
     return values
+
+
+def run_value(key: str, text: str, source: str):
+    """The [run] ``key`` given as ``text`` outside the file, by ``source``
+    (a flag or an environment variable), read as the file's key is."""
+    read, _ = _SCHEMA["run"][key]
+    try:
+        return read(text)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {source} {text!r}: {exc}") from exc
 
 
 def _build(section: str, make):

@@ -92,7 +92,7 @@ class SweepReport:
     cells: list[SweepCell]
     slope: float
     r2: float
-    slope_flag: bool          # True when the fit is unreliable (R^2 < R2_FLOOR)
+    slope_flag: bool          # True when R^2 < R2_FLOOR or slope and r2 are NaN
 
 
 def _sweep_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
@@ -157,12 +157,14 @@ def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
             on_cell(cell)
     eps_arr = np.asarray(eps_list, dtype=float)
     sup_means = np.asarray([c.mean_sup_sq for c in cells])
-    if np.all(sup_means > 0):
+    if len(set(eps_list)) < 2:
+        slope = r2 = math.nan      # no line through a single point
+    elif np.all(sup_means > 0):
         slope, r2 = _fit_loglog(eps_arr, sup_means)
     else:
         slope, r2 = 0.0, 1.0   # degenerate (noise-free) sweep: statistics are 0
     return SweepReport(cells=cells, slope=slope, r2=r2,
-                       slope_flag=(r2 < R2_FLOOR and np.any(sup_means > 0)))
+                       slope_flag=not r2 >= R2_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +207,8 @@ def _tail_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
     lo, hi = span
     res = march_batch(params, basis, u0, jm, eps_list, None, grid,
                       _seeds(master_seed, lo, hi))
-    gap = np.sqrt(norm_powers(basis, res.endpoints - event.center.modes)[0])
-    hits = (gap <= event.radius).astype(int).reshape(hi - lo, len(eps_list))
+    hits = (event.gaps(res.endpoints) <= event.radius).astype(int)
+    hits = hits.reshape(hi - lo, len(eps_list))
     return hits, res.substeps, res.table_hits, _first_error(res.errors)
 
 
@@ -233,7 +235,7 @@ def tail_probability(params: Parameters, basis: SpectralBasis, jm: JumpModel,
         raise ValueError("n_samples must be >= 1")
     ctrl1 = constant_control(grid.T, jm.n_marks, 1.0)
     skel = solve_skeleton(params, basis, u0, jm, ctrl1, grid, with_norms=False)
-    d0 = float(np.sqrt(norm_powers(basis, skel.endpoint.modes - event.center.modes)[0]))
+    d0 = float(event.gaps(skel.endpoint.modes))
     if d0 <= event.radius:
         raise ValueError(
             "event must exclude the noiseless endpoint "
@@ -290,7 +292,7 @@ _C_F, _C_G, _SLACK = 2.0, 4.0, 0.2
 
 
 def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
-                 ctrl: Control | None = None, eps=None,
+                 ctrl: Control | None = None, eps: float | None = None,
                  events=None) -> AuditReport:
     """Audit a trajectory against the reconstructed a-priori energy bounds.
 
@@ -299,7 +301,7 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
     * (1 + slack); the H1-level bound is the analogous expression at
     exponent p = min(2 sigma - 1/2, max(2, sigma)) starting from ||grad u0||^p
     with constant c_g (c_f, c_g, slack: _C_F, _C_G, _SLACK).  For jump
-    trajectories pass eps (a ``NoiseScale``) and the realized events: each
+    trajectories pass eps (a float) and the realized events: each
     kick scales the admissible bound by max(1, (1+eps*g)^2).
     """
     basis, modes = traj.basis, traj.modes
@@ -335,7 +337,7 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
 
     jump_factor = 1.0
     if eps is not None and events is not None and events.n_events:
-        kicks = 1.0 + eps.epsilon * jm.g[events.marks]
+        kicks = 1.0 + eps * jm.g[events.marks]
         jump_factor = float(np.prod(np.maximum(1.0, kicks ** 2)))
 
     u0_sq, grad0_sq = float(l2sq[0]), float(gradsq[0])

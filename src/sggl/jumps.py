@@ -185,10 +185,11 @@ def _merge(times_all, marks_all, T: float) -> JumpSample:
     return JumpSample(t[order], m[order], T)
 
 
-def drift_coefficient(jm: JumpModel, ctrl: Control) -> np.ndarray:
+def drift_coefficient(jm: JumpModel, phi: np.ndarray) -> np.ndarray:
     """c_b = sum_j g_j (phi[b, j] - 1) nu_j, the skeleton compensator drift
-    on each control bin b, as an (n_bins,) vector."""
-    return np.sum(jm.g * (ctrl.phi - 1.0) * jm.nu, axis=1)
+    on each control bin b: a (..., n_bins, K) stack of intensities gives its
+    (..., n_bins) drift rows."""
+    return np.sum(jm.g * (phi - 1.0) * jm.nu, axis=-1)
 
 
 def compensator_drift(jm: JumpModel) -> float:

@@ -8,12 +8,13 @@ subject to the skeleton endpoint landing in the ball: one penalty
 continuation from the noiseless control phi = 1, with projected
 finite-difference gradient descent over the control entries.
 
-Every skeleton solve of the search is a row of a batched ``march`` with one
-drift row per control: a gradient's forward differences share one march,
-and the line search marches its candidate steps in batches that double in
-size.  A row's result does not depend on its batch and candidates are
-accepted in their serial order, so the estimate is the one that solving
-the skeletons one at a time gives, bit for bit.
+A skeleton sees its control only through the compensator drift on each bin
+(``drift_coefficient``), so the search marches drift rows: every skeleton
+solve is one row of a batched ``march``, a gradient's forward differences
+share one march, and the line search marches its candidate steps in batches
+that double in size.  A row's result does not depend on its batch and
+candidates are accepted in their serial order, so the estimate is the one
+that solving the skeletons one at a time gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,8 +42,13 @@ def ell(r) -> float:
 
 def cost(ctrl: Control, jm: JumpModel) -> float:
     """Relative-entropy cost; exact for piecewise-constant controls."""
-    dt_bin = ctrl.T / ctrl.n_bins
-    return float(np.sum(ell(ctrl.phi) * jm.nu[None, :]) * dt_bin)
+    return _phi_cost(ctrl.phi, jm, ctrl.T)
+
+
+def _phi_cost(phi: np.ndarray, jm: JumpModel, T: float) -> float:
+    """Cost of the (n_bins, K) intensities ``phi`` on [0, T]."""
+    dt_bin = T / phi.shape[0]
+    return float(np.sum(ell(phi) * jm.nu[None, :]) * dt_bin)
 
 
 def in_level_set(ctrl: Control, jm: JumpModel, N: float) -> bool:
@@ -62,6 +68,12 @@ class EndpointSpec:
     def __post_init__(self):
         if self.radius < 0:
             raise ValueError("radius must be >= 0")
+
+    def gaps(self, modes: np.ndarray) -> np.ndarray:
+        """L2 distance from the center of each field of a (..., n1, n2)
+        coefficient stack, shaped like its leading axes; the field is in
+        the event ball when its gap is at most ``radius``."""
+        return np.sqrt(norm_powers(self.center.basis, modes - self.center.modes)[0])
 
 
 _RHO_GROWTH = 10.0      # penalty weight factor between continuation stages
@@ -92,18 +104,17 @@ class RateResult:
     skeleton_paths: int
 
 
-def _endpoint_gaps(phis: np.ndarray, target: EndpointSpec, params, basis, jm,
+def _endpoint_gaps(drift: np.ndarray, target: EndpointSpec, params, basis,
                    u0, grid) -> list[float]:
-    """Endpoint gap of the skeleton under each control ``phis[i]``, all
-    marched at once; inf for a skeleton that blew up."""
-    drift = np.stack([drift_coefficient(jm, Control(T=grid.T, phi=p)) for p in phis])
-    none = np.empty((len(phis), 0))
-    res = march(params, basis, u0, grid, none, none, drift, phis.shape[1])
+    """Endpoint gap of the skeleton under each (n_bins,) drift row
+    ``drift[i]``, all marched at once; inf for a skeleton that blew up."""
+    none = np.empty((len(drift), 0))
+    res = march(params, basis, u0, grid, none, none, drift, drift.shape[1])
+    gaps = target.gaps(res.endpoints)
     # an exploding skeleton can never satisfy the endpoint constraint; an
     # infinite gap lets the line search back off the candidate
-    return [math.inf if err is not None else
-            float(np.sqrt(norm_powers(basis, end - target.center.modes)[0]))
-            for end, err in zip(res.endpoints, res.errors)]
+    gaps[[err is not None for err in res.errors]] = math.inf
+    return gaps.tolist()
 
 
 def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis,
@@ -132,10 +143,11 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
         nonlocal marches, paths
         marches += 1
         paths += len(phis)
-        return _endpoint_gaps(phis, target, params, basis, jm, u0, grid)
+        return _endpoint_gaps(drift_coefficient(jm, phis), target, params,
+                              basis, u0, grid)
 
     def cost_of(phi):
-        return cost(Control(T=grid.T, phi=phi), jm)
+        return _phi_cost(phi, jm, grid.T)
 
     def violation(gap):
         return max(0.0, gap - target.radius)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .jumps import Control, JumpModel, drift_coefficient
 from .params import Parameters
-from .spectral import (PAD_FACTOR, NormReport, SpectralBasis, StateField,
+from .spectral import (NormReport, SpectralBasis, StateField,
                        compute_norms, make_nonlin, norm_powers)
 from .timestep import BlowUpError, etdrk2_step, linear_tables
 
@@ -260,7 +260,7 @@ def solve_skeleton(params: Parameters, basis: SpectralBasis, u0: StateField,
     """Integrate the controlled deterministic equation on [0, T]."""
     none = np.empty((1, 0))
     return march_trajectory(params, basis, u0, grid, none, none,
-                            drift_coefficient(jm, ctrl), ctrl.n_bins,
+                            drift_coefficient(jm, ctrl.phi), ctrl.n_bins,
                             with_norms=with_norms)
 
 
@@ -274,16 +274,18 @@ def embed_modes(modes: np.ndarray, basis_to: SpectralBasis) -> np.ndarray:
 
 
 def galerkin_refine(params: Parameters, jm: JumpModel, ctrl: Control,
-                    u0: StateField, grid: TimeGrid, n_list: list[int],
-                    pad_factor: int = PAD_FACTOR) -> list[tuple[int, float]]:
+                    u0: StateField, grid: TimeGrid,
+                    n_list: list[int]) -> list[tuple[int, float]]:
     """Endpoint self-convergence study over basis sizes.
 
     Runs the skeleton at each n in n_list (increasing; the largest is the
-    reference) and reports ||u_n(T) - u_nmax(T)|| for the coarser sizes.
+    reference), every basis padded as u0's, and reports
+    ||u_n(T) - u_nmax(T)|| for the coarser sizes.
     """
     from .spectral import make_basis
     if len(n_list) < 2 or any(a >= b for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be increasing with at least two entries")
+    pad_factor = u0.basis.pad_factor
     endpoints = {}
     for n in n_list:
         basis_n = make_basis(n, n, params, pad_factor)

@@ -64,8 +64,6 @@ class SpectralBasis:
 
     n1: int
     n2: int
-    L1: float
-    L2: float
     pad_factor: int
     eigenvalues: np.ndarray          # (n1, n2), mu_{k,m} < 0
     # padded-grid factors (interior points only, Dirichlet walls excluded)
@@ -128,7 +126,7 @@ def make_basis(n1: int, n2: int, params: Parameters,
     C2 = np.sqrt(2.0 / L2) * (m * np.pi / L2) * np.cos(np.outer(y, m) * np.pi / L2)
     w = (L1 / (N1 + 1)) * (L2 / (N2 + 1))
     I2 = np.eye(2)
-    return SpectralBasis(n1=n1, n2=n2, L1=L1, L2=L2, pad_factor=pad_factor,
+    return SpectralBasis(n1=n1, n2=n2, pad_factor=pad_factor,
                          eigenvalues=eig, _S1=S1, _C1=C1,
                          _P1=np.ascontiguousarray(w * S1.T),
                          _RS2=np.kron(S2.T, I2), _RC2=np.kron(C2.T, I2),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -325,10 +326,11 @@ def test_default_config_rate_ball_excludes_noiseless_endpoint():
 
 def test_cli_negative_seed_is_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--seed", "-1"]) == 2
+    out = str(tmp_path / "o")
+    assert main(["simulate", "--config", cfg, "--out", out, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert "--seed" in err and "Traceback" not in err
+    assert "--seed" in read_error(out)["message"]
 
 
 def test_cli_blowup_is_reported(tmp_path, capsys):
@@ -438,18 +440,28 @@ def test_cli_every_output_has_header(tmp_path):
 
 def test_cli_non_integer_workers_env_is_usage_error(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
-    run = ["skeleton", "--config", cfg, "--out", str(tmp_path / "o")]
+    out = tmp_path / "o"
+    run = ["skeleton", "--config", cfg, "--out", str(out)]
+
+    def assert_config_error(source):
+        err = capsys.readouterr().err
+        assert source in err and "Traceback" not in err
+        doc = read_error(out)
+        assert doc["error"] == "ConfigError" and source in doc["message"]
+        shutil.rmtree(out)
+
     # worker counts below 1 are usage errors too, from the env or the flag
     for env in ("abc", "0", "-3"):
         monkeypatch.setenv("SGGL_WORKERS", env)
         assert main(run) == 2
-        err = capsys.readouterr().err
-        assert "SGGL_WORKERS" in err and "Traceback" not in err
+        assert_config_error("SGGL_WORKERS")
     monkeypatch.delenv("SGGL_WORKERS")
     for flag in ("0", "-3", "abc"):
         assert main(run + ["--workers", flag]) == 2
-        err = capsys.readouterr().err
-        assert "--workers" in err and "Traceback" not in err
+        assert_config_error("--workers")
+    # the flag wins over the environment, which is then not read
+    monkeypatch.setenv("SGGL_WORKERS", "abc")
+    assert main(run + ["--workers", "1"]) == 0
     monkeypatch.setenv("SGGL_WORKERS", "1")
     assert main(run) == 0
 

@@ -77,8 +77,7 @@ def test_batched_endpoints_match_single_paths(params_pi, controlled):
         else:
             one = solve_spde(params_pi, basis, u0, jm, eps, grid, seed,
                              with_norms=False)
-        want = one.endpoint.modes
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(got, one.endpoint.modes)
 
 
 def per_row_setup(params_pi):
@@ -292,7 +291,7 @@ def test_table_cache_serves_whole_grid_steps(params_pi):
     # a skeleton march serves every step from the cache
     none = np.empty((1, 0))
     skel = march(params_pi, basis, u0, grid, none, none,
-                 drift_coefficient(jm, ctrl), ctrl.n_bins)
+                 drift_coefficient(jm, ctrl.phi), ctrl.n_bins)
     assert skel.substeps == skel.table_hits == grid.n_steps
     # a jump-dense path: every sub-step that does not span a whole grid step
     # builds fresh tables, so only the uniform grid steps are cache hits

@@ -1,5 +1,7 @@
 """Monte Carlo harness: sweeps, tail probabilities, and energy audits."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,19 @@ def test_sweep_noise_free_is_exactly_zero(params_pi):
         assert cell.mean_grad_int == 0.0
         assert cell.mean_lp_int == 0.0
     assert not rep.slope_flag
+
+
+@pytest.mark.parametrize("eps_list", [[0.25], [0.25, 0.25]],
+                         ids=["one", "repeated"])
+def test_sweep_single_eps_has_no_slope(params_pi, eps_list):
+    # one distinct eps fixes no line: slope and r2 are NaN and the fit flagged
+    basis, u0, grid = small_setup(params_pi)
+    rep = convergence_sweep(params_pi, basis, jm2(), u0,
+                            constant_control(grid.T, 2, 1.5), grid,
+                            eps_list, n_samples=4, master_seed=3)
+    assert rep.cells[0].mean_sup_sq > 0
+    assert math.isnan(rep.slope) and math.isnan(rep.r2)
+    assert rep.slope_flag
 
 
 def test_sweep_zero_initial_state(params_pi):
@@ -234,5 +249,5 @@ def test_audit_jump_trajectory(params_pi):
         events = sample_prm(jm, eps, grid.T, seed)
         traj = solve_spde(params_pi, basis, u0, jm, eps, grid, seed,
                           events=events)
-        rep = energy_audit(traj, params_pi, jm, eps=eps, events=events)
+        rep = energy_audit(traj, params_pi, jm, eps=eps.epsilon, events=events)
         assert rep.energy_ok, rep.violations

@@ -192,7 +192,7 @@ def test_control_rejects_negative():
 def test_drift_identity_control_vanishes():
     jm = JumpModel(nu=np.array([1.0, 2.0]), g=np.array([0.7, -0.3]))
     ctrl = constant_control(1.0, 2, 1.0)
-    assert drift_coefficient(jm, ctrl)[0] == 0.0
+    assert drift_coefficient(jm, ctrl.phi)[0] == 0.0
 
 
 def test_drift_coefficient_per_bin_hand_values():
@@ -202,7 +202,7 @@ def test_drift_coefficient_per_bin_hand_values():
     #   bin 2: 1*0.5*1 + (-0.5)*(-0.5)*2 = 1
     jm = JumpModel(nu=np.array([1.0, 2.0]), g=np.array([1.0, -0.5]))
     ctrl = Control(T=1.0, phi=np.array([[2.0, 3.0], [0.0, 1.0], [1.5, 0.5]]))
-    c = drift_coefficient(jm, ctrl)
+    c = drift_coefficient(jm, ctrl.phi)
     assert c.shape == (3,)
     assert c.tolist() == [-1.0, -1.0, 1.0]
 
@@ -210,10 +210,10 @@ def test_drift_coefficient_per_bin_hand_values():
 def test_drift_additive_over_marks():
     jm = JumpModel(nu=np.array([1.0, 2.0]), g=np.array([0.3, -0.2]))
     ctrl = Control(T=1.0, phi=np.array([[1.7, 0.4]]))
-    total = drift_coefficient(jm, ctrl)[0]
+    total = drift_coefficient(jm, ctrl.phi)[0]
     parts = 0.0
     for j in range(2):
         jm_j = JumpModel(nu=jm.nu[j:j + 1], g=jm.g[j:j + 1])
         ctrl_j = Control(T=1.0, phi=ctrl.phi[:, j:j + 1])
-        parts += drift_coefficient(jm_j, ctrl_j)[0]
+        parts += drift_coefficient(jm_j, ctrl_j.phi)[0]
     assert total == pytest.approx(parts, rel=1e-14)

@@ -27,7 +27,7 @@ def rk4_oracle(params, basis, u0_modes, jm, ctrl, T, n_steps):
     n_bins = ctrl.n_bins
     steps_per_bin = -(-n_steps // n_bins)
     for b in range(n_bins):
-        L = Lbase + drift_coefficient(jm, ctrl)[b]
+        L = Lbase + drift_coefficient(jm, ctrl.phi)[b]
         h = (T / n_bins) / steps_per_bin
 
         def rhs(v):
@@ -109,7 +109,7 @@ def test_drift_control_closed_form(basis1, params_pi):
     grid = TimeGrid(T=T, n_steps=60)
     traj = solve_skeleton(params_pi, basis1, mode_field(basis1, 1, 1, c0),
                           jm, ctrl, grid)
-    drift = drift_coefficient(jm, ctrl)[0]
+    drift = drift_coefficient(jm, ctrl.phi)[0]
     want = c0 * np.exp(((1 + 0.5j) * (-2.0) + 1.0 + drift) * T)
     assert abs(traj.endpoint.modes[0, 0] - want) <= 1e-10 * abs(want)
 

@@ -136,7 +136,7 @@ def test_scalar_controlled_product_formula(params_pi):
     grid = TimeGrid(T=T, n_steps=40)
     eps = NoiseScale(0.2)
     mu = basis.eigenvalues[0, 0]
-    drift = drift_coefficient(jm, ctrl)[0] - 0.3 * phi * 1.5
+    drift = drift_coefficient(jm, ctrl.phi)[0] - 0.3 * phi * 1.5
     for seed in range(20):
         events = sample_prm(jm, eps, ctrl.T, seed, ctrl)
         traj = solve_spde(params_pi, basis, u0, jm, eps, grid, seed, ctrl=ctrl)

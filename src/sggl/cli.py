@@ -4,10 +4,10 @@ Subcommands: skeleton, simulate, controlled, rate, sweep, tail, audit,
 verify.  All take --config and --out; --seed overrides the config master
 seed and --workers (or SGGL_WORKERS) sizes the trajectory worker pool.
 Only sweep takes --resume, which continues an interrupted sweep from its
-checkpoint.  Exit codes: 0 ok, 1 invariant violation or module error,
-2 usage error.  A config error, whether found while parsing, in a --seed,
---workers or SGGL_WORKERS value or inside a command, and a module error
-also write ``error.json`` to --out.
+checkpoint.  Exit codes: 0 ok, 1 invariant violation or module error
+(running out of memory included), 2 usage error.  A config error, whether
+found while parsing, in a --seed, --workers or SGGL_WORKERS value or inside
+a command, and a module error also write ``error.json`` to --out.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error(args.out, exc)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BlowUpError, ValueError, RuntimeError, OSError) as exc:
+    except (BlowUpError, ValueError, RuntimeError, OSError, MemoryError) as exc:
         _emit_error(args.out, exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -49,7 +49,10 @@ class RunSpec:
 # readers: the text of one value to the value, or ValueError with the reason
 
 def _finite(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError("must be a number") from None
     if not math.isfinite(value):
         raise ValueError("must be finite")
     return value
@@ -70,9 +73,13 @@ def _non_negative(text: str) -> float:
 
 
 def _integer(text: str, low: int) -> int:
-    value = int(text)
+    message = f"must be an integer >= {low}"
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(message) from None
     if value < low:
-        raise ValueError(f"must be an integer >= {low}")
+        raise ValueError(message)
     return value
 
 
@@ -97,9 +104,13 @@ def _list_of(read):
 
 
 def _complex_pair(text: str) -> tuple[complex, complex]:
-    values = [complex(tok.strip().replace(" ", "")) for tok in text.split(",") if tok.strip()]
+    message = "must be two finite complex numbers"
+    try:
+        values = [complex(tok.strip().replace(" ", "")) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(message) from None
     if len(values) != 2 or not all(cmath.isfinite(v) for v in values):
-        raise ValueError("must be two finite complex numbers")
+        raise ValueError(message)
     return tuple(values)
 
 
@@ -137,8 +148,7 @@ _SCHEMA: dict[str, dict] = {
     "jumps": {"nu": (_list_of(_positive), _REQUIRED),
               "g": (_list_of(_finite), _REQUIRED)},
     "control": {"phi": (_matrix, None)},            # None: phi = 1 on one bin
-    "time": {"T": (_positive, _REQUIRED), "n_steps": (count, _REQUIRED),
-             "save_stride": (count, TimeGrid.save_stride)},
+    "time": {"T": (_positive, _REQUIRED), "n_steps": (count, _REQUIRED)},
     "noise": {"eps_list": (_list_of(_positive), (0.125,))},
     "initial": {"modes": (_modes, ())},               # (): u0 = 0
     "rate": {"target_phi": (_matrix, None), "target_radius": (_non_negative, 0.0),

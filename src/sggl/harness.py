@@ -102,17 +102,17 @@ def _sweep_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
 
     Row i holds (sup_t ||d||^2, sum dt ||grad d||^2,
     sum dt ||d||_{2s+2}^{2s+2}) for d = path - skeleton, reduced at each
-    saved grid time as the path crosses it; dt is the time since the
-    previous saved state.
+    grid time as the path crosses it; dt is the time since the previous
+    grid time.
     """
     lo, hi = span
     p = params.lp_exponent
     dts = np.diff(skel.times, prepend=0.0)
     rows = np.zeros((hi - lo, 3))
 
-    def on_save(r, i, modes):
-        l2sq, gradsq, lp = norm_powers(basis, modes - skel.modes[i], [p])
-        w = dts[i]
+    def on_save(r, k, modes):
+        l2sq, gradsq, lp = norm_powers(basis, modes - skel.modes[k], [p])
+        w = dts[k]
         rows[r, 0] = np.maximum(rows[r, 0], l2sq)
         rows[r, 1] += w * gradsq
         rows[r, 2] += w * lp[p]

@@ -76,8 +76,8 @@ class Control:
         return self.phi.shape[0]
 
 
-def constant_control(T: float, n_marks: int, value: float = 1.0, n_bins: int = 1) -> Control:
-    return Control(T=T, phi=np.full((n_bins, n_marks), float(value)))
+def constant_control(T: float, n_marks: int, value: float = 1.0) -> Control:
+    return Control(T=T, phi=np.full((1, n_marks), float(value)))
 
 
 @dataclass

@@ -3,12 +3,14 @@
 Every emitted file begins with a header line recording the config hash and
 the master seed, so any output can be traced back to its exact inputs.
 Floats are written with 17 significant digits; reruns with identical config
-and seed reproduce outputs byte for byte.
+and seed reproduce outputs byte for byte.  JSON reports are strict RFC 8259
+JSON: a NaN or infinite float is written as null.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -66,12 +68,24 @@ def read_fields_bin(path: str) -> tuple[str, np.ndarray]:
     return header, modes.astype(complex).reshape(count, n1, n2)
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def write_json(path: str, payload: dict, config_hash: str, master_seed: int):
     """JSON report whose first key is the provenance header."""
     doc = {"header": {"config_sha256": config_hash, "master_seed": master_seed}}
     doc.update(payload)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
+        json.dump(_finite_or_null(doc), fh, indent=2, sort_keys=False,
+                  allow_nan=False)
         fh.write("\n")
 
 

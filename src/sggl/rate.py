@@ -76,13 +76,13 @@ class EndpointSpec:
         return np.sqrt(norm_powers(self.center.basis, modes - self.center.modes)[0])
 
 
+_RHO0 = 10.0            # penalty weight of the first continuation stage
 _RHO_GROWTH = 10.0      # penalty weight factor between continuation stages
 
 
 @dataclass(frozen=True)
 class OptConfig:
     n_bins: int = 1
-    rho0: float = 10.0
     n_rho: int = 6
     max_inner: int = 60
     fd_step: float = 1e-4
@@ -159,7 +159,7 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     iterations = 0
     phi = np.ones(shape)
     gap = gaps_of(phi[None])[0]
-    rho = opt_cfg.rho0
+    rho = _RHO0
     h = opt_cfg.fd_step
     for _outer in range(opt_cfg.n_rho):
         f = objective(phi, gap)
@@ -191,7 +191,7 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
                 break
             cur = (cost_of(phi), phi.copy(), gap)
             best = _better(best, cur, target.radius, tol)
-        if violation(gap) <= tol and rho > opt_cfg.rho0 * 10:
+        if violation(gap) <= tol and rho > _RHO0 * 10:
             break
         rho *= _RHO_GROWTH
     best = _better(best, (cost_of(phi), phi.copy(), gap), target.radius, tol)

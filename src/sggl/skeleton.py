@@ -37,29 +37,20 @@ BLOWUP_FACTOR = 1e6
 class TimeGrid:
     T: float
     n_steps: int
-    save_stride: int = 1
 
     def __post_init__(self):
-        if not (self.T > 0 and self.n_steps >= 1 and self.save_stride >= 1):
-            raise ValueError("need T > 0, n_steps >= 1, save_stride >= 1")
+        if not (self.T > 0 and self.n_steps >= 1):
+            raise ValueError("need T > 0, n_steps >= 1")
 
     def refined_steps(self, n_bins: int) -> int:
         """Step count rounded up so control-bin edges are grid points."""
         q = -(-self.n_steps // n_bins)   # ceil division
         return q * n_bins
 
-    def saved_steps(self, n_bins: int) -> np.ndarray:
-        """Grid indices k (state at time k*dt) that a trajectory keeps."""
-        n = self.refined_steps(n_bins)
-        k = np.arange(self.save_stride, n + 1, self.save_stride)
-        if k.size == 0 or k[-1] != n:
-            k = np.append(k, n)
-        return np.concatenate([[0], k])
-
 
 @dataclass
 class Trajectory:
-    """Saved states ``modes`` (K, n1, n2) at ``times`` (K,) in ``basis``,
+    """States ``modes`` (K, n1, n2) at the grid ``times`` (K,) in ``basis``,
     with their norms (arrays of shape (K,)), or None when not computed."""
 
     times: np.ndarray
@@ -115,9 +106,8 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     identity tables).  A path's arithmetic is the same whatever else its
     batch holds, so its result is its S = 1 march's, bit for bit.
 
-    Callbacks see the batch rows they concern: ``on_save(rows, i, modes)``
-    after the grid steps that ``grid.saved_steps`` keeps, i being their
-    positions in it, and
+    Callbacks see the batch rows they concern: ``on_save(rows, k, modes)``
+    after each path's k-th grid step, and
     ``on_kick(rows, j, before, after)`` at each path's j-th event.  A path
     whose norm leaves the blow-up cap after any sub-step, a kick included,
     is frozen and its ``BlowUpError`` recorded.
@@ -139,9 +129,6 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     step_bin = np.arange(n_steps) // (n_steps // n_bins)
     cap = BLOWUP_FACTOR * (u0.l2() + 1.0)
     grid_times = np.arange(1, n_steps + 1) * dt
-    ks = grid.saved_steps(n_bins)
-    slot = np.full(n_steps + 1, -1)     # saved-state index of each step, or -1
-    slot[ks] = np.arange(ks.size)
 
     ev = np.asarray(event_times, dtype=float)
     # Each path's sub-steps in order: one per grid step and one per event up
@@ -212,10 +199,9 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
                 errors[rows[i]] = BlowUpError(int(kg[i]), float(end[r, rows[i]]),
                                               float(np.sqrt(sq[i])), cap)
         if on_save is not None:
-            si = slot[kg]
-            keep = (ok > kick) & (si >= 0)      # a kicked row is off the grid
+            keep = ok > kick                # a kicked row is off the grid
             if np.count_nonzero(keep):
-                on_save(rows[keep], si[keep], c.compress(keep, axis=0))
+                on_save(rows[keep], kg[keep], c.compress(keep, axis=0))
         if n_bad or r + 1 == next_end:
             done = (last[rows] == r + 1) | ~ok
             endpoints[rows[done]] = c[done]
@@ -234,16 +220,17 @@ def march_trajectory(params: Parameters, basis: SpectralBasis, u0: StateField,
                      grid: TimeGrid, event_times: np.ndarray,
                      kick_factors: np.ndarray, drift, n_bins: int,
                      with_norms: bool = True, on_kick=None) -> Trajectory:
-    """``march`` of a single path (S = 1), its saved states as a Trajectory.
+    """``march`` of a single path (S = 1), its state at every grid time as
+    a Trajectory.
 
     Raises the path's ``BlowUpError`` if it blew up.
     """
-    ks = grid.saved_steps(n_bins)
-    stack = np.empty((ks.size,) + u0.modes.shape, dtype=complex)
+    n = grid.refined_steps(n_bins)
+    stack = np.empty((n + 1,) + u0.modes.shape, dtype=complex)
     stack[0] = u0.modes
 
-    def on_save(rows, i, modes):
-        stack[i] = modes
+    def on_save(rows, k, modes):
+        stack[k] = modes
 
     res = march(params, basis, u0, grid, event_times, kick_factors, drift,
                 n_bins, on_save=on_save, on_kick=on_kick)
@@ -251,7 +238,7 @@ def march_trajectory(params: Parameters, basis: SpectralBasis, u0: StateField,
         raise res.errors[0]
     norms = (compute_norms(StateField(stack, basis), [params.lp_exponent])
              if with_norms else None)
-    return Trajectory(ks * (grid.T / grid.refined_steps(n_bins)), stack, basis, norms)
+    return Trajectory(np.arange(n + 1) * (grid.T / n), stack, basis, norms)
 
 
 def solve_skeleton(params: Parameters, basis: SpectralBasis, u0: StateField,
@@ -292,9 +279,8 @@ def galerkin_refine(params: Parameters, jm: JumpModel, ctrl: Control,
         u0_n = StateField(embed_modes(u0.modes, basis_n), basis_n)
         traj = solve_skeleton(params, basis_n, u0_n, jm, ctrl, grid)
         endpoints[n] = traj.endpoint.modes
-    n_max = n_list[-1]
-    basis_max = make_basis(n_max, n_max, params, pad_factor)
-    ref = endpoints[n_max]
+    basis_max = basis_n     # the loop's last basis, the largest
+    ref = endpoints[n_list[-1]]
     out = []
     for n in n_list[:-1]:
         diff = ref - embed_modes(endpoints[n], basis_max)

@@ -70,7 +70,7 @@ def march_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
 def solve_spde(params: Parameters, basis: SpectralBasis, u0: StateField,
                jm: JumpModel, eps: NoiseScale, grid: TimeGrid, seed: int,
                ctrl: Control | None = None, events: JumpSample | None = None,
-               event_log: list | None = None, with_norms: bool = True) -> Trajectory:
+               event_log: list | None = None) -> Trajectory:
     """One path of the small-noise SPDE, deterministic given the seed.
 
     Under ``ctrl`` the path is driven by the thinned PRM of intensity
@@ -94,4 +94,4 @@ def solve_spde(params: Parameters, basis: SpectralBasis, u0: StateField,
                               float(pre), float(post)))
     n_bins = 1 if ctrl is None else ctrl.n_bins
     return march_trajectory(params, basis, u0, grid, times, factors,
-                            compensator_drift(jm), n_bins, with_norms, on_kick)
+                            compensator_drift(jm), n_bins, on_kick=on_kick)

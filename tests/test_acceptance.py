@@ -99,6 +99,7 @@ def test_criterion_3_scalar_product_formula(params_pi):
             worst <= 1e-8, f"max rel err {worst:.2e} over 50 seeds", t0, 10.0)
 
 
+@pytest.mark.slow
 def test_criterion_4_sqrt_eps_convergence(params_pi):
     t0 = time.perf_counter()
     basis = make_basis(8, 8, params_pi, pad_factor=4)
@@ -200,6 +201,7 @@ def test_criterion_6_rate_function_sanity(params_pi):
             f"oracle gap {abs(res_c.value - oracle):.2e}", t0, 10 * 60.0)
 
 
+@pytest.mark.slow
 def test_criterion_7_ldp_upper_bound(params_pi):
     t0 = time.perf_counter()
     # Event: the endpoint collapses to at most a tenth of its noiseless

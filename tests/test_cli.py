@@ -1,5 +1,6 @@
 """Config parsing, CLI subcommands, persistence, and determinism."""
 
+import configparser
 import json
 import os
 import shutil
@@ -8,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sggl import cli, harness
+from sggl import cli, harness, spde
 from sggl.cli import main
-from sggl.config import ConfigError, parse_config
+from sggl.config import _SCHEMA, ConfigError, parse_config
 from sggl.jumps import Control, constant_control
 from sggl.outputs import read_fields_bin
 from sggl.skeleton import solve_skeleton
@@ -67,6 +68,10 @@ def write_config(tmp_path, name="run.ini", beta=0.5, sigma=3.0, extra=""):
     return str(path)
 
 
+DEFAULT_INI = os.path.join(os.path.dirname(__file__), os.pardir,
+                           "configs", "default.ini")
+
+
 def read_all(out_dir):
     blobs = {}
     for name in sorted(os.listdir(out_dir)):
@@ -113,7 +118,7 @@ def test_parse_rejects_sigma_boundary(tmp_path):
     # keys with a single value in use, now module constants
     ("harness", "blowup_factor"), ("harness", "r2_floor"),
     ("harness", "energy_slack"), ("harness", "c_f"), ("harness", "c_g"),
-    ("harness", "p_audit"),
+    ("harness", "p_audit"), ("time", "save_stride"), ("rate", "rho0"),
 ])
 def test_parse_rejects_unknown_key(tmp_path, section, key):
     path = tmp_path / "run.ini"
@@ -148,6 +153,14 @@ def test_parse_rejects_missing_section(tmp_path):
 def test_parse_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(str(tmp_path / "nope.ini"))
+
+
+def test_default_config_sets_every_schema_key():
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cfg.optionxform = str
+    cfg.read(DEFAULT_INI, encoding="utf-8")
+    assert {s: set(cfg[s]) for s in cfg.sections()} == \
+        {s: set(keys) for s, keys in _SCHEMA.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -222,39 +235,47 @@ def test_cli_usage_errors(tmp_path):
         assert doc["error"] == "ConfigError" and "target_phi" in doc["message"]
 
 
-@pytest.mark.parametrize("line, bad", [
-    ("n_samples = 6", "n_samples = many"),
-    ("eps_list = 0.25, 0.125", "eps_list = 0.1, x"),
-    ("master_seed = 777", "master_seed = abc"),
-    ("modes = 1, 1, 0.3, 0.0; 2, 2, 0.1, 0.05", "modes = 1, 1, x, 0.0"),
-    ("target_phi = 1.5, 1.0", "target_phi = 1.5, y"),
-    ("target_radius = 0.05", "target_radius = 0.05\nrho0 = ten"),
+@pytest.mark.parametrize("line, bad, why", [
+    # values that do not parse: the message says what the key takes
+    ("n_samples = 6", "n_samples = many", "must be an integer >= 1"),
+    ("eps_list = 0.25, 0.125", "eps_list = 0.1, x", "must be a number"),
+    ("master_seed = 777", "master_seed = abc", "must be an integer >= 0"),
+    ("modes = 1, 1, 0.3, 0.0; 2, 2, 0.1, 0.05", "modes = 1, 1, x, 0.0",
+     "must be a number"),
+    ("target_phi = 1.5, 1.0", "target_phi = 1.5, y", "must be a number"),
+    ("target_radius = 0.05", "target_radius = 0.05\nfd_step = ten",
+     "must be a number"),
+    ("lambda1 = 0.1+0j, 0.05+0j", "lambda1 = 0.1+0j, zz",
+     "must be two finite complex numbers"),
     # values out of range or empty
-    ("eps_list = 0.25, 0.125", "eps_list = "),
-    ("target_radius = 0.05", "target_radius = 0.05\nn_bins = 0"),
-    ("target_phi = 1.5, 1.0", "target_phi = "),
-    ("n_samples = 6", "n_samples = 0"),
-    ("target_radius = 0.05", "target_radius = -1"),
-    ("target_radius = 0.05", "target_radius = 0.05\nfd_step = 0"),
-    ("master_seed = 777", "master_seed = -1"),
-    ("target_radius = 0.05", "target_radius = 0.05\ngap_tol = nan"),
+    ("eps_list = 0.25, 0.125", "eps_list = ", "needs at least one entry"),
+    ("target_radius = 0.05", "target_radius = 0.05\nn_bins = 0",
+     "must be an integer >= 1"),
+    ("target_phi = 1.5, 1.0", "target_phi = ", "0 columns"),
+    ("n_samples = 6", "n_samples = 0", "must be an integer >= 1"),
+    ("target_radius = 0.05", "target_radius = -1", "must be >= 0"),
+    ("target_radius = 0.05", "target_radius = 0.05\nfd_step = 0", "must be > 0"),
+    ("master_seed = 777", "master_seed = -1", "must be an integer >= 0"),
+    ("target_radius = 0.05", "target_radius = 0.05\ngap_tol = nan",
+     "must be finite"),
     # configparser copies [DEFAULT] keys into every section
-    ("workers = 1", "workers = 1\n\n[DEFAULT]\nfoo = 1"),
-], ids=["n_samples", "eps_list", "master_seed", "modes", "target_phi", "rho0",
-        "eps_list_empty", "n_bins_zero", "target_phi_empty", "n_samples_zero",
-        "target_radius_negative", "fd_step_zero", "master_seed_negative",
-        "gap_tol_nan", "default_section"])
-def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, line, bad):
+    ("workers = 1", "workers = 1\n\n[DEFAULT]\nfoo = 1", "unknown section"),
+], ids=["n_samples", "eps_list", "master_seed", "modes", "target_phi", "fd_step",
+        "lambda1", "eps_list_empty", "n_bins_zero", "target_phi_empty",
+        "n_samples_zero", "target_radius_negative", "fd_step_zero",
+        "master_seed_negative", "gap_tol_nan", "default_section"])
+def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, line, bad, why):
     text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
     assert f"\n{line}\n" in text
     path = tmp_path / "run.ini"
     path.write_text(text.replace(f"\n{line}\n", f"\n{bad}\n"))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=why):
         parse_config(str(path))
     out = str(tmp_path / "o")
     assert main(["skeleton", "--config", str(path), "--out", out]) == 2
     assert "Traceback" not in capsys.readouterr().err
-    assert read_error(out)["error"] == "ConfigError"
+    doc = read_error(out)
+    assert doc["error"] == "ConfigError" and why in doc["message"]
 
 
 def test_pool_mapper_clamps_workers_to_usable_cpus(monkeypatch):
@@ -312,8 +333,7 @@ def test_cli_resume_only_on_sweep(tmp_path):
 
 def test_default_config_rate_ball_excludes_noiseless_endpoint():
     # a rate ball holding the phi = 1 endpoint has rate 0 and makes `tail` fail
-    spec = parse_config(os.path.join(os.path.dirname(__file__), os.pardir,
-                                     "configs", "default.ini"))
+    spec = parse_config(DEFAULT_INI)
     center = solve_skeleton(spec.params, spec.basis, spec.u0, spec.jm,
                             Control(T=spec.grid.T, phi=spec.target_phi),
                             spec.grid, with_norms=False).endpoint
@@ -345,6 +365,21 @@ def test_cli_blowup_is_reported(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     doc = read_error(out)
     assert doc["error"] == "BlowUpError" and "step 1" in doc["message"]
+
+
+def test_cli_out_of_memory_is_reported(tmp_path, capsys, monkeypatch):
+    # numpy raises MemoryError for an allocation it cannot make; the run
+    # ends like any module error, without a traceback
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 43.7 TiB for an array")
+
+    monkeypatch.setattr(spde, "sample_prm", no_memory)
+    out = str(tmp_path / "o")
+    assert main(["simulate", "--config", write_config(tmp_path), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 43.7 TiB for an array\n"
+    doc = read_error(out)
+    assert doc["error"] == "MemoryError" and "43.7 TiB" in doc["message"]
 
 
 def test_cli_seed_override_changes_output(tmp_path):
@@ -380,6 +415,24 @@ def test_cli_sweep_worker_count_invariant(tmp_path):
     a = Path(os.path.join(out1, "sweep.csv")).read_bytes()
     b = Path(os.path.join(out2, "sweep.csv")).read_bytes()
     assert a == b
+
+
+def test_cli_single_eps_sweep_json_is_strict(tmp_path):
+    # a one-eps sweep has no slope: slope and r2 are written as null,
+    # never as the bare NaN that RFC 8259 JSON does not allow
+    text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text.replace("eps_list = 0.25, 0.125", "eps_list = 0.25"))
+    out = str(tmp_path / "w")
+    assert main(["sweep", "--config", str(cfg), "--out", out]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    doc = json.loads(Path(os.path.join(out, "sweep.json")).read_text(),
+                     parse_constant=reject)
+    assert doc["slope"] is None and doc["r2"] is None
+    assert doc["slope_flag"] is True and doc["eps"] == [0.25]
 
 
 def test_cli_sweep_resume_from_checkpoint(tmp_path):
@@ -448,6 +501,7 @@ def test_cli_non_integer_workers_env_is_usage_error(tmp_path, monkeypatch, capsy
         assert source in err and "Traceback" not in err
         doc = read_error(out)
         assert doc["error"] == "ConfigError" and source in doc["message"]
+        assert doc["message"].endswith("must be an integer >= 1")
         shutil.rmtree(out)
 
     # worker counts below 1 are usage errors too, from the env or the flag

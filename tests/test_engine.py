@@ -72,11 +72,9 @@ def test_batched_endpoints_match_single_paths(params_pi, controlled):
     assert sum(s.n_events for s in samples) > 0
     for seed, got in zip(seeds, res.endpoints):
         if controlled:
-            one = solve_spde(params_pi, basis, u0, jm, eps, grid, seed,
-                             ctrl=ctrl, with_norms=False)
+            one = solve_spde(params_pi, basis, u0, jm, eps, grid, seed, ctrl=ctrl)
         else:
-            one = solve_spde(params_pi, basis, u0, jm, eps, grid, seed,
-                             with_norms=False)
+            one = solve_spde(params_pi, basis, u0, jm, eps, grid, seed)
         assert np.array_equal(got, one.endpoint.modes)
 
 
@@ -343,8 +341,8 @@ def test_event_on_grid_time(params_pi):
     factors = np.array([[2.0, 3.0], [6.0, 1.0]])
     saved = {}
 
-    def on_save(rows, i, modes):
-        saved.update(((int(r), int(k)), m[0, 0]) for r, k, m in zip(rows, i, modes))
+    def on_save(rows, ks, modes):
+        saved.update(((int(r), int(k)), m[0, 0]) for r, k, m in zip(rows, ks, modes))
 
     res = march(params_pi, basis, u0, grid, times, factors, 0.0, 1,
                 on_save=on_save)
@@ -357,31 +355,3 @@ def test_event_on_grid_time(params_pi):
     want3 = 2.0 * c0 * np.exp(lam * 0.03)
     assert abs(saved[0, 3] - want3) <= 1e-10 * abs(want3)
 
-
-# ---------------------------------------------------------------------------
-# saved states
-
-@pytest.mark.parametrize("path", ["skeleton", "spde"])
-def test_strided_run_saves_the_stride_one_states(params_pi, path):
-    # n_steps = 10 with save_stride = 4 keeps steps 0, 4, 8, 10: each is
-    # stored at its saved-state index, as the stride-1 run's state there,
-    # bit for bit; the SPDE path takes kicks between saved steps
-    basis = make_basis(4, 4, params_pi, pad_factor=4)
-    u0 = mode_field(basis, 1, 1, 0.3)
-    jm = jm2()
-    ctrl = Control(T=0.25, phi=np.array([[1.5, 0.5], [1.0, 1.5]]))
-    events = JumpSample(np.array([0.03, 0.13, 0.21]), np.array([0, 1, 0]), 0.25)
-
-    def run(stride):
-        grid = TimeGrid(T=0.25, n_steps=10, save_stride=stride)
-        if path == "skeleton":
-            return solve_skeleton(params_pi, basis, u0, jm, ctrl, grid)
-        return solve_spde(params_pi, basis, u0, jm, NoiseScale(0.25), grid, 0,
-                          ctrl=ctrl, events=events)
-
-    every, strided = run(1), run(4)
-    ks = [0, 4, 8, 10]
-    assert TimeGrid(T=0.25, n_steps=10, save_stride=4).saved_steps(2).tolist() == ks
-    assert len(every.modes) == 11 and not np.array_equal(every.modes[4], every.modes[5])
-    assert np.array_equal(strided.modes, every.modes[ks])
-    assert np.array_equal(strided.times, every.times[ks])

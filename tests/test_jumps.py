@@ -110,7 +110,7 @@ def test_sample_prm_uniform_times():
 def test_thinning_identity_control():
     jm = JumpModel(nu=np.array([1.0, 0.5]), g=np.array([0.5, -0.3]))
     for ctrl in (constant_control(1.0, 2, 1.0),
-                 constant_control(1.0, 2, 1.0, n_bins=3)):
+                 Control(T=1.0, phi=np.ones((3, 2)))):
         for seed in (1, 2, 3):
             a = sample_prm(jm, NoiseScale(0.25), 1.0, seed)
             b = sample_prm(jm, NoiseScale(0.25), 1.0, seed, ctrl=ctrl)
@@ -175,7 +175,7 @@ def test_thinning_determinism():
 def test_thinning_rejects_control_on_other_horizon():
     # a control is sampled on its own horizon only, never cut or stretched
     jm = jm1()
-    ctrl = constant_control(1.0, 1, 2.0, n_bins=2)
+    ctrl = Control(T=1.0, phi=np.full((2, 1), 2.0))
     for T in (0.5, 2.0):
         with pytest.raises(ValueError, match="horizon"):
             sample_prm(jm, NoiseScale(0.1), T, 5, ctrl)

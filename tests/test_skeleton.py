@@ -53,7 +53,7 @@ def test_zero_fixed_point(params_pi, basis8):
 
 
 def test_trajectory_time_axis(params_pi, basis8):
-    grid = TimeGrid(T=0.5, n_steps=40, save_stride=4)
+    grid = TimeGrid(T=0.5, n_steps=40)
     traj = solve_skeleton(params_pi, basis8, mode_field(basis8, 1, 1, 0.1),
                           jm2(), constant_control(0.5, 2, 1.0), grid)
     assert traj.times[0] == 0.0
@@ -70,8 +70,9 @@ def test_stacked_norms_match_per_field_norms():
                                      "configs", "default.ini"))
     b, grid, n_bins = spec.basis, spec.grid, spec.ctrl.n_bins
     traj = solve_skeleton(spec.params, b, spec.u0, spec.jm, spec.ctrl, grid)
-    dt = grid.T / grid.refined_steps(n_bins)
-    assert np.array_equal(traj.times, grid.saved_steps(n_bins) * dt)
+    n = grid.refined_steps(n_bins)
+    dt = grid.T / n
+    assert np.array_equal(traj.times, np.arange(n + 1) * dt)
     p = spec.params.lp_exponent
     nr = traj.norms
     for i, modes in enumerate(traj.modes):

@@ -179,6 +179,9 @@ def cmd_sweep(spec: RunSpec, out: str, args) -> int:
         "slope_flag": report.slope_flag,
         "eps": [c.eps for c in report.cells],
         "mean_sup_sq": [c.mean_sup_sq for c in report.cells],
+        "marches": report.marches,
+        "substeps": report.substeps,
+        "table_hits": report.table_hits,
     }, spec.config_hash, spec.master_seed)
     return EXIT_OK
 

@@ -116,8 +116,11 @@ def _complex_pair(text: str) -> tuple[complex, complex]:
 
 def _matrix(text: str) -> np.ndarray:
     """Non-negative entries; rows separated by ';', columns by ','."""
-    return np.array([[_non_negative(t) for t in row.split(",") if t.strip()]
-                     for row in text.split(";") if row.strip()], ndmin=2)
+    rows = [[_non_negative(t) for t in row.split(",") if t.strip()]
+            for row in text.split(";") if row.strip()]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("rows must have the same number of entries")
+    return np.array(rows, ndmin=2)
 
 
 def _modes(text: str) -> list[tuple[int, int, complex]]:

@@ -26,8 +26,8 @@ from .params import Parameters
 from .rate import EndpointSpec
 from .skeleton import TimeGrid, Trajectory, solve_skeleton
 from .spde import march_batch
-from .spectral import (SpectralBasis, StateField, lp_integrals, norm_powers,
-                       scalar_pow)
+from .spectral import (SpectralBasis, StateField, _abs_sq, _power, lp_integrals,
+                       norm_powers, scalar_pow)
 
 # paths marched together; the batch of path i is i // BATCH
 BATCH = 64
@@ -85,6 +85,10 @@ class SweepCell:
     mean_lp_int: float
     se_lp_int: float
     n_samples: int
+    # the cell's ETDRK2 sub-steps, and those that reused a cached
+    # uniform-step table
+    substeps: int
+    table_hits: int
 
 
 @dataclass
@@ -93,12 +97,17 @@ class SweepReport:
     slope: float
     r2: float
     slope_flag: bool          # True when R^2 < R2_FLOOR or slope and r2 are NaN
+    # the cells' Monte Carlo marches, one per batch, and their counters
+    marches: int
+    substeps: int
+    table_hits: int
 
 
 def _sweep_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
                  jm: JumpModel, ctrl: Control, grid: TimeGrid, master_seed: int,
                  skel: Trajectory, eps: float, span: tuple[int, int]):
-    """(rows, first blow-up) for paths lo..hi-1 of one eps cell.
+    """(rows, substeps, table hits, first blow-up) for paths lo..hi-1 of
+    one eps cell.
 
     Row i holds (sup_t ||d||^2, sum dt ||grad d||^2,
     sum dt ||d||_{2s+2}^{2s+2}) for d = path - skeleton, reduced at each
@@ -119,7 +128,7 @@ def _sweep_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
 
     res = march_batch(params, basis, u0, jm, [eps], ctrl, grid,
                       _seeds(master_seed, lo, hi), on_save=on_save)
-    return rows, _first_error(res.errors)
+    return rows, res.substeps, res.table_hits, _first_error(res.errors)
 
 
 def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
@@ -151,7 +160,8 @@ def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
         se = (rows.std(axis=0, ddof=1) / math.sqrt(n_samples) if n_samples > 1
               else np.zeros(3))
         cell = SweepCell(eps, mean[0], se[0], mean[1], se[1], mean[2], se[2],
-                         n_samples)
+                         n_samples, substeps=sum(r[1] for r in done),
+                         table_hits=sum(r[2] for r in done))
         cells.append(cell)
         if on_cell is not None:
             on_cell(cell)
@@ -164,7 +174,10 @@ def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
     else:
         slope, r2 = 0.0, 1.0   # degenerate (noise-free) sweep: statistics are 0
     return SweepReport(cells=cells, slope=slope, r2=r2,
-                       slope_flag=not r2 >= R2_FLOOR)
+                       slope_flag=not r2 >= R2_FLOOR,
+                       marches=sum(math.ceil(c.n_samples / BATCH) for c in cells),
+                       substeps=sum(c.substeps for c in cells),
+                       table_hits=sum(c.table_hits for c in cells))
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +325,11 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
     p2s2 = params.lp_exponent
 
     l2sq, gradsq, _ = norm_powers(basis, modes)
-    absU = np.abs(basis.to_grid(modes))
-    lp = lp_integrals(basis, absU, [p2s2])[p2s2]
+    sq = _abs_sq(basis.to_grid(modes))
+    lp = lp_integrals(basis, sq, [p2s2])[p2s2]
     lapsq = np.sum(basis.eigenvalues ** 2 * np.abs(modes) ** 2, axis=(-2, -1))
     Ux, Uy = basis.grad_to_grid(modes)
-    mixed = basis.cell_area * np.sum(absU ** (2 * sigma)
+    mixed = basis.cell_area * np.sum(_power(sq, sigma)
                                      * (np.abs(Ux) ** 2 + np.abs(Uy) ** 2), axis=(-2, -1))
     gp = scalar_pow(gradsq, (p - 2) / 2)
     sup_sq = float(np.max(l2sq))

@@ -173,7 +173,7 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
             if gnorm < 1e-10:
                 break
             # backtracking projected line search over a ladder of batches
-            scales = step * 0.5 ** np.arange(25)
+            scales = np.ldexp(step, -np.arange(25))      # step / 2^k, exactly
             improved = False
             lo, size = 0, 2
             while lo < scales.size and not improved:

@@ -21,6 +21,11 @@ transformed one (n1, n2) slice per GEMM, all of the same shape, so a
 path's result does not depend on the batch it is marched in.
 ``make_nonlin`` evaluates the whole nonlinearity on these factors in one
 kernel; ``apply_B`` and ``apply_F`` go through it too.
+
+Grid powers |u|^q are taken from |u|^2 = re^2 + im^2, never from |u|
+(which costs a hypot), and raised by ``_power``: an integer exponent by
+repeated multiplication, so sigma = 3 and the L^8 quadrature need no libm
+pow.
 """
 
 from __future__ import annotations
@@ -40,6 +45,36 @@ PAD_FACTOR = 4
 def _float_view(X: np.ndarray) -> np.ndarray:
     """X as C-contiguous complex128 (copied only if it is not), viewed as float64."""
     return np.ascontiguousarray(X, dtype=np.complex128).view(np.float64)
+
+
+def _power(a: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
+    """a ** e for a non-negative float field ``a``, written to ``out``
+    (allocated if None).
+
+    An integer e >= 1 is applied by left-to-right binary powering: for each
+    bit of e after the leading one the result is squared, then multiplied by
+    ``a`` if the bit is set, all in place in ``out``, which must not be
+    ``a``.  So a ** 3 is (a * a) * a, bit for bit, and e = 1 returns ``a``
+    itself.  Any other e goes to ``np.power``.
+    """
+    if not float(e).is_integer():
+        return np.power(a, e, out=out)
+    if e < 1:
+        raise ValueError(f"integer exponent must be >= 1, got {e}")
+    r = a
+    for bit in bin(int(e))[3:]:
+        r = out = np.multiply(r, r, out=out)
+        if bit == "1":
+            r *= a
+    return r
+
+
+def _abs_sq(U: np.ndarray) -> np.ndarray:
+    """|U|^2 = re^2 + im^2 of a C-contiguous complex array, which is spent:
+    its parts are squared in place, so no temporary is allocated."""
+    v = U.view(np.float64)
+    v *= v
+    return v[..., ::2] + v[..., 1::2]
 
 
 def _left(A: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -194,6 +229,10 @@ def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
     multiplies the n1 x n2 result instead of the padded grid.  Terms whose
     lambdas vanish are left out when the kernel is built.
 
+    |u|^(2 sigma) is (|u|^2)^sigma by ``_power`` in the buffers ``a`` and
+    ``t``: two multiplies for sigma = 3, ``np.power`` only for a
+    non-integer sigma.
+
     The grid fields live in buffers that the returned function keeps
     between calls, sized for the largest batch it has seen.  A batch's
     fields run to megabytes; allocated afresh on every call, their pages
@@ -268,9 +307,7 @@ def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
                 Ux *= U
                 T += Ux
         if saturation:
-            # |u|^(2 sigma) u; 0^positive = 0 handles the zero set
-            np.power(a, sigma, out=a)
-            U *= a
+            U *= _power(a, sigma, out=w.t)          # |u|^(2 sigma) u
             if with_F:
                 U += T
             G = w.U_f
@@ -317,14 +354,20 @@ def norm_powers(basis: SpectralBasis, modes: np.ndarray, p_list=()):
     sq = np.abs(modes) ** 2
     l2sq = np.sum(sq, axis=(-2, -1))
     gradsq = np.sum(np.abs(basis.eigenvalues) * sq, axis=(-2, -1))
-    lp = lp_integrals(basis, np.abs(basis.to_grid(modes)), p_list) if p_list else {}
+    lp = lp_integrals(basis, _abs_sq(basis.to_grid(modes)), p_list) if p_list else {}
     return l2sq, gradsq, lp
 
 
-def lp_integrals(basis: SpectralBasis, absU: np.ndarray, p_list) -> dict:
-    """{p: int |u|^p dx} by collocation quadrature from the grid values
-    |u| (..., N1, N2) of each field of a stack."""
-    return {p: basis.cell_area * np.sum(absU ** p, axis=(-2, -1)) for p in p_list}
+def lp_integrals(basis: SpectralBasis, sq: np.ndarray, p_list) -> dict:
+    """{p: int |u|^p dx} for integers p >= 2 by collocation quadrature from
+    the grid values |u|^2 (..., N1, N2) of each field of a stack.
+
+    |u|^p is (|u|^2)^(p // 2) by ``_power``, times sqrt(|u|^2) for odd p.
+    """
+    def integrand(p):
+        f = _power(sq, p // 2)
+        return f * np.sqrt(sq) if p % 2 else f
+    return {p: basis.cell_area * np.sum(integrand(p), axis=(-2, -1)) for p in p_list}
 
 
 def scalar_pow(x, e: float):

@@ -252,6 +252,10 @@ def test_cli_usage_errors(tmp_path):
     ("target_radius = 0.05", "target_radius = 0.05\nn_bins = 0",
      "must be an integer >= 1"),
     ("target_phi = 1.5, 1.0", "target_phi = ", "0 columns"),
+    ("target_phi = 1.5, 1.0", "target_phi = 1.5, 1.0; 2.0",
+     "rows must have the same number of entries"),
+    ("phi = 1.5, 0.5; 1.0, 1.5", "phi = 1.5, 0.5; 1.0",
+     "rows must have the same number of entries"),
     ("n_samples = 6", "n_samples = 0", "must be an integer >= 1"),
     ("target_radius = 0.05", "target_radius = -1", "must be >= 0"),
     ("target_radius = 0.05", "target_radius = 0.05\nfd_step = 0", "must be > 0"),
@@ -262,8 +266,9 @@ def test_cli_usage_errors(tmp_path):
     ("workers = 1", "workers = 1\n\n[DEFAULT]\nfoo = 1", "unknown section"),
 ], ids=["n_samples", "eps_list", "master_seed", "modes", "target_phi", "fd_step",
         "lambda1", "eps_list_empty", "n_bins_zero", "target_phi_empty",
-        "n_samples_zero", "target_radius_negative", "fd_step_zero",
-        "master_seed_negative", "gap_tol_nan", "default_section"])
+        "target_phi_ragged", "phi_ragged", "n_samples_zero",
+        "target_radius_negative", "fd_step_zero", "master_seed_negative",
+        "gap_tol_nan", "default_section"])
 def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, line, bad, why):
     text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
     assert f"\n{line}\n" in text
@@ -442,10 +447,58 @@ def test_cli_sweep_resume_from_checkpoint(tmp_path):
     full = Path(os.path.join(out, "sweep.csv")).read_bytes()
     ckpt = json.loads(Path(os.path.join(out, "sweep.checkpoint.json")).read_text())
     assert len(ckpt["cells"]) == 2
-    # drop the report but keep the checkpoint; resume must rebuild it
+    report = Path(os.path.join(out, "sweep.json")).read_bytes()
+    # drop the reports but keep the checkpoint; resume must rebuild them,
+    # counters included
     os.remove(os.path.join(out, "sweep.csv"))
+    os.remove(os.path.join(out, "sweep.json"))
     assert main(["sweep", "--config", cfg, "--out", out, "--resume"]) == 0
     assert Path(os.path.join(out, "sweep.csv")).read_bytes() == full
+    assert Path(os.path.join(out, "sweep.json")).read_bytes() == report
+
+
+def test_cli_sweep_ignores_checkpoint_without_counters(tmp_path, capsys):
+    # a checkpoint written before the cells carried their counters is
+    # unreadable: the sweep warns, recomputes every cell and rewrites it
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "w")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    full = Path(os.path.join(out, "sweep.csv")).read_bytes()
+    ckpt = os.path.join(out, "sweep.checkpoint.json")
+    blob = Path(ckpt).read_bytes()
+    doc = json.loads(blob)
+    for cell in doc["cells"]:
+        del cell["substeps"], cell["table_hits"]
+    Path(ckpt).write_text(json.dumps(doc))
+    os.remove(os.path.join(out, "sweep.csv"))
+    capsys.readouterr()
+    assert main(["sweep", "--config", cfg, "--out", out, "--resume"]) == 0
+    assert "unreadable checkpoint" in capsys.readouterr().err
+    assert Path(os.path.join(out, "sweep.csv")).read_bytes() == full
+    assert Path(ckpt).read_bytes() == blob
+
+
+def test_cli_sweep_report_counts(tmp_path):
+    # a sweep cell marches its paths in batches of harness.BATCH; each path
+    # takes a sub-step per grid step at least (n_steps = 20 on a 2-bin
+    # control), and the report's totals are the sums of the cells' columns
+    text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text.replace("n_samples = 6", "n_samples = 70"))
+    out = str(tmp_path / "w")
+    assert main(["sweep", "--config", str(cfg), "--out", out]) == 0
+    doc = json.loads(Path(os.path.join(out, "sweep.json")).read_text())
+    lines = Path(os.path.join(out, "sweep.csv")).read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+    assert len(rows) == 2
+    substeps = [int(r["substeps"]) for r in rows]
+    hits = [int(r["table_hits"]) for r in rows]
+    assert doc["marches"] == 2 * -(-70 // harness.BATCH) == 4
+    assert doc["substeps"] == sum(substeps)
+    assert doc["table_hits"] == sum(hits)
+    assert all(n >= 70 * 20 for n in substeps)
+    assert all(0 <= h <= n for h, n in zip(hits, substeps))
 
 
 def test_cli_rate_report(tmp_path):

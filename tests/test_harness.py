@@ -50,7 +50,12 @@ def test_sweep_noise_free_is_exactly_zero(params_pi):
         assert cell.mean_sup_sq == 0.0
         assert cell.mean_grad_int == 0.0
         assert cell.mean_lp_int == 0.0
+        # no events: one sub-step per grid step and path, each a uniform
+        # step on a cached table
+        assert cell.substeps == cell.table_hits == 5 * grid.n_steps
     assert not rep.slope_flag
+    assert rep.marches == 2
+    assert rep.substeps == 2 * 5 * grid.n_steps
 
 
 @pytest.mark.parametrize("eps_list", [[0.25], [0.25, 0.25]],
@@ -115,6 +120,8 @@ def test_sweep_checkpoint_cells_reused(params_pi):
                                 [0.25, 0.125], n_samples=8, master_seed=2,
                                 precomputed={0.25: full.cells[0]})
     assert resumed.cells == full.cells
+    assert (resumed.marches, resumed.substeps, resumed.table_hits) == \
+        (full.marches, full.substeps, full.table_hits)
 
 
 # ---------------------------------------------------------------------------

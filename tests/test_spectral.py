@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from sggl import (Parameters, ParameterError, StateField, apply_A, apply_B,
                   apply_F, compute_norms, make_basis, make_nonlin, mode_field,
                   zero_field)
+from sggl.spectral import _power, norm_powers
 
 from conftest import DenseGrid, oracle_B_modes, oracle_F_modes, rel_err
 
@@ -270,11 +271,15 @@ def test_make_nonlin_matches_transform_formula(S, sigma, lambdas):
         assert rel_err(got[s], nonlin_by_transforms(modes[s], b, p)) < 1e-13
 
 
-@pytest.mark.parametrize("lambdas", list(LAMBDAS))
-def test_make_nonlin_batch_rows_equal_single_calls(lambdas):
+@pytest.mark.parametrize("lambdas, sigma",
+                         [(lam, 3.0) for lam in LAMBDAS] + [(lam, 2.5) for lam in LAMBDAS],
+                         ids=list(LAMBDAS) + [f"{lam}-2.5" for lam in LAMBDAS])
+def test_make_nonlin_batch_rows_equal_single_calls(lambdas, sigma):
     # the kernel keeps grid buffers between calls: a single call, then a
-    # larger batch, then smaller ones reuse and regrow them
-    p = nonlin_params(3.0, lambdas)
+    # larger batch, then smaller ones reuse and regrow them; each row's
+    # result is its single call's bit for bit, with the power taken by
+    # multiplication (sigma = 3) or by np.power (sigma = 2.5)
+    p = nonlin_params(sigma, lambdas)
     b = make_basis(6, 5, p, pad_factor=4)
     nonlin = make_nonlin(p, b)
     modes = random_modes((5, 6, 5), seed=9)
@@ -284,10 +289,27 @@ def test_make_nonlin_batch_rows_equal_single_calls(lambdas):
     for s in range(5):
         one = nonlin(modes[s])
         assert one.shape == (6, 5)
-        assert rel_err(got[s], one) < 1e-14
-        assert rel_err(nonlin(modes[s:s + 1])[0], one) < 1e-14
+        assert np.array_equal(got[s], one)
+        assert np.array_equal(nonlin(modes[s:s + 1])[0], one)
     assert np.array_equal(got, kept)         # a result is not a buffer
     assert np.array_equal(nonlin(modes[0]), first)
+
+
+def test_power_multiplies_integer_exponents():
+    a = np.random.default_rng(2).uniform(0.0, 3.0, (7, 9))
+    a[0, 0] = 0.0
+    kept = a.copy()
+    out = np.empty_like(a)
+    got = _power(a, 3.0, out=out)
+    assert got is out and np.array_equal(got, a * a * a)
+    sq = a * a
+    assert np.array_equal(_power(a, 4), sq * sq)
+    assert np.array_equal(_power(a, 5), sq * sq * a)
+    assert _power(a, 1) is a
+    assert np.array_equal(_power(a, 2.5), np.power(a, 2.5))
+    assert np.array_equal(a, kept)           # the base is never written
+    with pytest.raises(ValueError):
+        _power(a, 0)
 
 
 def test_make_nonlin_accepts_non_contiguous_input():
@@ -325,6 +347,20 @@ def test_norms_L4_quadrature_oracle(basis1, params_pi):
     ix, _ = quad(lambda x: np.sin(x) ** 4, 0, np.pi)
     want = ((2.0 / np.pi) ** 4 * ix * ix) ** 0.25
     assert r.lp[4] == pytest.approx(want, rel=1e-12)
+
+
+def test_lp_integrals_match_abs_power_sums(basis8):
+    # |u|^p from |u|^2 by multiplication (and one sqrt for odd p) against
+    # libm pow of |u| (hypot), on a stack of fields
+    rng = np.random.default_rng(8)
+    modes = rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8))
+    p_list = [2, 4, 7, 8, 14]
+    _, _, lp = norm_powers(basis8, modes, p_list)
+    absU = np.abs(basis8.to_grid(modes))
+    for p in p_list:
+        want = basis8.cell_area * np.sum(absU ** p, axis=(-2, -1))
+        assert lp[p].shape == (3,)
+        assert np.max(np.abs(lp[p] - want) / want) < 1e-14, p
 
 
 def test_parseval_random_fields(basis8):

@@ -182,6 +182,7 @@ def cmd_sweep(spec: RunSpec, out: str, args) -> int:
         "marches": report.marches,
         "substeps": report.substeps,
         "table_hits": report.table_hits,
+        "kicks": report.kicks,
     }, spec.config_hash, spec.master_seed)
     return EXIT_OK
 
@@ -203,6 +204,7 @@ def cmd_tail(spec: RunSpec, out: str, args) -> int:
         "marches": report.marches,
         "substeps": report.substeps,
         "table_hits": report.table_hits,
+        "kicks": report.kicks,
         "cells": [asdict(c) for c in report.cells],
     }, spec.config_hash, spec.master_seed)
     return EXIT_OK

@@ -4,13 +4,16 @@ energy-bound audits.
 Monte Carlo runs cut their path indices into fixed batches of BATCH
 consecutive ones and reduce what each batch's march returns; the rows and
 their events are built by ``spde.march_batch``.  A tail batch marches all of
-its (path, eps) rows together, a sweep batch the paths of one eps cell.
+its (path, eps) rows together; a sweep batch marches the rows of a group of
+eps cells, as many cells as keep the march within SWEEP_ROWS rows (one cell
+for a batch of more than half that many paths).
 Per-path seeds are derived from the master seed by index and batches are
 cut by index, never by worker count, so reports are bit-identical under any
 parallel schedule; MC reductions are done with numpy pairwise summation over
-index-ordered arrays.  A path that blows up is frozen; the run then raises
-the ``BlowUpError`` of the lowest path index (then lowest eps), the one a
-path-by-path run would have met first.
+index-ordered arrays.  A path that blows up is frozen; a tail run then
+raises the ``BlowUpError`` of the lowest path index (then lowest eps), the
+one a path-by-path run would have met first, and a sweep that of its first
+eps cell (then lowest path), the one a cell-by-cell run would have met.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ from .spectral import (SpectralBasis, StateField, _abs_sq, _power, lp_integrals,
 
 # paths marched together; the batch of path i is i // BATCH
 BATCH = 64
+# a sweep marches as many eps cells of a batch together as keep its march
+# within this many (path, eps) rows; at least one cell
+SWEEP_ROWS = 32
 # a sweep's log-log fit with R^2 below this is flagged unreliable
 R2_FLOOR = 0.9
 
@@ -48,16 +54,13 @@ def _map_batches(task, n_samples: int, _pool_map):
     """``task((lo, hi))`` over the batches of paths lo..hi-1; results in
     batch order, which the mapper keeps, as ``map`` and ``Executor.map`` do.
 
-    Each batch returns its first blow-up last; after every batch has run,
-    the lowest-index blow-up is raised, whatever the schedule.
+    Each batch returns its blow-ups last; the caller raises the first of
+    them once every batch has run, so the one raised never depends on the
+    schedule.
     """
     mapper = _pool_map if _pool_map is not None else map
     spans = [(lo, min(lo + BATCH, n_samples)) for lo in range(0, n_samples, BATCH)]
-    done = list(mapper(task, spans))
-    err = _first_error([r[-1] for r in done])
-    if err is not None:
-        raise err
-    return done
+    return list(mapper(task, spans))
 
 
 def _fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -85,10 +88,11 @@ class SweepCell:
     mean_lp_int: float
     se_lp_int: float
     n_samples: int
-    # the cell's ETDRK2 sub-steps, and those that reused a cached
-    # uniform-step table
+    # the cell's ETDRK2 sub-steps, those that reused a cached uniform-step
+    # table, and its kicks
     substeps: int
     table_hits: int
+    kicks: int
 
 
 @dataclass
@@ -97,27 +101,31 @@ class SweepReport:
     slope: float
     r2: float
     slope_flag: bool          # True when R^2 < R2_FLOOR or slope and r2 are NaN
-    # the cells' Monte Carlo marches, one per batch, and their counters
+    # the Monte Carlo marches of a fresh run, one per batch of each group of
+    # cells, and the cells' counters
     marches: int
     substeps: int
     table_hits: int
+    kicks: int
 
 
 def _sweep_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
                  jm: JumpModel, ctrl: Control, grid: TimeGrid, master_seed: int,
-                 skel: Trajectory, eps: float, span: tuple[int, int]):
-    """(rows, substeps, table hits, first blow-up) for paths lo..hi-1 of
-    one eps cell.
+                 skel: Trajectory, eps_list: list[float], span: tuple[int, int]):
+    """(rows, counters, first blow-ups) for paths lo..hi-1 of the cells at
+    ``eps_list``, all marched together (``march_batch``).
 
-    Row i holds (sup_t ||d||^2, sum dt ||grad d||^2,
-    sum dt ||d||_{2s+2}^{2s+2}) for d = path - skeleton, reduced at each
-    grid time as the path crosses it; dt is the time since the previous
-    grid time.
+    rows[i, j] holds (sup_t ||d||^2, sum dt ||grad d||^2,
+    sum dt ||d||_{2s+2}^{2s+2}) for d = path lo+i at eps_list[j] - skeleton,
+    reduced at each grid time as the path crosses it; dt is the time since
+    the previous grid time.  counters[:, j] sums the (substeps, table_hits,
+    kicks) of cell j's rows, and blow-ups[j] is its first by path.
     """
     lo, hi = span
+    m = len(eps_list)
     p = params.lp_exponent
     dts = np.diff(skel.times, prepend=0.0)
-    rows = np.zeros((hi - lo, 3))
+    rows = np.zeros(((hi - lo) * m, 3))
 
     def on_save(r, k, modes):
         l2sq, gradsq, lp = norm_powers(basis, modes - skel.modes[k], [p])
@@ -126,9 +134,21 @@ def _sweep_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
         rows[r, 1] += w * gradsq
         rows[r, 2] += w * lp[p]
 
-    res = march_batch(params, basis, u0, jm, [eps], ctrl, grid,
+    res = march_batch(params, basis, u0, jm, eps_list, ctrl, grid,
                       _seeds(master_seed, lo, hi), on_save=on_save)
-    return rows, res.substeps, res.table_hits, _first_error(res.errors)
+    counters = np.stack([res.substeps, res.table_hits, res.kicks])
+    return (rows.reshape(hi - lo, m, 3), counters.reshape(3, hi - lo, m).sum(axis=1),
+            [_first_error(res.errors[j::m]) for j in range(m)])
+
+
+def _sweep_cell(eps: float, rows: np.ndarray, counters: np.ndarray) -> SweepCell:
+    """The cell at ``eps`` from its paths' rows (n, 3) and its counters."""
+    n = len(rows)
+    mean = rows.mean(axis=0)
+    se = rows.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(3)
+    substeps, table_hits, kicks = map(int, counters)
+    return SweepCell(eps, mean[0], se[0], mean[1], se[1], mean[2], se[2], n,
+                     substeps=substeps, table_hits=table_hits, kicks=kicks)
 
 
 def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
@@ -140,31 +160,36 @@ def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
     """MC estimate of E[sup_t ||u_eps - u_skel||^2] (and companions) per eps.
 
     Common random numbers: each sample index keeps one seed across all eps,
-    and the jump sampler nests event streams across intensities.
-    ``precomputed`` supplies already-finished cells (checkpoint resume);
-    ``on_cell`` is called after each freshly computed cell.
+    and the jump sampler nests event streams across intensities.  The cells
+    are taken in groups of consecutive eps, as many as keep a batch's march
+    within SWEEP_ROWS (path, eps) rows, or one; a group's cells march
+    together.  ``precomputed`` supplies already-finished cells (checkpoint
+    resume); ``on_cell`` is called for each freshly computed cell when its
+    group has finished.  The first blow-up raised is that of the first cell,
+    then the lowest path, whatever the grouping.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     skel = solve_skeleton(params, basis, u0, jm, ctrl, grid, with_norms=False)
     task = partial(_sweep_batch, params, basis, u0, jm, ctrl, grid, master_seed, skel)
-    precomputed = precomputed or {}
-    cells = []
-    for eps in eps_list:
-        if eps in precomputed:
-            cells.append(precomputed[eps])
+    known = dict(precomputed or {})
+    per_march = max(1, SWEEP_ROWS // min(BATCH, n_samples))
+    groups = [eps_list[i:i + per_march] for i in range(0, len(eps_list), per_march)]
+    for group in groups:
+        todo = [eps for eps in group if eps not in known]
+        if not todo:
             continue
-        done = _map_batches(partial(task, eps), n_samples, _pool_map)
-        rows = np.concatenate([r[0] for r in done])
-        mean = rows.mean(axis=0)
-        se = (rows.std(axis=0, ddof=1) / math.sqrt(n_samples) if n_samples > 1
-              else np.zeros(3))
-        cell = SweepCell(eps, mean[0], se[0], mean[1], se[1], mean[2], se[2],
-                         n_samples, substeps=sum(r[1] for r in done),
-                         table_hits=sum(r[2] for r in done))
-        cells.append(cell)
-        if on_cell is not None:
-            on_cell(cell)
+        done = _map_batches(partial(task, todo), n_samples, _pool_map)
+        err = _first_error(d[2][j] for j in range(len(todo)) for d in done)
+        if err is not None:
+            raise err
+        rows = np.concatenate([d[0] for d in done])
+        counters = sum(d[1] for d in done)
+        for j, eps in enumerate(todo):
+            known[eps] = _sweep_cell(eps, rows[:, j], counters[:, j])
+            if on_cell is not None:
+                on_cell(known[eps])
+    cells = [known[eps] for eps in eps_list]
     eps_arr = np.asarray(eps_list, dtype=float)
     sup_means = np.asarray([c.mean_sup_sq for c in cells])
     if len(set(eps_list)) < 2:
@@ -175,9 +200,10 @@ def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
         slope, r2 = 0.0, 1.0   # degenerate (noise-free) sweep: statistics are 0
     return SweepReport(cells=cells, slope=slope, r2=r2,
                        slope_flag=not r2 >= R2_FLOOR,
-                       marches=sum(math.ceil(c.n_samples / BATCH) for c in cells),
+                       marches=len(groups) * math.ceil(n_samples / BATCH),
                        substeps=sum(c.substeps for c in cells),
-                       table_hits=sum(c.table_hits for c in cells))
+                       table_hits=sum(c.table_hits for c in cells),
+                       kicks=sum(c.kicks for c in cells))
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +225,19 @@ class TailCell:
 @dataclass
 class TailReport:
     cells: list[TailCell]
-    # the Monte Carlo marches, one per batch; their sub-steps, and those
-    # that reused a cached uniform-step table
+    # the Monte Carlo marches, one per batch; their sub-steps, those that
+    # reused a cached uniform-step table, and their kicks
     marches: int
     substeps: int
     table_hits: int
+    kicks: int
 
 
 def _tail_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
                 jm: JumpModel, grid: TimeGrid, event: EndpointSpec,
                 eps_list: list[float], master_seed: int, span: tuple[int, int]):
-    """(hits, substeps, table hits, first blow-up) for paths lo..hi-1 over
-    every eps.
+    """(hits, counters, first blow-up) for paths lo..hi-1 over every eps;
+    counters sums the rows' (substeps, table_hits, kicks).
 
     The batch's (path, eps) rows march together (``march_batch``), sharing
     the raw drift, grid and bin.  hits[i, j] is 1 when path lo+i ends in the
@@ -222,7 +249,8 @@ def _tail_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
                       _seeds(master_seed, lo, hi))
     hits = (event.gaps(res.endpoints) <= event.radius).astype(int)
     hits = hits.reshape(hi - lo, len(eps_list))
-    return hits, res.substeps, res.table_hits, _first_error(res.errors)
+    counters = np.array([res.substeps.sum(), res.table_hits.sum(), res.kicks.sum()])
+    return hits, counters, _first_error(res.errors)
 
 
 def _wilson(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -257,6 +285,9 @@ def tail_probability(params: Parameters, basis: SpectralBasis, jm: JumpModel,
     task = partial(_tail_batch, params, basis, u0, jm, grid, event,
                    list(eps_list), master_seed)
     done = _map_batches(task, n_samples, _pool_map)
+    err = _first_error(r[2] for r in done)
+    if err is not None:
+        raise err
     hit_matrix = np.concatenate([r[0] for r in done])
 
     cells = []
@@ -272,9 +303,9 @@ def tail_probability(params: Parameters, basis: SpectralBasis, jm: JumpModel,
             cells.append(TailCell(eps, n_samples, hits, p_hat,
                                   eps * math.log(p_hat),
                                   eps * se_p / p_hat, lo, hi, censored=False))
-    return TailReport(cells=cells, marches=len(done),
-                      substeps=sum(r[1] for r in done),
-                      table_hits=sum(r[2] for r in done))
+    substeps, table_hits, kicks = map(int, sum(r[1] for r in done))
+    return TailReport(cells=cells, marches=len(done), substeps=substeps,
+                      table_hits=table_hits, kicks=kicks)
 
 
 # ---------------------------------------------------------------------------

@@ -68,14 +68,16 @@ class MarchResult(NamedTuple):
 
     ``errors[s]`` is the ``BlowUpError`` of path s, or None; a path that
     blew up is frozen and its row of ``endpoints`` holds its last state.
-    ``substeps`` counts the ETDRK2 sub-steps over all paths, of which
-    ``table_hits`` reused a cached uniform-step table.
+    The counters are (S,) integer arrays: ``substeps[s]`` counts path s's
+    ETDRK2 sub-steps, of which ``table_hits[s]`` reused a cached
+    uniform-step table, and ``kicks[s]`` the kicks it took.
     """
 
     endpoints: np.ndarray
     errors: list
-    substeps: int
-    table_hits: int
+    substeps: np.ndarray
+    table_hits: np.ndarray
+    kicks: np.ndarray
 
 
 def march(params: Parameters, basis: SpectralBasis, u0: StateField,
@@ -101,7 +103,8 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     index k counts its finished grid steps and fixes its control bin
     k // (steps per bin), so bins never depend on rounded float times.  A
     sub-step that starts on a grid time and ends on the next one uses the
-    cached uniform-step tables of its path and bin; any other sub-step
+    cached uniform-step tables of its bin (of its path and bin under
+    per-path drift); any other sub-step
     builds its tables for its own h (h = 0, an event on a grid time, gives
     identity tables).  A path's arithmetic is the same whatever else its
     batch holds, so its result is its S = 1 march's, bit for bit.
@@ -121,10 +124,11 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     if d.ndim == 2 and d.shape != (S, n_bins):
         raise ValueError(f"per-path drift must be shaped ({S}, {n_bins}), "
                          f"got {d.shape}")
-    # L and the cache hold one entry per (path, bin): path s's bin b is
-    # entry s * n_bins + b
-    d = np.broadcast_to(d, (S, n_bins))
-    L = (Lbase + d[..., None, None]).reshape((S * n_bins,) + Lbase.shape)
+    # L and the cache hold one entry per bin of each drift row: under
+    # per-path drift path s's bin b is entry s * n_bins + b, else entry b
+    per_path = d.ndim == 2
+    d = np.broadcast_to(d, (len(d) if per_path else 1, n_bins))
+    L = (Lbase + d[..., None, None]).reshape((d.size,) + Lbase.shape)
     cache = np.stack(linear_tables(dt, L))      # (3, entries, n1, n2)
     step_bin = np.arange(n_steps) // (n_steps // n_bins)
     cap = BLOWUP_FACTOR * (u0.l2() + 1.0)
@@ -148,7 +152,9 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     uniform = ~is_ev                        # a whole grid step
     uniform[1:] &= ~is_ev[:-1]
     # its control bin's entry in L and the cache
-    entry = step_bin[np.minimum(k_after - ~is_ev, n_steps - 1)] + np.arange(S) * n_bins
+    entry = step_bin[np.minimum(k_after - ~is_ev, n_steps - 1)]
+    if per_path:
+        entry += np.arange(S) * n_bins
 
     endpoints = np.repeat(u0.modes.astype(complex)[None], S, axis=0)
     errors: list = [None] * S
@@ -160,7 +166,7 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     c = endpoints.copy()
     e = np.zeros(S, dtype=np.int64)         # events passed
     next_end = last.min() if S else 0
-    substeps = hits = 0
+    substeps = np.zeros(S, dtype=np.int64)  # set as each path finishes
 
     for r in range(R):
         kick = is_ev[r][sel]
@@ -174,8 +180,6 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
             start = end[r - 1][fr] if r else 0.0
             tables[:, fresh] = linear_tables(end[r][fr] - start, L[b[fresh]])
         c = etdrk2_step(c, tables, nonlin)
-        substeps += rows.size
-        hits += n_uni
 
         n_kick = np.count_nonzero(kick)
         if n_kick:
@@ -205,6 +209,7 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
         if n_bad or r + 1 == next_end:
             done = (last[rows] == r + 1) | ~ok
             endpoints[rows[done]] = c[done]
+            substeps[rows[done]] = r + 1
             stay = ~done
             rows, c, e = rows[stay], c[stay], e[stay]
             sel = rows
@@ -212,8 +217,10 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
                 break
             next_end = last[rows].min()
 
+    taken = np.arange(R)[:, None] < substeps      # (R, S): the rounds it stepped in
     return MarchResult(endpoints=endpoints, errors=errors, substeps=substeps,
-                       table_hits=int(hits))
+                       table_hits=np.count_nonzero(uniform & taken, axis=0),
+                       kicks=np.count_nonzero(is_ev & taken, axis=0))
 
 
 def march_trajectory(params: Parameters, basis: SpectralBasis, u0: StateField,

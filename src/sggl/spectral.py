@@ -40,6 +40,19 @@ from .params import Parameters
 
 # default oversampling: n modes on an axis get pad_factor (n + 1) - 1 grid points
 PAD_FACTOR = 4
+# The nonlinearity kernel walks a batch in row chunks whose grid buffers hold
+# at most this many bytes, so they stay in a core's L2 cache: 12 rows at 8x8
+# with F, 28 without.
+WORKSPACE_BYTES = 1_500_000
+
+
+def _row_chunks(S: int, row_bytes: int, budget: int = WORKSPACE_BYTES) -> list[slice]:
+    """S rows cut into the fewest slices of equal length (give or take one)
+    that keep row_bytes * length within ``budget``, or one row each.  The
+    first slice is a longest one."""
+    n = max(1, -(-S // max(1, budget // row_bytes)))
+    edges = [-(-i * S // n) for i in range(n + 1)]      # ceil(i S / n)
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def _float_view(X: np.ndarray) -> np.ndarray:
@@ -229,17 +242,22 @@ def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
     multiplies the n1 x n2 result instead of the padded grid.  Terms whose
     lambdas vanish are left out when the kernel is built.
 
-    |u|^(2 sigma) is (|u|^2)^sigma by ``_power`` in the buffers ``a`` and
-    ``t``: two multiplies for sigma = 3, ``np.power`` only for a
-    non-integer sigma.
+    |u|^2 is one contiguous square of u's float view into the buffer ``T2``
+    and one add of its even and odd entries (re^2 + im^2); |u|^(2 sigma) is
+    (|u|^2)^sigma by ``_power`` from ``a`` into ``t``, the first half of T2,
+    which F is done with by then: two multiplies for sigma = 3,
+    ``np.power`` only for a non-integer sigma.  The projection's first GEMM
+    writes into R, which is spent by then too.
 
     The grid fields live in buffers that the returned function keeps
-    between calls, sized for the largest batch it has seen.  A batch's
-    fields run to megabytes; allocated afresh on every call, their pages
-    went back to the system and were faulted in again each time (about 14
-    page faults per path and call at 8x8), which cost more than the
-    arithmetic.  So one returned function must not run in two threads at
-    once.
+    between calls.  A batch's fields run to megabytes; allocated afresh on
+    every call, their pages went back to the system and were faulted in
+    again each time (about 14 page faults per path and call at 8x8), which
+    cost more than the arithmetic.  A batch whose buffers would exceed
+    WORKSPACE_BYTES is walked in equal row chunks (``_row_chunks``), so the
+    buffers stay that small and in cache however large the batch; a row's
+    arithmetic is the same in any chunk.  One returned function must not run
+    in two threads at once.
     """
     kappa = -(1.0 - 1j * params.beta) if saturation else 1.0
     l1, l2 = params.lambda1, params.lambda2
@@ -250,45 +268,54 @@ def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
     S1, C1, P1 = basis._S1, basis._C1, basis._P1
     RS2, RC2, RP2 = basis._RS2, basis._RC2, basis._RP2
     half, grid = (basis.n1, basis.grid_shape[1]), basis.grid_shape
+    half_f = (basis.n1, 2 * basis.n2)       # a coefficient array's float view
     # one path's share of each buffer
     layout = {"R": (half, complex), "U": (grid, complex), "a": (grid, float),
-              "t": (grid, float), "H": (half, complex)}
+              "T2": (grid, complex)}
     if with_F:
         layout.update(R1=(half, complex), Ux=(grid, complex), Uy=(grid, complex),
-                      T=(grid, complex), T2=(grid, complex))
+                      T=(grid, complex))
+    row_bytes = sum(math.prod(shape) * np.dtype(dtype).itemsize
+                    for shape, dtype in layout.values())
     bases: dict[str, np.ndarray] = {}
-    spaces: dict[tuple, SimpleNamespace] = {}
+    plans: dict[int, list] = {}
 
-    def workspace(lead: tuple) -> SimpleNamespace:
-        """The buffers' views for batch shape ``lead``, with the float64 view
-        ``<name>_f`` of each complex one and u's real and imaginary parts;
-        they are kept because making a view costs about as much as a small
-        elementwise op."""
-        w = spaces.get(lead)
-        if w is None:
-            S = math.prod(lead)
-            if not bases or S > len(bases["U"]):
-                bases.update((k, np.empty((S,) + shape, dtype))
-                             for k, (shape, dtype) in layout.items())
-                spaces.clear()
-            w = spaces[lead] = SimpleNamespace()
-            for k, base in bases.items():
-                v = base[:S].reshape(lead + base.shape[1:])
-                setattr(w, k, v)
-                if v.dtype == complex:
-                    setattr(w, k + "_f", v.view(np.float64))
-            w.U_re, w.U_im = w.U.real, w.U.imag
+    def views(S: int) -> SimpleNamespace:
+        """The buffers' first S rows, with the float64 view ``<name>_f`` of
+        each complex one, T2's real and imaginary parts and ``t``."""
+        w = SimpleNamespace()
+        for k, base in bases.items():
+            v = base[:S]
+            setattr(w, k, v)
+            if v.dtype == complex:
+                setattr(w, k + "_f", v.view(np.float64))
+        w.T2_re, w.T2_im = w.T2.real, w.T2.imag
+        w.t = w.T2_f.reshape(-1)[:S * math.prod(grid)].reshape((S,) + grid)
         return w
 
-    def nonlin(c: np.ndarray) -> np.ndarray:
-        w = workspace(c.shape[:-2])
-        cf = _float_view(c)
+    def plan(S: int) -> list:
+        """[(rows, views)] for each chunk of a batch of S rows.  Plans are
+        kept, because making a view costs about as much as a small
+        elementwise op; the buffers grow (and every plan is dropped) when a
+        chunk is longer than they are."""
+        chunks = _row_chunks(S, row_bytes)
+        longest = chunks[0].stop                    # the first is a longest
+        if not bases or longest > len(bases["U"]):
+            plans.clear()                           # the old buffers go first
+            bases.clear()
+            bases.update((k, np.empty((longest,) + shape, dtype))
+                         for k, (shape, dtype) in layout.items())
+        p = plans[S] = [(rows, views(rows.stop - rows.start)) for rows in chunks]
+        return p
+
+    def chunk(w: SimpleNamespace, cf: np.ndarray, out: np.ndarray | None):
+        """The rows cf (S, n1, 2 n2) of the float view, in the views ``w``,
+        into ``out`` (allocated if None), which is returned."""
         U, a = w.U, w.a
         np.matmul(cf, RS2, out=w.R_f)               # c S2^T, shared by u and du/dx
         np.matmul(S1, w.R_f, out=w.U_f)
-        np.multiply(w.U_re, w.U_re, out=a)          # |u|^2
-        np.multiply(w.U_im, w.U_im, out=w.t)
-        a += w.t
+        np.multiply(w.U_f, w.U_f, out=w.T2_f)       # |u|^2 = re^2 + im^2
+        np.add(w.T2_re, w.T2_im, out=a)
         if with_F:
             Ux, Uy, T = w.Ux, w.Uy, w.T
             np.matmul(C1, w.R_f, out=w.Ux_f)
@@ -313,8 +340,19 @@ def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
             G = w.U_f
         else:
             G = w.T_f if with_F else np.zeros_like(w.U_f)
-        np.matmul(P1, G, out=w.H_f)
-        out = np.matmul(w.H_f, RP2).view(np.complex128)
+        np.matmul(P1, G, out=w.R_f)
+        return np.matmul(w.R_f, RP2, out=out)
+
+    def nonlin(c: np.ndarray) -> np.ndarray:
+        cf = _float_view(c).reshape(-1, *half_f)
+        p = plans.get(len(cf)) or plan(len(cf))
+        if len(p) == 1:                             # the GEMM allocates the result
+            out = chunk(p[0][1], cf, None)
+        else:
+            out = np.empty(cf.shape)
+            for rows, w in p:
+                chunk(w, cf[rows], out[rows])
+        out = out.view(np.complex128).reshape(c.shape)
         out *= kappa
         return out
     return nonlin
@@ -349,12 +387,23 @@ def norm_powers(basis: SpectralBasis, modes: np.ndarray, p_list=()):
 
     The squared L2 norm and H1 seminorm come from Parseval (the basis is
     orthonormal in L2), the Lp integrals from collocation quadrature on the
-    padded grid.
+    padded grid.  The quadrature runs beside the kernel's buffers (a
+    march's ``on_save``), so it takes row chunks (``_row_chunks``) within a
+    quarter of WORKSPACE_BYTES, counting a half-transformed field, the grid
+    field, |u|^2 and its power for each.
     """
     sq = np.abs(modes) ** 2
     l2sq = np.sum(sq, axis=(-2, -1))
     gradsq = np.sum(np.abs(basis.eigenvalues) * sq, axis=(-2, -1))
-    lp = lp_integrals(basis, _abs_sq(basis.to_grid(modes)), p_list) if p_list else {}
+    if not p_list:
+        return l2sq, gradsq, {}
+    flat = modes.reshape((-1,) + modes.shape[-2:])
+    N1, N2 = basis.grid_shape
+    row_bytes = 16 * basis.n1 * N2 + 32 * N1 * N2
+    parts = [lp_integrals(basis, _abs_sq(basis.to_grid(flat[rows])), p_list)
+             for rows in _row_chunks(len(flat), row_bytes, WORKSPACE_BYTES // 4)]
+    lp = {p: np.concatenate([part[p] for part in parts]).reshape(l2sq.shape)[()]
+          for p in p_list}
     return l2sq, gradsq, lp
 
 

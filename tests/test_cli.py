@@ -458,30 +458,34 @@ def test_cli_sweep_resume_from_checkpoint(tmp_path):
 
 
 def test_cli_sweep_ignores_checkpoint_without_counters(tmp_path, capsys):
-    # a checkpoint written before the cells carried their counters is
-    # unreadable: the sweep warns, recomputes every cell and rewrites it
+    # a checkpoint written before the cells carried their counters, or
+    # before they carried kicks, is unreadable: the sweep warns, recomputes
+    # every cell and rewrites it
     cfg = write_config(tmp_path)
     out = str(tmp_path / "w")
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     full = Path(os.path.join(out, "sweep.csv")).read_bytes()
     ckpt = os.path.join(out, "sweep.checkpoint.json")
     blob = Path(ckpt).read_bytes()
-    doc = json.loads(blob)
-    for cell in doc["cells"]:
-        del cell["substeps"], cell["table_hits"]
-    Path(ckpt).write_text(json.dumps(doc))
-    os.remove(os.path.join(out, "sweep.csv"))
-    capsys.readouterr()
-    assert main(["sweep", "--config", cfg, "--out", out, "--resume"]) == 0
-    assert "unreadable checkpoint" in capsys.readouterr().err
-    assert Path(os.path.join(out, "sweep.csv")).read_bytes() == full
-    assert Path(ckpt).read_bytes() == blob
+    for missing in (("substeps", "table_hits", "kicks"), ("kicks",)):
+        doc = json.loads(blob)
+        for cell in doc["cells"]:
+            for key in missing:
+                del cell[key]
+        Path(ckpt).write_text(json.dumps(doc))
+        os.remove(os.path.join(out, "sweep.csv"))
+        capsys.readouterr()
+        assert main(["sweep", "--config", cfg, "--out", out, "--resume"]) == 0
+        assert "unreadable checkpoint" in capsys.readouterr().err
+        assert Path(os.path.join(out, "sweep.csv")).read_bytes() == full
+        assert Path(ckpt).read_bytes() == blob
 
 
 def test_cli_sweep_report_counts(tmp_path):
-    # a sweep cell marches its paths in batches of harness.BATCH; each path
-    # takes a sub-step per grid step at least (n_steps = 20 on a 2-bin
-    # control), and the report's totals are the sums of the cells' columns
+    # 70 paths fill a march of harness.SWEEP_ROWS rows, so each cell marches
+    # alone, in batches of harness.BATCH paths; each path takes a sub-step
+    # per grid step (n_steps = 20 on a 2-bin control) and one per kick, and
+    # the report's totals are the sums of the cells' columns
     text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
     cfg = tmp_path / "run.ini"
     cfg.write_text(text.replace("n_samples = 6", "n_samples = 70"))
@@ -494,10 +498,13 @@ def test_cli_sweep_report_counts(tmp_path):
     assert len(rows) == 2
     substeps = [int(r["substeps"]) for r in rows]
     hits = [int(r["table_hits"]) for r in rows]
+    kicks = [int(r["kicks"]) for r in rows]
     assert doc["marches"] == 2 * -(-70 // harness.BATCH) == 4
     assert doc["substeps"] == sum(substeps)
     assert doc["table_hits"] == sum(hits)
-    assert all(n >= 70 * 20 for n in substeps)
+    assert doc["kicks"] == sum(kicks)
+    assert all(n == 70 * 20 + k for n, k in zip(substeps, kicks))
+    assert all(k > 0 for k in kicks)
     assert all(0 <= h <= n for h, n in zip(hits, substeps))
 
 
@@ -522,7 +529,7 @@ def test_cli_rate_report(tmp_path):
 def test_cli_tail_report_counts(tmp_path):
     # a tail batch marches its paths at every eps together: one march per
     # batch of harness.BATCH paths, each path taking a sub-step per grid
-    # step at least, per eps
+    # step and one per kick, per eps
     text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
     cfg = tmp_path / "run.ini"
     cfg.write_text(text.replace("target_radius = 0.05", "target_radius = 0.005")
@@ -531,7 +538,8 @@ def test_cli_tail_report_counts(tmp_path):
     assert main(["tail", "--config", str(cfg), "--out", out]) == 0
     doc = json.loads(Path(os.path.join(out, "tail.json")).read_text())
     assert doc["marches"] == -(-130 // harness.BATCH) == 3
-    assert doc["substeps"] >= 130 * 2 * 20
+    assert doc["substeps"] == 130 * 2 * 20 + doc["kicks"]
+    assert doc["kicks"] > 0
     assert 0 <= doc["table_hits"] <= doc["substeps"]
 
 

@@ -170,6 +170,35 @@ def test_tail_eps_rows_do_not_interact(params_pi, monkeypatch):
     assert sum(c.hits for c in merged.cells) > 0
 
 
+def test_sweep_eps_rows_do_not_interact(params_pi, monkeypatch):
+    # a sweep batch marches the rows of a group of eps cells together; each
+    # cell, its six statistics and its counters included, is that of a sweep
+    # at its eps alone, whether a march holds every cell, two or one
+    basis = make_basis(4, 4, params_pi, pad_factor=4)
+    u0 = mode_field(basis, 1, 1, 0.2)
+    ctrl = Control(T=0.25, phi=np.array([[1.5, 0.5], [1.0, 1.5]]))
+    grid = TimeGrid(T=0.25, n_steps=25)
+    eps_list = [0.25, 0.125, 0.0625]
+
+    def run(eps, pool_map):
+        return convergence_sweep(params_pi, basis, jm2(), u0, ctrl, grid, eps,
+                                 n_samples=20, master_seed=3, _pool_map=pool_map)
+
+    # 20 paths and SWEEP_ROWS = 32: a batch of 4 paths groups all three
+    # cells, one of 16 two, one of 20 (BATCH 64) one
+    assert harness.SWEEP_ROWS == 32
+    for batch, pool_map, groups in [(4, reversed_map, 1), (16, None, 2),
+                                    (16, reversed_map, 2), (64, None, 3)]:
+        monkeypatch.setattr(harness, "BATCH", batch)
+        merged = run(eps_list, pool_map)
+        alone = [run([eps], pool_map) for eps in eps_list]
+        assert merged.cells == [a.cells[0] for a in alone]
+        assert merged.marches == groups * -(-20 // batch)
+        for name in ("substeps", "table_hits", "kicks"):
+            assert getattr(merged, name) == sum(getattr(a, name) for a in alone)
+    assert merged.kicks > 0
+
+
 # ---------------------------------------------------------------------------
 # blow-up
 
@@ -243,6 +272,34 @@ def test_blowup_order_across_eps_in_one_march(params_pi, monkeypatch, eps_list):
             assert (got.step, got.t, got.norm) == (want.step, want.t, want.norm)
 
 
+def test_sweep_blowup_order_is_cell_then_path(params_pi, monkeypatch):
+    # a sweep raises its first cell's lowest-index blow-up, as a cell-by-cell
+    # run would, however many cells share a march: with path 1 unkicked at
+    # eps_list[0] that is path 3 there, not path 1 at eps_list[1]
+    basis, u0, jm, grid, master, _, planted_prm, single_run = planted_blowups(params_pi)
+    eps_list = [0.25, 0.5]
+    want = single_run(3, eps_list[0])
+
+    def late_prm(jm_, eps, T, seed, ctrl=None):
+        if seed == trajectory_seed(master, 1) and eps.epsilon == eps_list[0]:
+            return JumpSample(np.empty(0), np.zeros(0, dtype=int), T)
+        return planted_prm(jm_, eps, T, seed)
+
+    monkeypatch.setattr(spde, "sample_prm", late_prm)
+    ctrl = constant_control(grid.T, 1, 1.0)
+    # SWEEP_ROWS = 1 marches one cell at a time
+    for batch, rows, pool_map in [(64, 32, None), (4, 32, reversed_map),
+                                  (2, 32, reversed_map), (64, 1, None),
+                                  (4, 1, reversed_map)]:
+        monkeypatch.setattr(harness, "BATCH", batch)
+        monkeypatch.setattr(harness, "SWEEP_ROWS", rows)
+        with pytest.raises(BlowUpError) as exc:
+            convergence_sweep(params_pi, basis, jm, u0, ctrl, grid, eps_list,
+                              n_samples=7, master_seed=master, _pool_map=pool_map)
+        got = exc.value
+        assert (got.step, got.t, got.norm) == (want.step, want.t, want.norm)
+
+
 def test_blowup_detected_on_the_kick_substep(params_pi):
     # a kick far past the cap is caught on its own sub-step, before the next
     # step evaluates |u|^{2 sigma} u on it, so the error reports a finite norm
@@ -265,12 +322,18 @@ def test_blowup_freezes_only_its_path(params_pi):
     basis = make_basis(2, 2, params_pi, pad_factor=4)
     u0 = mode_field(basis, 1, 1, 0.1)
     grid = TimeGrid(T=0.2, n_steps=20)
-    # path 2's event lies after T, so it is never kicked
-    times = np.array([[np.inf], [0.05], [0.25]])
-    factors = np.array([[1.0], [1e9], [1e9]])
+    # path 2's event lies after T, so it is never kicked; path 1 blows up
+    # before its second event
+    times = np.array([[np.inf, np.inf], [0.05, 0.15], [0.25, np.inf]])
+    factors = np.array([[1.0, 1.0], [1e9, 2.0], [1e9, 1.0]])
     res = march(params_pi, basis, u0, grid, times, factors, 0.0, 1)
     assert res.errors[0] is None and res.errors[2] is None
     assert isinstance(res.errors[1], BlowUpError)
+    # path 1's counters stop at its blow-up: four grid steps, then the
+    # sub-step to its first kick, at t = 0.05
+    assert res.substeps.tolist() == [20, 5, 20]
+    assert res.table_hits.tolist() == [20, 4, 20]
+    assert res.kicks.tolist() == [0, 1, 0]
     assert np.array_equal(res.endpoints[0], res.endpoints[2])
     none = np.empty((1, 0))
     alone = march(params_pi, basis, u0, grid, none, none, 0.0, 1)
@@ -290,15 +353,20 @@ def test_table_cache_serves_whole_grid_steps(params_pi):
     none = np.empty((1, 0))
     skel = march(params_pi, basis, u0, grid, none, none,
                  drift_coefficient(jm, ctrl.phi), ctrl.n_bins)
-    assert skel.substeps == skel.table_hits == grid.n_steps
+    assert skel.substeps.tolist() == skel.table_hits.tolist() == [grid.n_steps]
+    assert skel.kicks.tolist() == [0]
     # a jump-dense path: every sub-step that does not span a whole grid step
     # builds fresh tables, so only the uniform grid steps are cache hits
     eps = NoiseScale(1 / 256)
     samples = [sample_prm(jm, eps, ctrl.T, s, ctrl) for s in (1, 2)]
     res = march_batch(params_pi, basis, u0, jm, [eps.epsilon], ctrl, grid, [1, 2])
-    assert min(s.n_events for s in samples) > grid.n_steps
-    assert res.substeps == 2 * grid.n_steps + sum(s.n_events for s in samples)
-    assert res.substeps - res.table_hits > sum(s.n_events for s in samples)
+    n_events = np.array([s.n_events for s in samples])
+    assert min(n_events) > grid.n_steps
+    # counted per path: a sub-step per grid step and per event, a kick per
+    # event
+    assert np.array_equal(res.substeps, grid.n_steps + n_events)
+    assert np.array_equal(res.kicks, n_events)
+    assert np.all(res.substeps - res.table_hits > n_events)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +418,9 @@ def test_event_on_grid_time(params_pi):
     want = 6.0 * c0 * np.exp(lam * 0.1)
     got = res.endpoints[:, 0, 0]
     assert np.max(np.abs(got - want)) <= 1e-10 * abs(want)
-    assert res.substeps == 2 * grid.n_steps + 3
+    # path 0 kicks at two grid times, path 1 at 0.045
+    assert res.substeps.tolist() == [grid.n_steps + 2, grid.n_steps + 1]
+    assert res.kicks.tolist() == [2, 1]
     # the state saved at t = 0.03 already carries the kick there
     want3 = 2.0 * c0 * np.exp(lam * 0.03)
     assert abs(saved[0, 3] - want3) <= 1e-10 * abs(want3)

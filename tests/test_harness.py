@@ -53,9 +53,12 @@ def test_sweep_noise_free_is_exactly_zero(params_pi):
         # no events: one sub-step per grid step and path, each a uniform
         # step on a cached table
         assert cell.substeps == cell.table_hits == 5 * grid.n_steps
+        assert cell.kicks == 0
     assert not rep.slope_flag
-    assert rep.marches == 2
+    # the two cells' 5 paths fit in one march of at most SWEEP_ROWS rows
+    assert rep.marches == 1
     assert rep.substeps == 2 * 5 * grid.n_steps
+    assert rep.kicks == 0
 
 
 @pytest.mark.parametrize("eps_list", [[0.25], [0.25, 0.25]],

@@ -201,10 +201,10 @@ def test_rate_search_independent_of_batching(params_pi, monkeypatch):
         parts = [march(params, basis, u0, grid, times[i:i + 1],
                        factors[i:i + 1], drift[i:i + 1], n_bins, **kw)
                  for i in range(len(drift))]
+        counters = [np.concatenate([getattr(p, name) for p in parts])
+                    for name in ("substeps", "table_hits", "kicks")]
         return MarchResult(np.concatenate([p.endpoints for p in parts]),
-                           [e for p in parts for e in p.errors],
-                           sum(p.substeps for p in parts),
-                           sum(p.table_hits for p in parts))
+                           [e for p in parts for e in p.errors], *counters)
 
     batched = estimate_rate(target, params_pi, basis, jm, u0, grid, opt)
     monkeypatch.setattr(rate, "march", one_row_at_a_time)

@@ -1,5 +1,8 @@
 """Spectral core: basis construction, operators, norms, and their invariants."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,7 +10,7 @@ from scipy.integrate import quad
 from sggl import (Parameters, ParameterError, StateField, apply_A, apply_B,
                   apply_F, compute_norms, make_basis, make_nonlin, mode_field,
                   zero_field)
-from sggl.spectral import _power, norm_powers
+from sggl.spectral import WORKSPACE_BYTES, _power, _row_chunks, norm_powers
 
 from conftest import DenseGrid, oracle_B_modes, oracle_F_modes, rel_err
 
@@ -275,24 +278,76 @@ def test_make_nonlin_matches_transform_formula(S, sigma, lambdas):
                          [(lam, 3.0) for lam in LAMBDAS] + [(lam, 2.5) for lam in LAMBDAS],
                          ids=list(LAMBDAS) + [f"{lam}-2.5" for lam in LAMBDAS])
 def test_make_nonlin_batch_rows_equal_single_calls(lambdas, sigma):
-    # the kernel keeps grid buffers between calls: a single call, then a
-    # larger batch, then smaller ones reuse and regrow them; each row's
-    # result is its single call's bit for bit, with the power taken by
-    # multiplication (sigma = 3) or by np.power (sigma = 2.5)
+    # the kernel keeps grid buffers between calls and walks a batch too large
+    # for WORKSPACE_BYTES in row chunks: a single call, then a batch of at
+    # least three chunks, then smaller batches and a batch of another shape
+    # reuse the buffers; each row's result is its single call's bit for bit,
+    # with the power taken by multiplication (sigma = 3) or by np.power
+    # (sigma = 2.5)
     p = nonlin_params(sigma, lambdas)
     b = make_basis(6, 5, p, pad_factor=4)
     nonlin = make_nonlin(p, b)
-    modes = random_modes((5, 6, 5), seed=9)
+    S = 160
+    # a row's buffers hold two complex and two real grid fields at least
+    assert len(_row_chunks(S, 48 * math.prod(b.grid_shape))) >= 3
+    modes = random_modes((S, 6, 5), seed=9)
     first = nonlin(modes[0])
     got = nonlin(modes)
     kept = got.copy()
-    for s in range(5):
+    for s in range(S):
         one = nonlin(modes[s])
         assert one.shape == (6, 5)
         assert np.array_equal(got[s], one)
-        assert np.array_equal(nonlin(modes[s:s + 1])[0], one)
+    for s in range(5):
+        assert np.array_equal(nonlin(modes[s:s + 1])[0], got[s])
+    assert np.array_equal(nonlin(modes[:7]), got[:7])
+    assert np.array_equal(nonlin(modes.reshape(16, 10, 6, 5)),
+                          got.reshape(16, 10, 6, 5))
     assert np.array_equal(got, kept)         # a result is not a buffer
     assert np.array_equal(nonlin(modes[0]), first)
+
+
+@pytest.mark.parametrize("lambdas", ["no F", "F"])
+def test_make_nonlin_workspace_stays_within_budget(lambdas):
+    # a 256-row 8x8 batch would need about 30 MB of grid buffers with F; the
+    # kernel holds at most WORKSPACE_BYTES of them, besides its result
+    p = nonlin_params(3.0, lambdas)
+    b = make_basis(8, 8, p, pad_factor=4)
+    nonlin = make_nonlin(p, b)
+    modes = random_modes((256, 8, 8), seed=5)
+    tracemalloc.start()
+    try:
+        out = nonlin(modes)
+        _, peak = tracemalloc.get_traced_memory()
+        arrays = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    finally:
+        tracemalloc.stop()
+    # the array data the call leaves besides its result is the workspace;
+    # numpy's casting buffers (8192 elements each) and a few views come and
+    # go within the call
+    assert sum(t.size for t in arrays.traces) - out.nbytes <= WORKSPACE_BYTES
+    assert peak - out.nbytes <= WORKSPACE_BYTES + 2 ** 18
+
+
+def test_row_chunks_are_equal_and_within_budget():
+    # row sizes of the kernel at 8x8 with F and at 2x2 without, and of the
+    # quadrature at 8x8 on a quarter of the budget
+    cases = [(0, 10, WORKSPACE_BYTES), (1, 10, WORKSPACE_BYTES),
+             (256, 116760, WORKSPACE_BYTES), (200, 5192, WORKSPACE_BYTES),
+             (7, 2 * WORKSPACE_BYTES, WORKSPACE_BYTES),
+             (32, 43680, WORKSPACE_BYTES // 4)]
+    for S, row_bytes, budget in cases:
+        chunks = _row_chunks(S, row_bytes, budget)
+        sizes = [c.stop - c.start for c in chunks]
+        assert chunks[0].start == 0 and chunks[-1].stop == S
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+        assert max(sizes) - min(sizes) <= 1 and sizes[0] == max(sizes)
+        assert max(sizes) * row_bytes <= budget or max(sizes) <= 1
+    assert len(_row_chunks(200, 5192)) == 1           # one chunk when it fits
+    assert len(_row_chunks(11, 116760)) == 1
+    assert len(_row_chunks(256, 116760)) == -(-256 // (WORKSPACE_BYTES // 116760))
+    assert len(_row_chunks(32, 43680, WORKSPACE_BYTES // 4)) == 4
 
 
 def test_power_multiplies_integer_exponents():

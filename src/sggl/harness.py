@@ -5,8 +5,8 @@ Monte Carlo runs cut their path indices into fixed batches of BATCH
 consecutive ones and reduce what each batch's march returns; the rows and
 their events are built by ``spde.march_batch``.  A tail batch marches all of
 its (path, eps) rows together; a sweep batch marches the rows of a group of
-eps cells, as many cells as keep the march within SWEEP_ROWS rows (one cell
-for a batch of more than half that many paths).
+eps cells, as many cells as keep the march within one chunk of the
+nonlinearity kernel (``spectral.chunk_rows``), or one cell.
 Per-path seeds are derived from the master seed by index and batches are
 cut by index, never by worker count, so reports are bit-identical under any
 parallel schedule; MC reductions are done with numpy pairwise summation over
@@ -29,14 +29,11 @@ from .params import Parameters
 from .rate import EndpointSpec
 from .skeleton import TimeGrid, Trajectory, solve_skeleton
 from .spde import march_batch
-from .spectral import (SpectralBasis, StateField, _abs_sq, _power, lp_integrals,
-                       norm_powers, scalar_pow)
+from .spectral import (SpectralBasis, StateField, _abs_sq, _power, chunk_rows,
+                       lp_integrals, norm_powers, scalar_pow)
 
 # paths marched together; the batch of path i is i // BATCH
 BATCH = 64
-# a sweep marches as many eps cells of a batch together as keep its march
-# within this many (path, eps) rows; at least one cell
-SWEEP_ROWS = 32
 # a sweep's log-log fit with R^2 below this is flagged unreliable
 R2_FLOOR = 0.9
 
@@ -161,19 +158,21 @@ def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
 
     Common random numbers: each sample index keeps one seed across all eps,
     and the jump sampler nests event streams across intensities.  The cells
-    are taken in groups of consecutive eps, as many as keep a batch's march
-    within SWEEP_ROWS (path, eps) rows, or one; a group's cells march
-    together.  ``precomputed`` supplies already-finished cells (checkpoint
-    resume); ``on_cell`` is called for each freshly computed cell when its
-    group has finished.  The first blow-up raised is that of the first cell,
-    then the lowest path, whatever the grouping.
+    are taken in groups of consecutive eps, as many as keep a batch's
+    (path, eps) rows within one chunk of the nonlinearity kernel
+    (``chunk_rows``), or one; a group's cells march together, and its march
+    never outgrows the kernel's buffers.  ``precomputed`` supplies
+    already-finished cells (checkpoint resume); ``on_cell`` is called for
+    each freshly computed cell when its group has finished.  The first
+    blow-up raised is that of the first cell, then the lowest path,
+    whatever the grouping.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     skel = solve_skeleton(params, basis, u0, jm, ctrl, grid, with_norms=False)
     task = partial(_sweep_batch, params, basis, u0, jm, ctrl, grid, master_seed, skel)
     known = dict(precomputed or {})
-    per_march = max(1, SWEEP_ROWS // min(BATCH, n_samples))
+    per_march = max(1, chunk_rows(params, basis) // min(BATCH, n_samples))
     groups = [eps_list[i:i + per_march] for i in range(0, len(eps_list), per_march)]
     for group in groups:
         todo = [eps for eps in group if eps not in known]

@@ -41,16 +41,15 @@ from .params import Parameters
 # default oversampling: n modes on an axis get pad_factor (n + 1) - 1 grid points
 PAD_FACTOR = 4
 # The nonlinearity kernel walks a batch in row chunks whose grid buffers hold
-# at most this many bytes, so they stay in a core's L2 cache: 12 rows at 8x8
-# with F, 28 without.
+# at most this many bytes, so they stay in a core's L2 cache: 11 rows at 8x8
+# with F, 34 without (``chunk_rows``).
 WORKSPACE_BYTES = 1_500_000
 
 
-def _row_chunks(S: int, row_bytes: int, budget: int = WORKSPACE_BYTES) -> list[slice]:
-    """S rows cut into the fewest slices of equal length (give or take one)
-    that keep row_bytes * length within ``budget``, or one row each.  The
-    first slice is a longest one."""
-    n = max(1, -(-S // max(1, budget // row_bytes)))
+def _row_chunks(S: int, most: int) -> list[slice]:
+    """S rows cut into the fewest slices of at most ``most`` rows (at least
+    one), equal in length give or take one; the first is a longest one."""
+    n = max(1, -(-S // max(1, most)))
     edges = [-(-i * S // n) for i in range(n + 1)]      # ceil(i S / n)
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
@@ -227,6 +226,34 @@ def apply_A(u: StateField, params: Parameters) -> StateField:
     return StateField(coef * u.modes, u.basis)
 
 
+def _kernel_layout(basis: SpectralBasis, with_F: bool) -> dict:
+    """One path's share of each of the nonlinearity kernel's buffers, as
+    {name: (shape, dtype)}."""
+    half, grid = (basis.n1, basis.grid_shape[1]), basis.grid_shape
+    layout = {"R": (half, complex), "U": (grid, complex), "a": (grid, float),
+              "t": (grid, float)}
+    if with_F:
+        layout.update(R1=(half, complex), Ux=(grid, complex), Uy=(grid, complex),
+                      T=(grid, complex), T2=(grid, complex))
+    return layout
+
+
+def _row_bytes(layout: dict) -> int:
+    return sum(math.prod(shape) * np.dtype(dtype).itemsize
+               for shape, dtype in layout.values())
+
+
+def _has_F(params: Parameters) -> bool:
+    return any(params.lambda1) or any(params.lambda2)
+
+
+def chunk_rows(params: Parameters, basis: SpectralBasis) -> int:
+    """The rows that the nonlinearity of ``make_nonlin(params, basis)``
+    evaluates in one chunk: as many as its buffers hold within
+    WORKSPACE_BYTES, at least one."""
+    return max(1, WORKSPACE_BYTES // _row_bytes(_kernel_layout(basis, _has_F(params))))
+
+
 def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
     """Mode-space map c -> P[s(u) + F(u)] on the precomputed factors.
 
@@ -242,55 +269,47 @@ def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
     multiplies the n1 x n2 result instead of the padded grid.  Terms whose
     lambdas vanish are left out when the kernel is built.
 
-    |u|^2 is one contiguous square of u's float view into the buffer ``T2``
-    and one add of its even and odd entries (re^2 + im^2); |u|^(2 sigma) is
-    (|u|^2)^sigma by ``_power`` from ``a`` into ``t``, the first half of T2,
-    which F is done with by then: two multiplies for sigma = 3,
-    ``np.power`` only for a non-integer sigma.  The projection's first GEMM
-    writes into R, which is spent by then too.
+    |u|^(2 sigma) is (|u|^2)^sigma by ``_power`` in the buffers ``a`` and
+    ``t``: two multiplies for sigma = 3, ``np.power`` only for a
+    non-integer sigma.  The projection's first GEMM writes into R, which is
+    spent by then.
 
     The grid fields live in buffers that the returned function keeps
     between calls.  A batch's fields run to megabytes; allocated afresh on
     every call, their pages went back to the system and were faulted in
     again each time (about 14 page faults per path and call at 8x8), which
-    cost more than the arithmetic.  A batch whose buffers would exceed
-    WORKSPACE_BYTES is walked in equal row chunks (``_row_chunks``), so the
-    buffers stay that small and in cache however large the batch; a row's
-    arithmetic is the same in any chunk.  One returned function must not run
-    in two threads at once.
+    cost more than the arithmetic.  A batch is walked in equal row chunks
+    of at most ``chunk_rows`` rows (``_row_chunks``), so the buffers stay
+    within WORKSPACE_BYTES and in cache however large the batch; they hold
+    the longest chunk seen, or ``chunk_rows`` rows once a batch has been
+    cut, so a batch that shrinks never regrows them.  A row's arithmetic is
+    the same in any chunk.  One returned function must not run in two
+    threads at once.
     """
     kappa = -(1.0 - 1j * params.beta) if saturation else 1.0
     l1, l2 = params.lambda1, params.lambda2
-    with_F, with_conj = any(l1) or any(l2), any(l1)
+    with_F, with_conj = _has_F(params), any(l1)
     ax, ay = ((2 * l1[i] + l2[i]) / kappa for i in (0, 1))
     bx, by = (np.conj(l1[i] / kappa) for i in (0, 1))
     sigma = params.sigma
     S1, C1, P1 = basis._S1, basis._C1, basis._P1
     RS2, RC2, RP2 = basis._RS2, basis._RC2, basis._RP2
-    half, grid = (basis.n1, basis.grid_shape[1]), basis.grid_shape
     half_f = (basis.n1, 2 * basis.n2)       # a coefficient array's float view
-    # one path's share of each buffer
-    layout = {"R": (half, complex), "U": (grid, complex), "a": (grid, float),
-              "T2": (grid, complex)}
-    if with_F:
-        layout.update(R1=(half, complex), Ux=(grid, complex), Uy=(grid, complex),
-                      T=(grid, complex))
-    row_bytes = sum(math.prod(shape) * np.dtype(dtype).itemsize
-                    for shape, dtype in layout.values())
+    layout = _kernel_layout(basis, with_F)
+    most = chunk_rows(params, basis)
     bases: dict[str, np.ndarray] = {}
     plans: dict[int, list] = {}
 
     def views(S: int) -> SimpleNamespace:
         """The buffers' first S rows, with the float64 view ``<name>_f`` of
-        each complex one, T2's real and imaginary parts and ``t``."""
+        each complex one and u's real and imaginary parts."""
         w = SimpleNamespace()
         for k, base in bases.items():
             v = base[:S]
             setattr(w, k, v)
             if v.dtype == complex:
                 setattr(w, k + "_f", v.view(np.float64))
-        w.T2_re, w.T2_im = w.T2.real, w.T2.imag
-        w.t = w.T2_f.reshape(-1)[:S * math.prod(grid)].reshape((S,) + grid)
+        w.U_re, w.U_im = w.U.real, w.U.imag
         return w
 
     def plan(S: int) -> list:
@@ -298,24 +317,24 @@ def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
         kept, because making a view costs about as much as a small
         elementwise op; the buffers grow (and every plan is dropped) when a
         chunk is longer than they are."""
-        chunks = _row_chunks(S, row_bytes)
-        longest = chunks[0].stop                    # the first is a longest
-        if not bases or longest > len(bases["U"]):
+        chunks = _row_chunks(S, most)
+        if not bases or chunks[0].stop > len(bases["U"]):
             plans.clear()                           # the old buffers go first
             bases.clear()
-            bases.update((k, np.empty((longest,) + shape, dtype))
+            bases.update((k, np.empty((min(S, most),) + shape, dtype))
                          for k, (shape, dtype) in layout.items())
         p = plans[S] = [(rows, views(rows.stop - rows.start)) for rows in chunks]
         return p
 
-    def chunk(w: SimpleNamespace, cf: np.ndarray, out: np.ndarray | None):
+    def chunk(w: SimpleNamespace, cf: np.ndarray, out: np.ndarray):
         """The rows cf (S, n1, 2 n2) of the float view, in the views ``w``,
-        into ``out`` (allocated if None), which is returned."""
+        into ``out``."""
         U, a = w.U, w.a
         np.matmul(cf, RS2, out=w.R_f)               # c S2^T, shared by u and du/dx
         np.matmul(S1, w.R_f, out=w.U_f)
-        np.multiply(w.U_f, w.U_f, out=w.T2_f)       # |u|^2 = re^2 + im^2
-        np.add(w.T2_re, w.T2_im, out=a)
+        np.multiply(w.U_re, w.U_re, out=a)          # |u|^2
+        np.multiply(w.U_im, w.U_im, out=w.t)
+        a += w.t
         if with_F:
             Ux, Uy, T = w.Ux, w.Uy, w.T
             np.matmul(C1, w.R_f, out=w.Ux_f)
@@ -341,20 +360,19 @@ def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
         else:
             G = w.T_f if with_F else np.zeros_like(w.U_f)
         np.matmul(P1, G, out=w.R_f)
-        return np.matmul(w.R_f, RP2, out=out)
+        np.matmul(w.R_f, RP2, out=out)
 
     def nonlin(c: np.ndarray) -> np.ndarray:
-        cf = _float_view(c).reshape(-1, *half_f)
-        p = plans.get(len(cf)) or plan(len(cf))
-        if len(p) == 1:                             # the GEMM allocates the result
-            out = chunk(p[0][1], cf, None)
-        else:
-            out = np.empty(cf.shape)
-            for rows, w in p:
-                chunk(w, cf[rows], out[rows])
-        out = out.view(np.complex128).reshape(c.shape)
-        out *= kappa
-        return out
+        res = np.empty(c.shape, dtype=complex)
+        cf, out = _float_view(c), res.view(np.float64)
+        # a batch (S, n1, n2) is sliced as it is: a reshape costs about as much
+        # as a small op, and a rate search makes tens of thousands of calls
+        if c.ndim != 3:
+            cf, out = cf.reshape(-1, *half_f), out.reshape(-1, *half_f)
+        for rows, w in plans.get(len(cf)) or plan(len(cf)):
+            chunk(w, cf[rows], out[rows])
+        res *= kappa
+        return res
     return nonlin
 
 
@@ -388,9 +406,10 @@ def norm_powers(basis: SpectralBasis, modes: np.ndarray, p_list=()):
     The squared L2 norm and H1 seminorm come from Parseval (the basis is
     orthonormal in L2), the Lp integrals from collocation quadrature on the
     padded grid.  The quadrature runs beside the kernel's buffers (a
-    march's ``on_save``), so it takes row chunks (``_row_chunks``) within a
-    quarter of WORKSPACE_BYTES, counting a half-transformed field, the grid
-    field, |u|^2 and its power for each.
+    march's ``on_save``), so it takes row chunks (``_row_chunks``) whose
+    temporaries stay within a quarter of WORKSPACE_BYTES; a row's are those
+    of the kernel without F: a half-transformed field, the grid field, |u|^2
+    and its power.
     """
     sq = np.abs(modes) ** 2
     l2sq = np.sum(sq, axis=(-2, -1))
@@ -398,10 +417,9 @@ def norm_powers(basis: SpectralBasis, modes: np.ndarray, p_list=()):
     if not p_list:
         return l2sq, gradsq, {}
     flat = modes.reshape((-1,) + modes.shape[-2:])
-    N1, N2 = basis.grid_shape
-    row_bytes = 16 * basis.n1 * N2 + 32 * N1 * N2
+    most = WORKSPACE_BYTES // 4 // _row_bytes(_kernel_layout(basis, with_F=False))
     parts = [lp_integrals(basis, _abs_sq(basis.to_grid(flat[rows])), p_list)
-             for rows in _row_chunks(len(flat), row_bytes, WORKSPACE_BYTES // 4)]
+             for rows in _row_chunks(len(flat), most)]
     lp = {p: np.concatenate([part[p] for part in parts]).reshape(l2sq.shape)[()]
           for p in p_list}
     return l2sq, gradsq, lp

@@ -482,7 +482,7 @@ def test_cli_sweep_ignores_checkpoint_without_counters(tmp_path, capsys):
 
 
 def test_cli_sweep_report_counts(tmp_path):
-    # 70 paths fill a march of harness.SWEEP_ROWS rows, so each cell marches
+    # 64 paths overfill a chunk of the kernel (40 rows), so each cell marches
     # alone, in batches of harness.BATCH paths; each path takes a sub-step
     # per grid step (n_steps = 20 on a 2-bin control) and one per kick, and
     # the report's totals are the sums of the cells' columns

@@ -184,9 +184,9 @@ def test_sweep_eps_rows_do_not_interact(params_pi, monkeypatch):
         return convergence_sweep(params_pi, basis, jm2(), u0, ctrl, grid, eps,
                                  n_samples=20, master_seed=3, _pool_map=pool_map)
 
-    # 20 paths and SWEEP_ROWS = 32: a batch of 4 paths groups all three
-    # cells, one of 16 two, one of 20 (BATCH 64) one
-    assert harness.SWEEP_ROWS == 32
+    # 20 paths and a kernel chunk of 32 rows: a batch of 4 paths groups all
+    # three cells, one of 16 two, one of 20 (BATCH 64) one
+    monkeypatch.setattr(harness, "chunk_rows", lambda params, basis: 32)
     for batch, pool_map, groups in [(4, reversed_map, 1), (16, None, 2),
                                     (16, reversed_map, 2), (64, None, 3)]:
         monkeypatch.setattr(harness, "BATCH", batch)
@@ -287,12 +287,12 @@ def test_sweep_blowup_order_is_cell_then_path(params_pi, monkeypatch):
 
     monkeypatch.setattr(spde, "sample_prm", late_prm)
     ctrl = constant_control(grid.T, 1, 1.0)
-    # SWEEP_ROWS = 1 marches one cell at a time
+    # a kernel chunk of 1 row marches one cell at a time
     for batch, rows, pool_map in [(64, 32, None), (4, 32, reversed_map),
                                   (2, 32, reversed_map), (64, 1, None),
                                   (4, 1, reversed_map)]:
         monkeypatch.setattr(harness, "BATCH", batch)
-        monkeypatch.setattr(harness, "SWEEP_ROWS", rows)
+        monkeypatch.setattr(harness, "chunk_rows", lambda params, basis: rows)
         with pytest.raises(BlowUpError) as exc:
             convergence_sweep(params_pi, basis, jm, u0, ctrl, grid, eps_list,
                               n_samples=7, master_seed=master, _pool_map=pool_map)

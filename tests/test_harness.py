@@ -55,7 +55,7 @@ def test_sweep_noise_free_is_exactly_zero(params_pi):
         assert cell.substeps == cell.table_hits == 5 * grid.n_steps
         assert cell.kicks == 0
     assert not rep.slope_flag
-    # the two cells' 5 paths fit in one march of at most SWEEP_ROWS rows
+    # the two cells' 5 paths fit in one chunk of the kernel, so one march
     assert rep.marches == 1
     assert rep.substeps == 2 * 5 * grid.n_steps
     assert rep.kicks == 0

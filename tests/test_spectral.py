@@ -1,6 +1,5 @@
 """Spectral core: basis construction, operators, norms, and their invariants."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +9,7 @@ from scipy.integrate import quad
 from sggl import (Parameters, ParameterError, StateField, apply_A, apply_B,
                   apply_F, compute_norms, make_basis, make_nonlin, mode_field,
                   zero_field)
-from sggl.spectral import WORKSPACE_BYTES, _power, _row_chunks, norm_powers
+from sggl.spectral import WORKSPACE_BYTES, _power, _row_chunks, chunk_rows, norm_powers
 
 from conftest import DenseGrid, oracle_B_modes, oracle_F_modes, rel_err
 
@@ -288,8 +287,7 @@ def test_make_nonlin_batch_rows_equal_single_calls(lambdas, sigma):
     b = make_basis(6, 5, p, pad_factor=4)
     nonlin = make_nonlin(p, b)
     S = 160
-    # a row's buffers hold two complex and two real grid fields at least
-    assert len(_row_chunks(S, 48 * math.prod(b.grid_shape))) >= 3
+    assert len(_row_chunks(S, chunk_rows(p, b))) >= 3
     modes = random_modes((S, 6, 5), seed=9)
     first = nonlin(modes[0])
     got = nonlin(modes)
@@ -315,6 +313,8 @@ def test_make_nonlin_workspace_stays_within_budget(lambdas):
     b = make_basis(8, 8, p, pad_factor=4)
     nonlin = make_nonlin(p, b)
     modes = random_modes((256, 8, 8), seed=5)
+    most = chunk_rows(p, b)
+    assert most == (34 if lambdas == "no F" else 11)
     tracemalloc.start()
     try:
         out = nonlin(modes)
@@ -328,26 +328,31 @@ def test_make_nonlin_workspace_stays_within_budget(lambdas):
     # go within the call
     assert sum(t.size for t in arrays.traces) - out.nbytes <= WORKSPACE_BYTES
     assert peak - out.nbytes <= WORKSPACE_BYTES + 2 ** 18
+    # a batch one row longer than a chunk is cut in two, yet the buffers
+    # take a whole chunk, so a later batch of one chunk allocates nothing
+    # besides its result: a shrinking march never regrows them
+    nonlin = make_nonlin(p, b)
+    nonlin(modes[:most + 1])
+    tracemalloc.start()
+    try:
+        one = nonlin(modes[:most])
+        _, peak_one = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak_one <= one.nbytes + 2 ** 18
 
 
 def test_row_chunks_are_equal_and_within_budget():
-    # row sizes of the kernel at 8x8 with F and at 2x2 without, and of the
-    # quadrature at 8x8 on a quarter of the budget
-    cases = [(0, 10, WORKSPACE_BYTES), (1, 10, WORKSPACE_BYTES),
-             (256, 116760, WORKSPACE_BYTES), (200, 5192, WORKSPACE_BYTES),
-             (7, 2 * WORKSPACE_BYTES, WORKSPACE_BYTES),
-             (32, 43680, WORKSPACE_BYTES // 4)]
-    for S, row_bytes, budget in cases:
-        chunks = _row_chunks(S, row_bytes, budget)
+    for S, most in [(0, 1), (1, 10), (256, 11), (200, 355), (7, 1), (32, 34),
+                    (64, 34), (160, 67)]:
+        chunks = _row_chunks(S, most)
         sizes = [c.stop - c.start for c in chunks]
         assert chunks[0].start == 0 and chunks[-1].stop == S
         assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
         assert max(sizes) - min(sizes) <= 1 and sizes[0] == max(sizes)
-        assert max(sizes) * row_bytes <= budget or max(sizes) <= 1
-    assert len(_row_chunks(200, 5192)) == 1           # one chunk when it fits
-    assert len(_row_chunks(11, 116760)) == 1
-    assert len(_row_chunks(256, 116760)) == -(-256 // (WORKSPACE_BYTES // 116760))
-    assert len(_row_chunks(32, 43680, WORKSPACE_BYTES // 4)) == 4
+        assert max(sizes) <= most or S == 0
+        assert len(chunks) == max(1, -(-S // most))      # the fewest
+    assert len(_row_chunks(5, 0)) == 5                    # at least one row
 
 
 def test_power_multiplies_integer_exponents():

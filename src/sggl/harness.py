@@ -6,7 +6,10 @@ consecutive ones and reduce what each batch's march returns; the rows and
 their events are built by ``spde.march_batch``.  A tail batch marches all of
 its (path, eps) rows together; a sweep batch marches the rows of a group of
 eps cells, as many cells as keep the march within one chunk of the
-nonlinearity kernel (``spectral.chunk_rows``), or one cell.
+nonlinearity kernel (``spectral.chunk_rows``), or one cell.  A sweep
+batch buffers each path's difference from the skeleton at the grid times it
+crosses and reduces the buffer in batches, each path's terms summed in its
+time order.
 Per-path seeds are derived from the master seed by index and batches are
 cut by index, never by worker count, so reports are bit-identical under any
 parallel schedule; MC reductions are done with numpy pairwise summation over
@@ -29,8 +32,8 @@ from .params import Parameters
 from .rate import EndpointSpec
 from .skeleton import TimeGrid, Trajectory, solve_skeleton
 from .spde import march_batch
-from .spectral import (SpectralBasis, StateField, _abs_sq, _power, chunk_rows,
-                       lp_integrals, norm_powers, scalar_pow)
+from .spectral import (WORKSPACE_BYTES, SpectralBasis, StateField, _abs_sq, _power,
+                       chunk_rows, lp_integrals, norm_powers, scalar_pow)
 
 # paths marched together; the batch of path i is i // BATCH
 BATCH = 64
@@ -113,26 +116,47 @@ def _sweep_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
     ``eps_list``, all marched together (``march_batch``).
 
     rows[i, j] holds (sup_t ||d||^2, sum dt ||grad d||^2,
-    sum dt ||d||_{2s+2}^{2s+2}) for d = path lo+i at eps_list[j] - skeleton,
-    reduced at each grid time as the path crosses it; dt is the time since
-    the previous grid time.  counters[:, j] sums the (substeps, table_hits,
-    kicks) of cell j's rows, and blow-ups[j] is its first by path.
+    sum dt ||d||_{2s+2}^{2s+2}) for d = path lo+i at eps_list[j] - skeleton;
+    dt is the time since the previous grid time.  Each d handed over at a
+    grid time is buffered with its row and grid index, and a full buffer is
+    reduced in one ``norm_powers`` call, its terms folded into the rows in
+    append order, so each row's sums still run in time order.  The buffer
+    holds a quarter of WORKSPACE_BYTES of fields, or a whole hand-over if
+    that is more.  counters[:, j] sums the (substeps, table_hits, kicks) of
+    cell j's rows, and blow-ups[j] is its first by path.
     """
     lo, hi = span
     m = len(eps_list)
     p = params.lp_exponent
     dts = np.diff(skel.times, prepend=0.0)
     rows = np.zeros(((hi - lo) * m, 3))
+    size = max(len(rows), WORKSPACE_BYTES // 4 // skel.modes[0].nbytes)
+    buf = np.empty((size,) + skel.modes.shape[1:], dtype=complex)
+    buf_row = np.empty(size, dtype=np.intp)
+    buf_k = np.empty(size, dtype=np.intp)
+    n = 0           # fields buffered
+
+    def flush():
+        nonlocal n
+        l2sq, gradsq, lp = norm_powers(basis, buf[:n], [p])
+        r, w = buf_row[:n], dts[buf_k[:n]]
+        np.maximum.at(rows[:, 0], r, l2sq)
+        np.add.at(rows[:, 1], r, w * gradsq)
+        np.add.at(rows[:, 2], r, w * lp[p])
+        n = 0
 
     def on_save(r, k, modes):
-        l2sq, gradsq, lp = norm_powers(basis, modes - skel.modes[k], [p])
-        w = dts[k]
-        rows[r, 0] = np.maximum(rows[r, 0], l2sq)
-        rows[r, 1] += w * gradsq
-        rows[r, 2] += w * lp[p]
+        nonlocal n
+        if n + len(r) > size:
+            flush()
+        at = slice(n, n + len(r))
+        np.subtract(modes, skel.modes[k], out=buf[at])
+        buf_row[at], buf_k[at] = r, k
+        n = at.stop
 
     res = march_batch(params, basis, u0, jm, eps_list, ctrl, grid,
                       _seeds(master_seed, lo, hi), on_save=on_save)
+    flush()
     counters = np.stack([res.substeps, res.table_hits, res.kicks])
     return (rows.reshape(hi - lo, m, 3), counters.reshape(3, hi - lo, m).sum(axis=1),
             [_first_error(res.errors[j::m]) for j in range(m)])

@@ -130,7 +130,7 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     d = np.broadcast_to(d, (len(d) if per_path else 1, n_bins))
     L = (Lbase + d[..., None, None]).reshape((d.size,) + Lbase.shape)
     cache = np.stack(linear_tables(dt, L))      # (3, entries, n1, n2)
-    step_bin = np.arange(n_steps) // (n_steps // n_bins)
+    step_bin = np.arange(n_steps, dtype=np.int32) // (n_steps // n_bins)
     cap = BLOWUP_FACTOR * (u0.l2() + 1.0)
     grid_times = np.arange(1, n_steps + 1) * dt
 
@@ -138,14 +138,16 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     # Each path's sub-steps in order: one per grid step and one per event up
     # to the last grid time, an event first where it equals a grid time.
     # Row r of the (R, S) arrays below describes each path's r-th one;
-    # path s takes last[s] of them.
+    # path s takes last[s] of them.  Grid indices and table entries are
+    # int32, half the size of int64, as these arrays peak beside a sweep's
+    # buffers.
     last = n_steps + np.count_nonzero(ev <= grid_times[-1], axis=1)
     R = last.max(initial=0)
     es, ej = np.nonzero(np.arange(E) < (last - n_steps)[:, None])
     pos = ej + np.searchsorted(grid_times, ev[es, ej])
     is_ev = np.zeros((R, S), dtype=bool)
     is_ev[pos, es] = True
-    k_after = np.cumsum(~is_ev, axis=0)     # grid steps finished after it
+    k_after = np.cumsum(~is_ev, axis=0, dtype=np.int32)  # grid steps finished after it
     end = grid_times[np.minimum(k_after, n_steps) - 1]     # time it ends at
     end[pos, es] = ev[es, ej]
     del es, ej, pos                         # one entry per event: set-up only
@@ -154,7 +156,7 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     # its control bin's entry in L and the cache
     entry = step_bin[np.minimum(k_after - ~is_ev, n_steps - 1)]
     if per_path:
-        entry += np.arange(S) * n_bins
+        entry += np.arange(S, dtype=np.int32) * n_bins
 
     endpoints = np.repeat(u0.modes.astype(complex)[None], S, axis=0)
     errors: list = [None] * S

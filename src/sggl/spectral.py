@@ -405,11 +405,11 @@ def norm_powers(basis: SpectralBasis, modes: np.ndarray, p_list=()):
 
     The squared L2 norm and H1 seminorm come from Parseval (the basis is
     orthonormal in L2), the Lp integrals from collocation quadrature on the
-    padded grid.  The quadrature runs beside the kernel's buffers (a
-    march's ``on_save``), so it takes row chunks (``_row_chunks``) whose
-    temporaries stay within a quarter of WORKSPACE_BYTES; a row's are those
-    of the kernel without F: a half-transformed field, the grid field, |u|^2
-    and its power.
+    padded grid.  The quadrature runs beside the kernel's buffers (a sweep
+    reduces its buffered grid-time fields mid-march), so it takes row chunks
+    (``_row_chunks``) whose temporaries stay within a quarter of
+    WORKSPACE_BYTES; a row's are those of the kernel without F: a
+    half-transformed field, the grid field, |u|^2 and its power.
     """
     sq = np.abs(modes) ** 2
     l2sq = np.sum(sq, axis=(-2, -1))

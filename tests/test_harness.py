@@ -8,8 +8,10 @@ import pytest
 from sggl import (Control, EndpointSpec, JumpModel, NoiseScale, TimeGrid,
                   constant_control, convergence_sweep, cost, energy_audit,
                   make_basis, mode_field, solve_skeleton, solve_spde,
-                  tail_probability, zero_field)
+                  tail_probability, trajectory_seed, zero_field)
+from sggl import harness
 from sggl.harness import _fit_loglog, _wilson
+from sggl.spectral import norm_powers
 
 from conftest import jm2
 
@@ -125,6 +127,38 @@ def test_sweep_checkpoint_cells_reused(params_pi):
     assert resumed.cells == full.cells
     assert (resumed.marches, resumed.substeps, resumed.table_hits) == \
         (full.marches, full.substeps, full.table_hits)
+
+
+@pytest.mark.parametrize("squeezed", [True, False], ids=["one_hand_over", "default"])
+def test_sweep_cells_match_per_path_trajectories(params_pi, monkeypatch, squeezed):
+    # each cell's statistics, bit for bit, are those of its paths' own
+    # trajectories minus the skeleton, whether the sweep's buffer of grid-time
+    # fields holds a single hand-over (so it is reduced many times in a
+    # march) or its default size
+    if squeezed:
+        monkeypatch.setattr(harness, "WORKSPACE_BYTES", 0)
+    basis, u0, grid = small_setup(params_pi)
+    jm, ctrl = jm2(), Control(T=grid.T, phi=np.array([[1.5, 0.5], [1.0, 1.5]]))
+    eps_list, n, master = [0.25, 0.125], 6, 5
+    rep = convergence_sweep(params_pi, basis, jm, u0, ctrl, grid, eps_list,
+                            n_samples=n, master_seed=master)
+    skel = solve_skeleton(params_pi, basis, u0, jm, ctrl, grid, with_norms=False)
+    p = params_pi.lp_exponent
+    dts = np.diff(skel.times)
+    for cell, eps in zip(rep.cells, eps_list):
+        stats = np.empty((n, 3))
+        for i in range(n):
+            traj = solve_spde(params_pi, basis, u0, jm, NoiseScale(eps), grid,
+                              trajectory_seed(master, i), ctrl=ctrl)
+            l2sq, gradsq, lp = norm_powers(basis, traj.modes[1:] - skel.modes[1:], [p])
+            stats[i] = (l2sq.max(), np.cumsum(dts * gradsq)[-1],
+                        np.cumsum(dts * lp[p])[-1])
+        mean = stats.mean(axis=0)
+        se = stats.std(axis=0, ddof=1) / math.sqrt(n)
+        assert (cell.mean_sup_sq, cell.mean_grad_int, cell.mean_lp_int) == tuple(mean)
+        assert (cell.se_sup_sq, cell.se_grad_int, cell.se_lp_int) == tuple(se)
+        assert cell.mean_sup_sq > 0
+    assert rep.kicks > 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from .spectral import (SpectralBasis, StateField, make_basis,
                        zero_field, mode_field, apply_A, apply_B, apply_F,
                        compute_norms, make_nonlin)
 from .jumps import (JumpModel, JumpSample, Control, NoiseScale, validate_model,
-                    sample_prm, drift_coefficient,
+                    sample_prm, sample_prm_scales, drift_coefficient,
                     constant_control, empty_sample, trajectory_seed)
 from .timestep import BlowUpError
 from .skeleton import TimeGrid, solve_skeleton, galerkin_refine

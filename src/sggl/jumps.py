@@ -8,10 +8,13 @@ exponential-gap stream.  The rescaling nests samples across intensities, so
 a sweep over noise scales epsilon with a shared seed uses common random
 numbers.
 
-One sampler, ``sample_prm``, draws both the driving measure of intensity
-eps^-1 nu and, given a control phi, the controlled measure of intensity
-eps^-1 phi nu, by thinning each mark's dominating stream; phi = 1 gives
-back the driving measure.
+One sampler draws both the driving measure of intensity eps^-1 nu and,
+given a control phi, the controlled measure of intensity eps^-1 phi nu, by
+thinning each mark's dominating stream; phi = 1 gives back the driving
+measure.  ``sample_prm`` draws one seed at one noise scale;
+``sample_prm_scales``, which it calls, draws one seed at a list of scales,
+building each mark's generator once and restarting its stream for each
+scale, so every sample is the one ``sample_prm`` draws on its own.
 """
 
 from __future__ import annotations
@@ -155,25 +158,41 @@ def sample_prm(jm: JumpModel, eps: NoiseScale, T: float, seed: int,
     acceptance draws following the mark's event stream.  With phi identically
     1 this reproduces the uncontrolled sample pathwise for a shared seed.
     """
+    return sample_prm_scales(jm, [eps], T, seed, ctrl)[0]
+
+
+def sample_prm_scales(jm: JumpModel, scales: list[NoiseScale], T: float,
+                      seed: int, ctrl: Control | None = None) -> list[JumpSample]:
+    """``sample_prm`` of one seed at every noise scale of ``scales``, in order.
+
+    Each mark's generator is built once and its state restored before each
+    scale, so entry i is ``sample_prm(jm, scales[i], T, seed, ctrl)`` bit for
+    bit: every scale draws the same stream from its start.
+    """
     if not T > 0:
         raise ValueError("T must be > 0")
     if ctrl is not None and ctrl.T != T:
         raise ValueError(f"control horizon {ctrl.T} differs from the "
                          f"sampling horizon {T}")
-    times_all, marks_all = [], []
+    times_all = [[] for _ in scales]
+    marks_all = [[] for _ in scales]
     for j in range(jm.n_marks):
         M = 1.0 if ctrl is None else float(ctrl.phi[:, j].max())
         if M == 0.0:
             continue
         rng = mark_rng(seed, j)
-        t = _rate_scaled_times(rng, M * jm.nu[j] / eps.epsilon, T)
-        if ctrl is not None and t.size:
-            bins = np.minimum((t * ctrl.n_bins / T).astype(int), ctrl.n_bins - 1)
-            accept = rng.random(t.size) < ctrl.phi[bins, j] / M
-            t = t[accept]
-        times_all.append(t)
-        marks_all.append(np.full(t.size, j, dtype=int))
-    return _merge(times_all, marks_all, T)
+        start = rng.bit_generator.state if len(scales) > 1 else None
+        for i, eps in enumerate(scales):
+            if i:
+                rng.bit_generator.state = start
+            t = _rate_scaled_times(rng, M * jm.nu[j] / eps.epsilon, T)
+            if ctrl is not None and t.size:
+                bins = np.minimum((t * ctrl.n_bins / T).astype(int), ctrl.n_bins - 1)
+                accept = rng.random(t.size) < ctrl.phi[bins, j] / M
+                t = t[accept]
+            times_all[i].append(t)
+            marks_all[i].append(np.full(t.size, j, dtype=int))
+    return [_merge(t, m, T) for t, m in zip(times_all, marks_all)]
 
 
 def _merge(times_all, marks_all, T: float) -> JumpSample:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .jumps import Control, JumpModel, drift_coefficient
 from .params import Parameters
-from .spectral import (NormReport, SpectralBasis, StateField,
+from .spectral import (WORKSPACE_BYTES, NormReport, SpectralBasis, StateField,
                        compute_norms, make_nonlin, norm_powers)
 from .timestep import BlowUpError, etdrk2_step, linear_tables
 
@@ -104,9 +104,14 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     k // (steps per bin), so bins never depend on rounded float times.  A
     sub-step that starts on a grid time and ends on the next one uses the
     cached uniform-step tables of its bin (of its path and bin under
-    per-path drift); any other sub-step
-    builds its tables for its own h (h = 0, an event on a grid time, gives
-    identity tables).  A path's arithmetic is the same whatever else its
+    per-path drift).  Any other sub-step, one an event cuts or the rest of a
+    step after it, has tables for its own h (h = 0, an event on a grid time,
+    gives identity tables): they are built before its round, in blocks of
+    whole rounds holding at most an eighth of WORKSPACE_BYTES of tables (one
+    round if that is more; building a block takes about three times its
+    size in temporaries), and banked after the cached ones, so a round
+    gathers all its tables in one take.  A march without events builds no
+    block.  A path's arithmetic is the same whatever else its
     batch holds, so its result is its S = 1 march's, bit for bit.
 
     Callbacks see the batch rows they concern: ``on_save(rows, k, modes)``
@@ -158,6 +163,18 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     if per_path:
         entry += np.arange(S, dtype=np.int32) * n_bins
 
+    # The bank: the cache, then the off-grid tables of one block of rounds
+    # (`most` slots, or one round's if more); a banked sub-step's entry
+    # becomes its slot.
+    off = ~uniform & (np.arange(R)[:, None] < last)
+    per_round = np.count_nonzero(off, axis=1)
+    n_entries = cache.shape[1]
+    most = max(1, WORKSPACE_BYTES // 8 // cache[:, 0].nbytes)
+    slots = min(max(most, per_round.max(initial=0)), per_round.sum())
+    bank = np.concatenate((cache, np.empty((3, slots) + Lbase.shape, complex)), axis=1)
+    csum = np.concatenate(([0], np.cumsum(per_round)))
+    block_end = 0
+
     endpoints = np.repeat(u0.modes.astype(complex)[None], S, axis=0)
     errors: list = [None] * S
     n_real = 2 * u0.modes.size      # floats per path, for the norm check
@@ -171,16 +188,20 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     substeps = np.zeros(S, dtype=np.int64)  # set as each path finishes
 
     for r in range(R):
+        if r == block_end:
+            # the next block: its unfinished paths' off-grid sub-steps
+            block_end = max(r + 1, int(np.searchsorted(
+                csum, csum[r] + most, side="right")) - 1)
+            br, bi = np.nonzero(off[r:block_end, sel])
+            if br.size:
+                br += r
+                bs = rows[bi]
+                h = end[br, bs] - np.where(br > 0, end[br - 1, bs], 0.0)
+                np.stack(linear_tables(h, L[entry[br, bs]]),
+                         out=bank[:, n_entries:n_entries + br.size])
+                entry[br, bs] = np.arange(n_entries, n_entries + br.size)
         kick = is_ev[r][sel]
-        uni = uniform[r][sel]
-        b = entry[r][sel]
-        tables = cache.take(b, axis=1)
-        n_uni = np.count_nonzero(uni)
-        if n_uni < rows.size:
-            fresh = ~uni
-            fr = rows[fresh]
-            start = end[r - 1][fr] if r else 0.0
-            tables[:, fresh] = linear_tables(end[r][fr] - start, L[b[fresh]])
+        tables = bank.take(entry[r][sel], axis=1)
         c = etdrk2_step(c, tables, nonlin)
 
         n_kick = np.count_nonzero(kick)

@@ -11,7 +11,7 @@ sequence, so a scalar single-mode run admits a closed-form product oracle.
 
 ``march_batch`` marches the Monte Carlo rows of a batch of seeds, each
 seed at every noise scale of a list, in lock step; it is the one place where
-Monte Carlo events are sampled.
+Monte Carlo events are sampled, each seed once for all its noise scales.
 ``solve_spde``, the single-path solver, is the same march with one path and
 samples its own events, from the thinned measure when given a control.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .jumps import (Control, JumpModel, JumpSample, NoiseScale, compensator_drift,
-                    sample_prm)
+                    sample_prm, sample_prm_scales)
 from .params import Parameters
 from .skeleton import MarchResult, TimeGrid, Trajectory, march, march_trajectory
 from .spectral import SpectralBasis, StateField, norm_powers
@@ -54,13 +54,16 @@ def march_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
     if ``ctrl`` is None, else the controlled SPDE.
 
     Row i * m + j is ``seeds[i]`` at ``eps_list[j]`` (m noise scales); its
-    events are drawn by ``sample_prm`` from that seed, thinned under ``ctrl``.
+    events are those ``sample_prm`` draws from that seed, thinned under
+    ``ctrl``.  Each seed is sampled once for all m scales
+    (``sample_prm_scales``), so its mark generators are built once.
     Rows at different noise scales differ only in their events and kicks, so
     they march together.  A controlled march keeps the control's bins, so its
     grid is the one its skeleton is solved on.
     """
-    samples = [sample_prm(jm, NoiseScale(e), grid.T, s, ctrl)
-               for s in seeds for e in eps_list]
+    scales = [NoiseScale(e) for e in eps_list]
+    samples = [sample for s in seeds
+               for sample in sample_prm_scales(jm, scales, grid.T, s, ctrl)]
     times, factors = _pad_events(samples, jm, list(eps_list) * len(seeds))
     n_bins = 1 if ctrl is None else ctrl.n_bins
     return march(params, basis, u0, grid, times, factors,

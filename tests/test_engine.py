@@ -11,10 +11,11 @@ from sggl import (BlowUpError, Control, EndpointSpec, JumpModel, JumpSample,
                   convergence_sweep, drift_coefficient, make_basis, mode_field,
                   sample_prm, solve_skeleton, solve_spde, tail_probability,
                   trajectory_seed)
-from sggl import harness, spde
+from sggl import harness, skeleton, spde
 from sggl.skeleton import march
 from sggl.spde import march_batch
-from sggl.timestep import linear_tables
+from sggl.spectral import make_nonlin
+from sggl.timestep import etdrk2_step, linear_tables
 
 from conftest import jm2
 
@@ -22,6 +23,14 @@ from conftest import jm2
 def reversed_map(fn, args):
     # an out-of-order parallel schedule; results in argument order
     return [fn(a) for a in list(args)[::-1]][::-1]
+
+
+def per_scale(prm):
+    # a fake of march_batch's sampler, sample_prm_scales, that draws each
+    # noise scale with the per-(seed, eps) fake ``prm``
+    def prm_scales(jm_, scales, T, seed, ctrl=None):
+        return [prm(jm_, eps, T, seed, ctrl) for eps in scales]
+    return prm_scales
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +244,7 @@ def test_blowup_raises_lowest_index_path(params_pi, monkeypatch):
     single = {i: single_run(i, 0.25) for i in (1, 3, 5)}
     assert single[1].step > single[3].step > single[5].step
 
-    monkeypatch.setattr(spde, "sample_prm", planted_prm)
+    monkeypatch.setattr(spde, "sample_prm_scales", per_scale(planted_prm))
     for batch, pool_map in [(64, None), (4, None), (4, reversed_map), (2, reversed_map)]:
         monkeypatch.setattr(harness, "BATCH", batch)
         with pytest.raises(BlowUpError) as exc:
@@ -262,7 +271,7 @@ def test_blowup_order_across_eps_in_one_march(params_pi, monkeypatch, eps_list):
         return planted_prm(jm_, eps, T, seed)
 
     for prm, want in [(planted_prm, first), (late_prm, second)]:
-        monkeypatch.setattr(spde, "sample_prm", prm)
+        monkeypatch.setattr(spde, "sample_prm_scales", per_scale(prm))
         for batch, pool_map in [(64, None), (4, reversed_map), (2, reversed_map)]:
             monkeypatch.setattr(harness, "BATCH", batch)
             with pytest.raises(BlowUpError) as exc:
@@ -285,7 +294,7 @@ def test_sweep_blowup_order_is_cell_then_path(params_pi, monkeypatch):
             return JumpSample(np.empty(0), np.zeros(0, dtype=int), T)
         return planted_prm(jm_, eps, T, seed)
 
-    monkeypatch.setattr(spde, "sample_prm", late_prm)
+    monkeypatch.setattr(spde, "sample_prm_scales", per_scale(late_prm))
     ctrl = constant_control(grid.T, 1, 1.0)
     # a kernel chunk of 1 row marches one cell at a time
     for batch, rows, pool_map in [(64, 32, None), (4, 32, reversed_map),
@@ -367,6 +376,144 @@ def test_table_cache_serves_whole_grid_steps(params_pi):
     assert np.array_equal(res.substeps, grid.n_steps + n_events)
     assert np.array_equal(res.kicks, n_events)
     assert np.all(res.substeps - res.table_hits > n_events)
+
+
+def banked_rows(params_pi):
+    # five rows under per-path drift over 2 bins: row 0 kicks exactly on two
+    # grid times (the rest of each step has h = 0, identity tables), row 1
+    # is jump-dense and finishes last, row 2 has no events and finishes
+    # first, row 3 blows up on a huge kick, row 4 kicks inside the first step
+    # and its last event lies after T
+    basis = make_basis(2, 2, params_pi, pad_factor=4)
+    u0 = mode_field(basis, 1, 1, 0.1)
+    grid = TimeGrid(T=0.2, n_steps=20)
+    grid_times = np.arange(1, 21) * (0.2 / 20)
+    rng = np.random.default_rng(4)
+    events = [np.sort(np.concatenate([grid_times[[3, 11]], [0.0512, 0.1337]])),
+              np.sort(rng.uniform(0.0, 0.2, 40)),
+              np.empty(0),
+              np.array([0.0235, 0.0871, 0.1410]),
+              np.array([0.004, 0.0333, 0.25])]
+    times = np.full((5, 40), np.inf)
+    factors = np.ones((5, 40))
+    for s, t in enumerate(events):
+        times[s, :t.size] = t
+        factors[s, :t.size] = rng.uniform(0.6, 1.4, t.size)
+    factors[3, 1] = 1e9
+    drift = np.array([[0.5, -0.3], [-1.0, 2.0], [0.0, 0.7], [0.2, 0.2], [1.5, -2.0]])
+    return basis, u0, grid, times, factors, drift
+
+
+def banked_march(params_pi, setup, rows=slice(None)):
+    # the march of the given rows, its on_save and on_kick calls recorded
+    basis, u0, grid, times, factors, drift = setup
+    saves, kicks = [], []
+
+    def on_save(r, k, modes):
+        saves.append((r.tolist(), k.tolist(), modes.tobytes()))
+
+    def on_kick(r, j, before, after):
+        kicks.append((r.tolist(), j.tolist(), before.tobytes(), after.tobytes()))
+
+    res = march(params_pi, basis, u0, grid, times[rows], factors[rows],
+                drift[rows], 2, on_save=on_save, on_kick=on_kick)
+    return res, saves, kicks
+
+
+def stepped_alone(params_pi, setup, s):
+    # row s's endpoint, stepped one sub-step at a time with tables built for
+    # each sub-step, as a march without a table bank or cache would
+    basis, u0, grid, times, factors, drift = setup
+    n = grid.refined_steps(2)
+    dt = grid.T / n
+    grid_times = np.arange(1, n + 1) * dt
+    nonlin = make_nonlin(params_pi, basis)
+    Lbase = (1.0 + 1j * params_pi.alpha) * basis.eigenvalues + params_pi.gamma
+    c = u0.modes.astype(complex)[None]
+    t, k, j, kicked = 0.0, 0, 0, False
+    while k < n:
+        event = j < times.shape[1] and times[s, j] <= grid_times[k]
+        L = Lbase + drift[s, min(k, n - 1) // (n // 2)]
+        h = times[s, j] - t if event else (dt if not kicked else grid_times[k] - t)
+        c = etdrk2_step(c, linear_tables(h, L), nonlin)
+        if event:
+            t, j = times[s, j], j + 1
+            c = c * factors[s, j - 1]
+        else:
+            t, k = grid_times[k], k + 1
+        kicked = event
+    return c[0]
+
+
+def blowup(err):
+    return None if err is None else (err.step, err.t, err.norm, err.cap)
+
+
+def own_calls(calls, s):
+    # row s's share of a march's recorded callbacks, as its S = 1 march
+    # records them
+    mine = []
+    for rows, index, *fields in calls:
+        if s in rows:
+            i, n = rows.index(s), len(rows)
+            mine.append(([0], [index[i]]) + tuple(
+                f[i * len(f) // n:(i + 1) * len(f) // n] for f in fields))
+    return mine
+
+
+def test_banked_tables_do_not_depend_on_block_size(params_pi, monkeypatch):
+    # a march builds its off-grid tables in blocks of rounds within an
+    # eighth of WORKSPACE_BYTES; squeezed to one slot a block is one round,
+    # to seven slots a few rounds.  Every result, counter and callback
+    # equals the default budget's (one block) and each row's S = 1 march's,
+    # and a row that does not blow up ends where sub-step-by-sub-step
+    # stepping does
+    setup = banked_rows(params_pi)
+    basis = setup[0]
+    slot = 3 * 16 * basis.n1 * basis.n2         # one sub-step's tables
+    tables = []
+
+    def counted(h, L):
+        tables.append(np.size(h))
+        return linear_tables(h, L)
+
+    monkeypatch.setattr(skeleton, "linear_tables", counted)
+    default = banked_march(params_pi, setup)
+    res = default[0]
+    assert res.errors[:3] == [None] * 3 and res.errors[4] is None
+    assert isinstance(res.errors[3], BlowUpError)
+    assert len(set(res.substeps.tolist())) == 5
+    # the cache, then one block, which holds row 3's sub-steps after its
+    # blow-up too
+    off_grid = int(np.sum(res.substeps - res.table_hits))
+    assert len(tables) == 2 and tables[1] > off_grid
+    blocks = []
+    for most in (1, 7):
+        monkeypatch.setattr(skeleton, "WORKSPACE_BYTES", 8 * most * slot)
+        del tables[:]
+        got = banked_march(params_pi, setup)
+        blocks.append(tables[1:])
+        assert np.array_equal(got[0].endpoints, res.endpoints)
+        assert list(map(blowup, got[0].errors)) == list(map(blowup, res.errors))
+        for name in ("substeps", "table_hits", "kicks"):
+            assert np.array_equal(getattr(got[0], name), getattr(res, name))
+        assert got[1:] == default[1:]
+    # one round a block builds only the sub-steps taken; seven slots hold
+    # a few rounds
+    assert sum(blocks[0]) == off_grid and len(blocks[0]) > 20
+    assert max(blocks[1]) <= 7 and len(blocks[0]) > len(blocks[1]) > 5
+    monkeypatch.undo()
+
+    for s in (0, 1, 2, 4):
+        assert np.array_equal(stepped_alone(params_pi, setup, s), res.endpoints[s])
+    for s in range(5):
+        one, saves, kicks = banked_march(params_pi, setup, slice(s, s + 1))
+        assert np.array_equal(one.endpoints[0], res.endpoints[s])
+        assert blowup(one.errors[0]) == blowup(res.errors[s])
+        for name in ("substeps", "table_hits", "kicks"):
+            assert getattr(one, name)[0] == getattr(res, name)[s]
+        assert own_calls(default[1], s) == saves
+        assert own_calls(default[2], s) == kicks
 
 
 # ---------------------------------------------------------------------------

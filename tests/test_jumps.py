@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import chisquare, poisson
 
 from sggl import (Control, JumpModel, NoiseScale, constant_control,
-                  drift_coefficient, sample_prm, validate_model)
+                  drift_coefficient, sample_prm, sample_prm_scales,
+                  validate_model)
 
 
 def jm1(g=0.5, nu=1.0):
@@ -102,6 +103,32 @@ def test_sample_prm_uniform_times():
         [sample_prm(jm, NoiseScale(0.002), 1.0, s).times for s in range(20)])
     n = times.size
     assert abs(times.mean() - 0.5) <= 5.0 / np.sqrt(12 * n)
+
+
+@pytest.mark.parametrize("phi", [None, [[1.0, 0.3, 0.0], [0.4, 1.7, 0.0]]],
+                         ids=["raw", "two_bins"])
+def test_sample_prm_scales_match_one_scale_calls(phi):
+    # one seed drawn at several noise scales, each mark's generator built
+    # once, gives what a sample_prm call per scale gives: times, marks and,
+    # under the control, the thinning draws that follow the event times in
+    # the mark's stream.  Under the control mark 2's dominating intensity
+    # is 0.  Seed 561 draws 16 mark-0 gaps below 7.4 at eps = 1/7.4, so
+    # _rate_scaled_times needs a second chunk there.
+    jm = JumpModel(nu=np.array([1.0, 2.0, 0.5]), g=np.array([0.5, -0.3, 0.2]))
+    ctrl = None if phi is None else Control(T=1.0, phi=np.array(phi))
+    scales = [NoiseScale(e) for e in (0.5, 1 / 7.4, 0.05, 0.5)]
+    assert np.count_nonzero(sample_prm(jm, scales[1], 1.0, 561).marks == 0) >= 16
+    for seed in (0, 1, 561):
+        got = sample_prm_scales(jm, scales, 1.0, seed, ctrl)
+        want = [sample_prm(jm, eps, 1.0, seed, ctrl) for eps in scales]
+        assert len(got) == len(scales)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.times, b.times)
+            assert np.array_equal(a.marks, b.marks)
+            assert a.T == b.T
+        assert got[0].n_events < got[2].n_events
+        if ctrl is not None:
+            assert not np.any(got[2].marks == 2)
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,8 @@ def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
     are taken in groups of consecutive eps, as many as keep a batch's
     (path, eps) rows within one chunk of the nonlinearity kernel
     (``chunk_rows``), or one; a group's cells march together, and its march
-    never outgrows the kernel's buffers.  ``precomputed`` supplies
+    never outgrows the kernel's buffers.  An eps repeated in the list is
+    marched once and shares its cell.  ``precomputed`` supplies
     already-finished cells (checkpoint resume); ``on_cell`` is called for
     each freshly computed cell when its group has finished.  The first
     blow-up raised is that of the first cell, then the lowest path,
@@ -199,7 +200,7 @@ def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
     per_march = max(1, chunk_rows(params, basis) // min(BATCH, n_samples))
     groups = [eps_list[i:i + per_march] for i in range(0, len(eps_list), per_march)]
     for group in groups:
-        todo = [eps for eps in group if eps not in known]
+        todo = list(dict.fromkeys(eps for eps in group if eps not in known))
         if not todo:
             continue
         done = _map_batches(partial(task, todo), n_samples, _pool_map)

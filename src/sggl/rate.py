@@ -124,8 +124,10 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
 
     Exterior penalty with geometric continuation in rho, started once from
     phi = 1; the inner loop is projected gradient descent (phi >= 0) with
-    forward-difference gradients and backtracking line search, and the
-    result is the best iterate seen (feasible first, then cheapest).  Control
+    forward-difference gradients and backtracking line search.  The result
+    is chosen among the accepted iterates and the last one: an iterate is
+    feasible when ``violation(gap) <= gap_tol``; the cheapest feasible one
+    wins, else the one of smallest gap, and the earliest wins a tie.  Control
     dimension n_bins x K stays small, so finite differences are affordable:
     the n_bins x K perturbed controls of a gradient share one march.  The
     line search tries steps s, s/2, s/4, ... (at most 25), marched in that
@@ -155,7 +157,7 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     def objective(phi, gap):
         return cost_of(phi) + rho * violation(gap) ** 2
 
-    best = None   # (cost, phi, gap)
+    seen = []     # (cost, phi, gap) of each accepted iterate, then the last
     iterations = 0
     phi = np.ones(shape)
     gap = gaps_of(phi[None])[0]
@@ -189,32 +191,17 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
                 lo, size = lo + size, 2 * size
             if not improved:
                 break
-            cur = (cost_of(phi), phi.copy(), gap)
-            best = _better(best, cur, target.radius, tol)
+            seen.append((cost_of(phi), phi, gap))
         if violation(gap) <= tol and rho > _RHO0 * 10:
             break
         rho *= _RHO_GROWTH
-    best = _better(best, (cost_of(phi), phi.copy(), gap), target.radius, tol)
+    seen.append((cost_of(phi), phi, gap))
 
-    c_val, phi_best, gap_best = best
+    def key(it):
+        return (0, it[0]) if violation(it[2]) <= tol else (1, it[2])
+    c_val, phi_best, gap_best = min(seen, key=key)
     feasible = violation(gap_best) <= tol
     return RateResult(value=c_val, control=Control(T=grid.T, phi=phi_best),
                       endpoint_gap=gap_best, iterations=iterations,
                       feasible=feasible, marches=marches, skeleton_paths=paths)
 
-
-def _better(best, cand, radius: float, tol: float):
-    """Prefer feasible candidates; among feasible, lower cost; else lower gap."""
-    if best is None:
-        return cand
-    bc, _, bg = best
-    cc, _, cg = cand
-    b_feas = bg <= radius + tol
-    c_feas = cg <= radius + tol
-    if c_feas and not b_feas:
-        return cand
-    if b_feas and not c_feas:
-        return best
-    if b_feas:
-        return cand if cc < bc else best
-    return cand if cg < bg else best

@@ -183,7 +183,6 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     rows = np.arange(S)
     sel = slice(None)       # their columns of the schedule: all, until one ends
     c = endpoints.copy()
-    e = np.zeros(S, dtype=np.int64)         # events passed
     next_end = last.min() if S else 0
     substeps = np.zeros(S, dtype=np.int64)  # set as each path finishes
 
@@ -201,14 +200,14 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
                          out=bank[:, n_entries:n_entries + br.size])
                 entry[br, bs] = np.arange(n_entries, n_entries + br.size)
         kick = is_ev[r][sel]
+        kg = k_after[r][sel]
         tables = bank.take(entry[r][sel], axis=1)
         c = etdrk2_step(c, tables, nonlin)
 
         n_kick = np.count_nonzero(kick)
         if n_kick:
             kr = rows[kick]
-            j = e[kick]
-            e[kick] = j + 1
+            j = r - kg[kick]                # earlier sub-steps less grid steps done
             before = c[kick]
             after = before * kick_factors[kr, j][:, None, None]
             c[kick] = after
@@ -216,7 +215,6 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
                 on_kick(kr, j, before, after)
 
         # blow-up check on every row; saving and finishing on a grid time
-        kg = k_after[r][sel]
         w = c.view(np.float64).reshape(rows.size, n_real)
         sq = (w * w).sum(axis=1)
         ok = sq <= cap * cap                # a NaN norm fails too
@@ -234,7 +232,7 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
             endpoints[rows[done]] = c[done]
             substeps[rows[done]] = r + 1
             stay = ~done
-            rows, c, e = rows[stay], c[stay], e[stay]
+            rows, c = rows[stay], c[stay]
             sel = rows
             if not rows.size:
                 break

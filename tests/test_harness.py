@@ -76,6 +76,32 @@ def test_sweep_single_eps_has_no_slope(params_pi, eps_list):
     assert rep.slope_flag
 
 
+def test_sweep_marches_each_distinct_eps_once(params_pi, monkeypatch):
+    # a repeated eps is one cell: marched once, handed to on_cell once
+    basis, u0, grid = small_setup(params_pi)
+    ctrl = constant_control(grid.T, 2, 1.5)
+    march_batch = harness.march_batch
+    marched = []
+
+    def spy(params, basis, u0, jm, eps_list, *args, **kwargs):
+        marched.append(list(eps_list))
+        return march_batch(params, basis, u0, jm, eps_list, *args, **kwargs)
+
+    one = convergence_sweep(params_pi, basis, jm2(), u0, ctrl, grid,
+                            [0.25], n_samples=4, master_seed=3)
+    monkeypatch.setattr(harness, "march_batch", spy)
+    handed = []
+    rep = convergence_sweep(params_pi, basis, jm2(), u0, ctrl, grid,
+                            [0.25, 0.25], n_samples=4, master_seed=3,
+                            on_cell=handed.append)
+    assert marched == [[0.25]]
+    assert handed == one.cells
+    cell = one.cells[0]
+    assert rep.cells == [cell, cell]
+    assert (rep.substeps, rep.table_hits, rep.kicks) == \
+        (2 * cell.substeps, 2 * cell.table_hits, 2 * cell.kicks)
+
+
 def test_sweep_zero_initial_state(params_pi):
     basis, _, grid = small_setup(params_pi)
     rep = convergence_sweep(params_pi, basis, jm2(), zero_field(basis),

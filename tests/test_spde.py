@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from sggl import (Control, JumpModel, NoiseScale, Parameters, TimeGrid,
-                  constant_control, drift_coefficient, empty_sample,
+from sggl import (Control, JumpModel, JumpSample, NoiseScale, Parameters,
+                  TimeGrid, constant_control, drift_coefficient, empty_sample,
                   make_basis, mode_field, sample_prm, solve_skeleton,
                   solve_spde, zero_field)
 
@@ -159,6 +159,25 @@ def test_event_log_records_kicks(params_pi):
         assert t == pytest.approx(te)
         assert mark == me
         assert post == pytest.approx(pre * (1 + 0.5 * 0.5), rel=1e-12)
+
+
+def test_event_log_kicks_each_planted_event_in_order(params_pi):
+    # marks of opposite sign, one event on a grid time and two inside one
+    # step: each kick must take its own event's mark, in order
+    basis, u0 = scalar_setup(params_pi)
+    jm = jm2()
+    grid = TimeGrid(T=0.5, n_steps=20)
+    dt = grid.T / grid.n_steps
+    events = JumpSample(times=np.array([3 * dt, 10.2 * dt, 10.7 * dt]),
+                        marks=np.array([1, 0, 1]), T=grid.T)
+    eps = NoiseScale(0.5)
+    log = []
+    solve_spde(params_pi, basis, u0, jm, eps, grid, seed=1, events=events,
+               event_log=log)
+    assert [(t, m) for t, m, _, _ in log] == \
+        list(zip(events.times.tolist(), events.marks.tolist()))
+    for _, mark, pre, post in log:
+        assert post / pre == pytest.approx(abs(1 + 0.5 * jm.g[mark]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ Only sweep takes --resume, which continues an interrupted sweep from its
 checkpoint.  Exit codes: 0 ok, 1 invariant violation or module error
 (running out of memory included), 2 usage error.  A config error, whether
 found while parsing, in a --seed, --workers or SGGL_WORKERS value or inside
-a command, and a module error also write ``error.json`` to --out.
+a command, and a module error also write ``error.json`` to --out, headed by
+the config hash and the seed in force (both null when the config could not
+be read).
 """
 
 from __future__ import annotations
@@ -49,14 +51,13 @@ def _pool_mapper(workers: int):
         yield executor.map
 
 
-def _emit_error(out_dir: str, exc: Exception):
+def _emit_error(out_dir: str, exc: Exception, spec: RunSpec | None):
     """Write ``error.json`` to ``out_dir`` if it can be written at all."""
-    payload = {"error": type(exc).__name__, "message": str(exc)}
     with suppress(OSError):
         outputs.ensure_dir(out_dir)
-        with open(os.path.join(out_dir, "error.json"), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        outputs.write_json(os.path.join(out_dir, "error.json"),
+                           {"error": type(exc).__name__, "message": str(exc)},
+                           spec and spec.config_hash, spec and spec.master_seed)
 
 
 def _opt_config(spec: RunSpec) -> OptConfig:
@@ -133,24 +134,14 @@ def _load_checkpoint(path: str, spec: RunSpec) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        if doc.get("config_sha256") != spec.config_hash \
-                or doc.get("master_seed") != spec.master_seed:
+        if doc.get("header") != outputs.json_header(spec.config_hash,
+                                                    spec.master_seed):
             return {}
         return {row["eps"]: harness.SweepCell(**row) for row in doc.get("cells", [])}
     except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
         print(f"warning: ignoring unreadable checkpoint {path}: {exc}",
               file=sys.stderr)
         return {}
-
-
-def _write_checkpoint(path: str, doc: dict):
-    """Write ``doc`` to a temporary file beside ``path``, then move it over
-    ``path``, so a crash never leaves a truncated checkpoint."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
 
 
 def cmd_sweep(spec: RunSpec, out: str, args) -> int:
@@ -161,10 +152,9 @@ def cmd_sweep(spec: RunSpec, out: str, args) -> int:
 
     def on_cell(cell):
         precomputed[cell.eps] = cell
-        _write_checkpoint(ckpt_path, {
-            "config_sha256": spec.config_hash,
-            "master_seed": spec.master_seed,
-            "cells": [asdict(c) for c in precomputed.values()]})
+        outputs.write_json(ckpt_path,
+                           {"cells": [asdict(c) for c in precomputed.values()]},
+                           spec.config_hash, spec.master_seed)
 
     with _pool_mapper(args.workers) as mapper:
         report = harness.convergence_sweep(
@@ -199,14 +189,8 @@ def cmd_tail(spec: RunSpec, out: str, args) -> int:
     _write_cells(spec, os.path.join(out, "tail.csv"), report.cells,
                  harness.TailCell)
     outputs.write_json(os.path.join(out, "tail.json"), {
-        "rate_value": rate_res.value,
-        "rate_feasible": rate_res.feasible,
-        "marches": report.marches,
-        "substeps": report.substeps,
-        "table_hits": report.table_hits,
-        "kicks": report.kicks,
-        "cells": [asdict(c) for c in report.cells],
-    }, spec.config_hash, spec.master_seed)
+        "rate_value": rate_res.value, "rate_feasible": rate_res.feasible,
+        **asdict(report)}, spec.config_hash, spec.master_seed)
     return EXIT_OK
 
 
@@ -266,6 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
+    spec = None
     try:
         spec = parse_config(args.config)
         # a flag overrides the environment, which overrides the file
@@ -281,11 +266,11 @@ def main(argv: list[str] | None = None) -> int:
         outputs.ensure_dir(args.out)
         return _COMMANDS[args.command](spec, args.out, args)
     except (ConfigError, ParameterError) as exc:
-        _emit_error(args.out, exc)
+        _emit_error(args.out, exc, spec)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BlowUpError, ValueError, RuntimeError, OSError, MemoryError) as exc:
-        _emit_error(args.out, exc)
+        _emit_error(args.out, exc, spec)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

@@ -182,15 +182,18 @@ def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
 
     Common random numbers: each sample index keeps one seed across all eps,
     and the jump sampler nests event streams across intensities.  The cells
-    are taken in groups of consecutive eps, as many as keep a batch's
-    (path, eps) rows within one chunk of the nonlinearity kernel
+    are taken in groups of consecutive distinct eps, as many as keep a
+    batch's (path, eps) rows within one chunk of the nonlinearity kernel
     (``chunk_rows``), or one; a group's cells march together, and its march
     never outgrows the kernel's buffers.  An eps repeated in the list is
     marched once and shares its cell.  ``precomputed`` supplies
     already-finished cells (checkpoint resume); ``on_cell`` is called for
     each freshly computed cell when its group has finished.  The first
     blow-up raised is that of the first cell, then the lowest path,
-    whatever the grouping.
+    whatever the grouping.  The report's ``marches`` are those of a fresh
+    run, one per batch of each group, resumed or not; its ``substeps``,
+    ``table_hits`` and ``kicks`` sum over the listed cells, a repeated eps
+    counted once per listing.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -198,9 +201,10 @@ def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
     task = partial(_sweep_batch, params, basis, u0, jm, ctrl, grid, master_seed, skel)
     known = dict(precomputed or {})
     per_march = max(1, chunk_rows(params, basis) // min(BATCH, n_samples))
-    groups = [eps_list[i:i + per_march] for i in range(0, len(eps_list), per_march)]
+    distinct = list(dict.fromkeys(eps_list))
+    groups = [distinct[i:i + per_march] for i in range(0, len(distinct), per_march)]
     for group in groups:
-        todo = list(dict.fromkeys(eps for eps in group if eps not in known))
+        todo = [eps for eps in group if eps not in known]
         if not todo:
             continue
         done = _map_batches(partial(task, todo), n_samples, _pool_map)
@@ -216,7 +220,7 @@ def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
     cells = [known[eps] for eps in eps_list]
     eps_arr = np.asarray(eps_list, dtype=float)
     sup_means = np.asarray([c.mean_sup_sq for c in cells])
-    if len(set(eps_list)) < 2:
+    if len(distinct) < 2:
         slope = r2 = math.nan      # no line through a single point
     elif np.all(sup_means > 0):
         slope, r2 = _fit_loglog(eps_arr, sup_means)
@@ -248,13 +252,13 @@ class TailCell:
 
 @dataclass
 class TailReport:
-    cells: list[TailCell]
     # the Monte Carlo marches, one per batch; their sub-steps, those that
     # reused a cached uniform-step table, and their kicks
     marches: int
     substeps: int
     table_hits: int
     kicks: int
+    cells: list[TailCell]
 
 
 def _tail_batch(params: Parameters, basis: SpectralBasis, u0: StateField,

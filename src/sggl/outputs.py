@@ -1,10 +1,13 @@
-"""Result persistence: headered CSV, JSON reports, and flat binary field blocks.
+"""Result persistence: headered CSV, JSON files, and flat binary field blocks.
 
-Every emitted file begins with a header line recording the config hash and
-the master seed, so any output can be traced back to its exact inputs.
-Floats are written with 17 significant digits; reruns with identical config
-and seed reproduce outputs byte for byte.  JSON reports are strict RFC 8259
-JSON: a NaN or infinite float is written as null.
+Every emitted file carries the config hash and the master seed, so any
+output can be traced back to its exact inputs: CSV and binary files begin
+with a header line, and JSON files (reports, the sweep checkpoint and
+``error.json``) with a ``header`` object.  Floats are written with 17
+significant digits; reruns with identical config and seed reproduce outputs
+byte for byte.  JSON files are strict RFC 8259 JSON, a NaN or infinite float
+written as null, and are written atomically: a crash never leaves one
+truncated.
 """
 
 from __future__ import annotations
@@ -79,14 +82,20 @@ def _finite_or_null(value):
     return value
 
 
-def write_json(path: str, payload: dict, config_hash: str, master_seed: int):
-    """JSON report whose first key is the provenance header."""
-    doc = {"header": {"config_sha256": config_hash, "master_seed": master_seed}}
-    doc.update(payload)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_finite_or_null(doc), fh, indent=2, sort_keys=False,
-                  allow_nan=False)
+def json_header(config_hash: str | None, master_seed: int | None) -> dict:
+    return {"config_sha256": config_hash, "master_seed": master_seed}
+
+
+def write_json(path: str, payload: dict, config_hash: str | None,
+               master_seed: int | None):
+    """JSON file whose first key is the provenance header, written to a
+    temporary file beside ``path`` and then moved over it."""
+    doc = {"header": json_header(config_hash, master_seed), **payload}
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(_finite_or_null(doc), fh, indent=2, allow_nan=False)
         fh.write("\n")
+    os.replace(tmp, path)
 
 
 def ensure_dir(path: str):

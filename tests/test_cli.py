@@ -1,6 +1,7 @@
 """Config parsing, CLI subcommands, persistence, and determinism."""
 
 import configparser
+import hashlib
 import json
 import os
 import shutil
@@ -457,6 +458,19 @@ def test_cli_sweep_resume_from_checkpoint(tmp_path):
     assert Path(os.path.join(out, "sweep.json")).read_bytes() == report
 
 
+def test_cli_sweep_never_resumes_from_another_seed(tmp_path):
+    # a checkpoint holds the cells of its own seed: resuming with another
+    # seed recomputes every cell
+    cfg = write_config(tmp_path)
+    fresh, out = str(tmp_path / "fresh"), str(tmp_path / "w")
+    assert main(["sweep", "--config", cfg, "--out", fresh, "--seed", "2"]) == 0
+    assert main(["sweep", "--config", cfg, "--out", out, "--seed", "1"]) == 0
+    assert main(["sweep", "--config", cfg, "--out", out, "--resume",
+                 "--seed", "2"]) == 0
+    assert Path(out, "sweep.csv").read_bytes() == \
+        Path(fresh, "sweep.csv").read_bytes()
+
+
 def test_cli_sweep_ignores_checkpoint_without_counters(tmp_path, capsys):
     # a checkpoint written before the cells carried their counters, or
     # before they carried kicks, is unreadable: the sweep warns, recomputes
@@ -550,6 +564,50 @@ def test_cli_every_output_has_header(tmp_path):
     for name, blob in read_all(out).items():
         first = blob.split(b"\n", 1)[0]
         assert b"config_sha256=" in first, name
+
+
+def test_cli_every_json_file_is_strict_and_headed(tmp_path):
+    # reports, the sweep checkpoint and error.json all open with the same
+    # header object and hold no bare NaN or Infinity
+    text = SMALL_CONFIG.format(beta=0.5, sigma=3.0).replace(
+        "target_radius = 0.05", "target_radius = 0.005")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    header = {"config_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+              "master_seed": 5}
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    def headers(out):
+        names = sorted(n for n in os.listdir(out) if n.endswith(".json"))
+        docs = [json.loads(Path(out, n).read_text(encoding="utf-8"),
+                           parse_constant=reject) for n in names]
+        assert all(next(iter(doc)) == "header" for doc in docs), names
+        return {n: doc["header"] for n, doc in zip(names, docs)}
+
+    expected = {"rate": ["rate.json"],
+                "sweep": ["sweep.checkpoint.json", "sweep.json"],
+                "tail": ["tail.json"], "audit": ["audit.json"],
+                "verify": ["verify.json"]}
+    for cmd, names in expected.items():
+        out = tmp_path / cmd
+        assert main([cmd, "--config", str(cfg), "--out", str(out),
+                     "--seed", "5"]) == 0
+        assert headers(out) == dict.fromkeys(names, header), cmd
+
+    out = tmp_path / "missing"
+    assert main(["rate", "--config", str(tmp_path / "missing.ini"),
+                 "--out", str(out)]) == 2
+    assert headers(out) == {"error.json": {"config_sha256": None,
+                                           "master_seed": None}}
+    no_target = text.replace("target_phi = 1.5, 1.0\n", "")
+    cfg.write_text(no_target)
+    out = tmp_path / "no_target"
+    assert main(["rate", "--config", str(cfg), "--out", str(out),
+                 "--seed", "5"]) == 2
+    header["config_sha256"] = hashlib.sha256(no_target.encode("utf-8")).hexdigest()
+    assert headers(out) == {"error.json": header}
 
 
 def test_cli_non_integer_workers_env_is_usage_error(tmp_path, monkeypatch, capsys):

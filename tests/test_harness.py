@@ -102,6 +102,29 @@ def test_sweep_marches_each_distinct_eps_once(params_pi, monkeypatch):
         (2 * cell.substeps, 2 * cell.table_hits, 2 * cell.kicks)
 
 
+def test_sweep_marches_count_the_marches_made(params_pi, monkeypatch):
+    # one cell a group: a group whose eps was marched by an earlier group is
+    # no group, so the report's marches are the marches made
+    basis, u0, grid = small_setup(params_pi)
+    ctrl = constant_control(grid.T, 2, 1.5)
+    monkeypatch.setattr(harness, "chunk_rows", lambda params, basis: 4)
+    march_batch = harness.march_batch
+    marched = []
+
+    def spy(params, basis, u0, jm, eps_list, *args, **kwargs):
+        marched.append(list(eps_list))
+        return march_batch(params, basis, u0, jm, eps_list, *args, **kwargs)
+
+    ref = convergence_sweep(params_pi, basis, jm2(), u0, ctrl, grid,
+                            [0.25, 0.125], n_samples=4, master_seed=3)
+    monkeypatch.setattr(harness, "march_batch", spy)
+    rep = convergence_sweep(params_pi, basis, jm2(), u0, ctrl, grid,
+                            [0.25, 0.125, 0.25], n_samples=4, master_seed=3)
+    assert marched == [[0.25], [0.125]]
+    assert rep.marches == 2
+    assert rep.cells == [ref.cells[0], ref.cells[1], ref.cells[0]]
+
+
 def test_sweep_zero_initial_state(params_pi):
     basis, _, grid = small_setup(params_pi)
     rep = convergence_sweep(params_pi, basis, jm2(), zero_field(basis),

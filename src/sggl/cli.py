@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, astuple, fields
 
@@ -30,7 +29,6 @@ from .rate import EndpointSpec, OptConfig, estimate_rate
 from .skeleton import solve_skeleton
 from .spde import solve_spde
 from .timestep import BlowUpError
-from .verify import run_invariant_suite
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -42,11 +40,14 @@ def _pool_mapper(workers: int):
     """Order-preserving mapper over a process pool that is shut down on exit;
     None for a single worker.  The pool gets at most one worker per usable
     CPU: it forks every worker at its first task.  Results are keyed by
-    index, so statistics are identical for any worker count."""
+    index, so statistics are identical for any worker count.  The pool's
+    module (with multiprocessing) is imported only here, so a one-worker
+    run never loads it."""
     workers = min(workers, len(os.sched_getaffinity(0)))
     if workers <= 1:
         yield None
         return
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as executor:
         yield executor.map
 
@@ -203,6 +204,7 @@ def cmd_audit(spec: RunSpec, out: str, args) -> int:
 
 
 def cmd_verify(spec: RunSpec, out: str, args) -> int:
+    from .verify import run_invariant_suite     # only verify runs the suite
     failures = run_invariant_suite(spec)
     outputs.write_json(os.path.join(out, "verify.json"), {
         "ok": not failures,

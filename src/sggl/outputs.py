@@ -16,6 +16,7 @@ import json
 import math
 import os
 import struct
+from contextlib import suppress
 
 import numpy as np
 
@@ -89,13 +90,20 @@ def json_header(config_hash: str | None, master_seed: int | None) -> dict:
 def write_json(path: str, payload: dict, config_hash: str | None,
                master_seed: int | None):
     """JSON file whose first key is the provenance header, written to a
-    temporary file beside ``path`` and then moved over it."""
+    temporary file beside ``path`` and then moved over it; if either step
+    fails, the temporary file is removed and the error raised."""
     doc = {"header": json_header(config_hash, master_seed), **payload}
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_finite_or_null(doc), fh, indent=2, allow_nan=False)
-        fh.write("\n")
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            json.dump(_finite_or_null(doc), fh, indent=2, allow_nan=False)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def ensure_dir(path: str):

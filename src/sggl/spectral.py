@@ -59,9 +59,10 @@ def _float_view(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(X, dtype=np.complex128).view(np.float64)
 
 
-def _power(a: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
-    """a ** e for a non-negative float field ``a``, written to ``out``
-    (allocated if None).
+def _power_by(e: float):
+    """The map (a, out) -> a ** e for a non-negative float field ``a``,
+    written to ``out`` (allocated if None), with the multiplications worked
+    out once for a caller that raises many fields to the same e.
 
     An integer e >= 1 is applied by left-to-right binary powering: for each
     bit of e after the leading one the result is squared, then multiplied by
@@ -70,15 +71,24 @@ def _power(a: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray
     itself.  Any other e goes to ``np.power``.
     """
     if not float(e).is_integer():
-        return np.power(a, e, out=out)
+        return lambda a, out: np.power(a, e, out=out)
     if e < 1:
         raise ValueError(f"integer exponent must be >= 1, got {e}")
-    r = a
-    for bit in bin(int(e))[3:]:
-        r = out = np.multiply(r, r, out=out)
-        if bit == "1":
-            r *= a
-    return r
+    odd = [bit == "1" for bit in bin(int(e))[3:]]
+
+    def power(a: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        r = a
+        for times_a in odd:
+            r = out = np.multiply(r, r, out=out)
+            if times_a:
+                r *= a
+        return r
+    return power
+
+
+def _power(a: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
+    """a ** e into ``out`` by ``_power_by(e)``."""
+    return _power_by(e)(a, out)
 
 
 def _abs_sq(U: np.ndarray) -> np.ndarray:
@@ -269,10 +279,10 @@ def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
     multiplies the n1 x n2 result instead of the padded grid.  Terms whose
     lambdas vanish are left out when the kernel is built.
 
-    |u|^(2 sigma) is (|u|^2)^sigma by ``_power`` in the buffers ``a`` and
-    ``t``: two multiplies for sigma = 3, ``np.power`` only for a
-    non-integer sigma.  The projection's first GEMM writes into R, which is
-    spent by then.
+    |u|^(2 sigma) is (|u|^2)^sigma by ``_power_by(sigma)``, built with the
+    kernel, in the buffers ``a`` and ``t``: two multiplies for sigma = 3,
+    ``np.power`` only for a non-integer sigma.  The projection's first GEMM
+    writes into R, which is spent by then.
 
     The grid fields live in buffers that the returned function keeps
     between calls.  A batch's fields run to megabytes; allocated afresh on
@@ -291,7 +301,7 @@ def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
     with_F, with_conj = _has_F(params), any(l1)
     ax, ay = ((2 * l1[i] + l2[i]) / kappa for i in (0, 1))
     bx, by = (np.conj(l1[i] / kappa) for i in (0, 1))
-    sigma = params.sigma
+    power = _power_by(params.sigma)
     S1, C1, P1 = basis._S1, basis._C1, basis._P1
     RS2, RC2, RP2 = basis._RS2, basis._RC2, basis._RP2
     half_f = (basis.n1, 2 * basis.n2)       # a coefficient array's float view
@@ -353,7 +363,7 @@ def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
                 Ux *= U
                 T += Ux
         if saturation:
-            U *= _power(a, sigma, out=w.t)          # |u|^(2 sigma) u
+            U *= power(a, w.t)                      # |u|^(2 sigma) u
             if with_F:
                 U += T
             G = w.U_f

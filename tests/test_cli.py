@@ -1,16 +1,20 @@
 """Config parsing, CLI subcommands, persistence, and determinism."""
 
+import concurrent.futures
 import configparser
 import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sggl import cli, harness, spde
+import sggl
+from sggl import cli, harness, outputs, spde
 from sggl.cli import main
 from sggl.config import _SCHEMA, ConfigError, parse_config
 from sggl.jumps import Control, constant_control
@@ -301,7 +305,7 @@ def test_pool_mapper_clamps_workers_to_usable_cpus(monkeypatch):
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     with cli._pool_mapper(64) as mapper:
         assert list(mapper(abs, [-1, 2])) == [1, 2]
@@ -327,6 +331,30 @@ def test_cli_unwritable_output_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error: ") for line in err)
     assert read_error(str(out))["error"] == "IsADirectoryError"
+
+
+def test_write_json_failure_leaves_no_temporary_file(tmp_path):
+    # the move onto a directory fails; its temporary file must not stay
+    target = tmp_path / "x.json"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        outputs.write_json(str(target), {"a": 1}, None, None)
+    assert sorted(os.listdir(tmp_path)) == ["x.json"]
+    # nor may that of a write that fails once the file is open
+    with pytest.raises(TypeError):
+        outputs.write_json(str(tmp_path / "y.json"), {"a": object()}, None, None)
+    assert sorted(os.listdir(tmp_path)) == ["x.json"]
+
+
+def test_import_cli_loads_neither_pool_nor_invariant_suite():
+    # a fresh interpreter: this test process may have imported them already
+    src = str(Path(sggl.__file__).resolve().parents[1])
+    code = ("import sys, sggl.cli; print(' '.join(m for m in ('concurrent.futures', "
+            "'multiprocessing', 'sggl.verify') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
 
 
 def test_cli_resume_only_on_sweep(tmp_path):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager, suppress
@@ -131,15 +132,23 @@ def cmd_rate(spec: RunSpec, out: str, args) -> int:
 
 def _load_checkpoint(path: str, spec: RunSpec) -> dict:
     """Finished sweep cells by eps from a checkpoint of the same config and
-    seed; {} (with a warning) if the checkpoint cannot be read."""
+    seed; {} (with a warning) if the checkpoint cannot be read or a cell is
+    damaged: a value whose type is not the one its field is annotated with
+    (a bool is no int), a non-finite float, or another n_samples than the run's."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if doc.get("header") != outputs.json_header(spec.config_hash,
                                                     spec.master_seed):
             return {}
-        return {row["eps"]: harness.SweepCell(**row) for row in doc.get("cells", [])}
-    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+        cells = [harness.SweepCell(**row) for row in doc.get("cells", [])]
+        for c in cells:
+            if c.n_samples != spec.options["n_samples"] or any(
+                    type(v).__name__ != f.type or not math.isfinite(v)
+                    for f, v in zip(fields(c), astuple(c))):
+                raise ValueError(f"damaged cell {asdict(c)}")
+        return {c.eps: c for c in cells}
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
         print(f"warning: ignoring unreadable checkpoint {path}: {exc}",
               file=sys.stderr)
         return {}

@@ -282,8 +282,6 @@ def _tail_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
 
 
 def _wilson(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    if n == 0:
-        return 0.0, 1.0
     p = k / n
     denom = 1 + z * z / n
     center = (p + z * z / (2 * n)) / denom

@@ -45,10 +45,6 @@ class JumpModel:
     def n_marks(self) -> int:
         return self.nu.size
 
-    @property
-    def total_nu(self) -> float:
-        return float(self.nu.sum())
-
 
 @dataclass(frozen=True)
 class NoiseScale:
@@ -124,15 +120,13 @@ def trajectory_seed(master_seed: int, index: int) -> int:
 
 
 def _rate_scaled_times(rng: np.random.Generator, rate: float, T: float) -> np.ndarray:
-    """Event times of a Poisson process of the given rate on [0, T].
+    """Event times of a Poisson process of the given rate > 0 on [0, T > 0].
 
     Realized as a unit-rate exponential-gap stream cut at rate*T and rescaled;
     for a fixed stream, samples at higher rate are supersets in law (CRN
     coupling across epsilon).
     """
     horizon = rate * T
-    if horizon <= 0:
-        return np.empty(0)
     total = 0.0
     chunks = []
     chunk = max(16, int(horizon * 1.2) + 8)

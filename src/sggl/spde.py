@@ -8,6 +8,8 @@ equation driven by the thinned measure of intensity eps^-1 phi nu: it is
 still compensated by eps^-1 nu, so only its events differ from the raw
 process, never its drift.  Jump times are inserted exactly into the step
 sequence, so a scalar single-mode run admits a closed-form product oracle.
+An event whose kick factor is exactly 1.0 (a mark with g_j = 0) is no
+event at all: it never splits a step, and no event log lists it.
 
 ``march_batch`` marches the Monte Carlo rows of a batch of seeds, each
 seed at every noise scale of a list, in lock step; it is the one place where
@@ -27,23 +29,23 @@ from .skeleton import MarchResult, TimeGrid, Trajectory, march, march_trajectory
 from .spectral import SpectralBasis, StateField, norm_powers
 
 
-def _pad_events(samples: list[JumpSample], jm: JumpModel, eps: list[float],
-                keep_identity: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(S, E) event times padded with +inf and kick factors padded with 1.0.
+def _taken(sample: JumpSample, jm: JumpModel, eps: float) -> JumpSample:
+    """The events of ``sample`` that kick its path at noise scale ``eps``."""
+    keep = 1.0 + eps * jm.g[sample.marks] != 1.0
+    return JumpSample(sample.times[keep], sample.marks[keep], sample.T)
 
-    ``eps`` holds the noise scale of each sample.  A path whose kicks are all
-    the identity loses its events unless ``keep_identity``, so it steps
-    exactly like the deterministic run.
-    """
-    kicks = [1.0 + e * jm.g[s.marks] for s, e in zip(samples, eps)]
-    if not keep_identity:
-        kicks = [f if np.any(f != 1.0) else f[:0] for f in kicks]
-    width = max((f.size for f in kicks), default=0)
+
+def _pad_events(samples: list[JumpSample], jm: JumpModel,
+                eps: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """(S, E) times of the ``_taken`` events padded with +inf and their kick
+    factors padded with 1.0; ``eps`` holds the noise scale of each sample."""
+    samples = [_taken(s, jm, e) for s, e in zip(samples, eps)]
+    width = max((s.n_events for s in samples), default=0)
     times = np.full((len(samples), width), np.inf)
     factors = np.ones((len(samples), width))
-    for i, (s, f) in enumerate(zip(samples, kicks)):
-        times[i, :f.size] = s.times[:f.size]
-        factors[i, :f.size] = f
+    for i, (s, e) in enumerate(zip(samples, eps)):
+        times[i, :s.n_events] = s.times
+        factors[i, :s.n_events] = 1.0 + e * jm.g[s.marks]
     return times, factors
 
 
@@ -82,12 +84,12 @@ def solve_spde(params: Parameters, basis: SpectralBasis, u0: StateField,
     under a 1-bin control and the same ``events`` the two paths agree bit for
     bit.  ``events`` overrides sampling (used by tests that inject a fixed or
     empty event set); ``event_log`` collects (t, mark, ||u(t-)||, ||u(t)||)
-    for every event, identity kicks included.
+    for every kick the path takes, so keeping a log never changes the path.
     """
     if events is None:
         events = sample_prm(jm, eps, grid.T, seed, ctrl)
-    times, factors = _pad_events([events], jm, [eps.epsilon],
-                                 keep_identity=event_log is not None)
+    events = _taken(events, jm, eps.epsilon)
+    times, factors = _pad_events([events], jm, [eps.epsilon])
     on_kick = None
     if event_log is not None:
         def on_kick(rows, j, before, after):

@@ -469,7 +469,7 @@ def test_cli_single_eps_sweep_json_is_strict(tmp_path):
     assert doc["slope_flag"] is True and doc["eps"] == [0.25]
 
 
-def test_cli_sweep_resume_from_checkpoint(tmp_path):
+def test_cli_sweep_resume_from_checkpoint(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "w")
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
@@ -481,7 +481,9 @@ def test_cli_sweep_resume_from_checkpoint(tmp_path):
     # counters included
     os.remove(os.path.join(out, "sweep.csv"))
     os.remove(os.path.join(out, "sweep.json"))
+    capsys.readouterr()
     assert main(["sweep", "--config", cfg, "--out", out, "--resume"]) == 0
+    assert capsys.readouterr().err == ""      # every cell was read back
     assert Path(os.path.join(out, "sweep.csv")).read_bytes() == full
     assert Path(os.path.join(out, "sweep.json")).read_bytes() == report
 
@@ -521,6 +523,30 @@ def test_cli_sweep_ignores_checkpoint_without_counters(tmp_path, capsys):
         assert "unreadable checkpoint" in capsys.readouterr().err
         assert Path(os.path.join(out, "sweep.csv")).read_bytes() == full
         assert Path(ckpt).read_bytes() == blob
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mean_sup_sq", None), ("mean_sup_sq", "0.1"), ("kicks", True),
+    ("n_samples", 5),
+], ids=["null", "string", "bool", "n_samples"])
+def test_cli_sweep_recomputes_damaged_checkpoint_cell(tmp_path, capsys, field,
+                                                      value):
+    # a cell under a valid header that holds a field off its declared type,
+    # or another n_samples than the run's, is unreadable: the sweep warns,
+    # recomputes and writes the fresh run's bytes
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "w")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    fresh = read_all(out)
+    ckpt = Path(out, "sweep.checkpoint.json")
+    doc = json.loads(ckpt.read_text())
+    doc["cells"][1][field] = value
+    ckpt.write_text(json.dumps(doc))
+    os.remove(os.path.join(out, "sweep.csv"))
+    capsys.readouterr()
+    assert main(["sweep", "--config", cfg, "--out", out, "--resume"]) == 0
+    assert "unreadable checkpoint" in capsys.readouterr().err
+    assert read_all(out) == fresh
 
 
 def test_cli_sweep_report_counts(tmp_path):

@@ -1,6 +1,7 @@
 """Lock-step batched marcher: agreement with single paths, batching
 independence, blow-up ordering, table cache, and control-bin edges."""
 
+import pickle
 import warnings
 
 import numpy as np
@@ -347,6 +348,16 @@ def test_blowup_freezes_only_its_path(params_pi):
     none = np.empty((1, 0))
     alone = march(params_pi, basis, u0, grid, none, none, 0.0, 1)
     assert np.array_equal(res.endpoints[0], alone.endpoints[0])
+
+
+def test_blowup_error_survives_pickle():
+    # a worker process hands its BlowUpError back pickled: the copy keeps
+    # every field and the message
+    err = BlowUpError(step=7, t=0.125, norm=3.5e9, cap=12.0)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is BlowUpError
+    assert (back.step, back.t, back.norm, back.cap) == (7, 0.125, 3.5e9, 12.0)
+    assert str(back) == str(err)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def test_noise_scale_positive():
 # raw PRM sampling
 
 def test_sample_prm_poisson_mean():
-    # total_nu=2, T=1, eps=0.5: mean count 4; check over many seeds
+    # sum_j nu_j = 2, T = 1, eps=0.5: mean count 4; check over many seeds
     jm = JumpModel(nu=np.array([2.0]), g=np.array([0.3]))
     eps = NoiseScale(0.5)
     n = 100_000
@@ -76,7 +76,7 @@ def test_sample_prm_deterministic():
 
 
 def test_sample_prm_mark_frequencies():
-    # marks categorical with probabilities nu_j / total_nu = (0.25, 0.75)
+    # marks categorical with probabilities nu_j / sum_k nu_k = (0.25, 0.75)
     jm = JumpModel(nu=np.array([1.0, 3.0]), g=np.array([0.1, 0.2]))
     eps = NoiseScale(0.001)
     marks = np.concatenate(

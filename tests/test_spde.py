@@ -7,6 +7,8 @@ from sggl import (Control, JumpModel, JumpSample, NoiseScale, Parameters,
                   TimeGrid, constant_control, drift_coefficient, empty_sample,
                   make_basis, mode_field, sample_prm, solve_skeleton,
                   solve_spde, zero_field)
+from sggl.jumps import compensator_drift
+from sggl.skeleton import march_trajectory
 
 from conftest import jm2
 
@@ -35,16 +37,49 @@ def test_zero_initial_state(params_pi, basis8):
 
 def test_zero_amplitude_equals_skeleton(params_pi, basis8):
     # g = 0: kicks are identity and the compensator vanishes, so the path
-    # must equal the phi=1 skeleton bit for bit
+    # must equal the phi=1 skeleton bit for bit, with or without an event
+    # log, and the log lists no kick
     jm = JumpModel(nu=np.array([1.0]), g=np.array([0.0]))
     u0 = mode_field(basis8, 1, 1, 0.3 + 0.1j)
     grid = TimeGrid(T=0.4, n_steps=40)
+    assert sample_prm(jm, NoiseScale(0.2), grid.T, 3).n_events > 0
     skel = solve_skeleton(params_pi, basis8, u0, jm,
                           constant_control(0.4, 1, 1.0), grid)
     path = solve_spde(params_pi, basis8, u0, jm, NoiseScale(0.2), grid, seed=3)
+    log = []
+    logged = solve_spde(params_pi, basis8, u0, jm, NoiseScale(0.2), grid,
+                        seed=3, event_log=log)
     assert len(path.modes) == len(skel.modes)
-    for a, b in zip(path.modes, skel.modes):
-        assert np.array_equal(a, b)
+    assert np.array_equal(path.modes, skel.modes)
+    assert np.array_equal(logged.modes, skel.modes)
+    assert log == []
+
+
+def test_zero_amplitude_mark_is_no_event(params_pi, basis8):
+    # marks g = (0, 0.5): the g = 0 events neither split a step nor enter
+    # the log, so the path, logged or not, is the march on the g != 0
+    # events alone
+    jm = JumpModel(nu=np.array([3.0, 1.0]), g=np.array([0.0, 0.5]))
+    u0 = mode_field(basis8, 1, 1, 0.3 + 0.1j)
+    grid = TimeGrid(T=0.4, n_steps=40)
+    eps = NoiseScale(0.2)
+    events = sample_prm(jm, eps, grid.T, 5)
+    kicked = events.marks == 1
+    assert kicked.any() and not kicked.all()
+    want = march_trajectory(params_pi, basis8, u0, grid,
+                            events.times[kicked][None],
+                            np.full((1, kicked.sum()), 1 + 0.2 * 0.5),
+                            compensator_drift(jm), 1)
+    log = []
+    logged = solve_spde(params_pi, basis8, u0, jm, eps, grid, seed=5,
+                        event_log=log)
+    path = solve_spde(params_pi, basis8, u0, jm, eps, grid, seed=5)
+    assert np.array_equal(logged.modes, want.modes)
+    assert np.array_equal(path.modes, want.modes)
+    assert [(t, m) for t, m, _, _ in log] == \
+        [(t, 1) for t in events.times[kicked].tolist()]
+    for _, _, pre, post in log:
+        assert post / pre == pytest.approx(abs(1 + 0.2 * 0.5), rel=1e-12)
 
 
 def test_controlled_identity_control_matches_spde(params_pi, basis8):

@@ -19,6 +19,7 @@ scale, so every sample is the one ``sample_prm`` draws on its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,9 +178,14 @@ def sample_prm_scales(jm: JumpModel, scales: list[NoiseScale], T: float,
         rng = mark_rng(seed, j)
         start = rng.bit_generator.state if len(scales) > 1 else None
         for i, eps in enumerate(scales):
+            # in Python floats, which overflow to inf without a warning
+            rate = M * float(jm.nu[j]) / float(eps.epsilon)
+            if not math.isfinite(rate):
+                raise ValueError(f"the intensity M*nu_j/eps of mark {j} "
+                                 f"overflows at eps = {eps.epsilon!r}")
             if i:
                 rng.bit_generator.state = start
-            t = _rate_scaled_times(rng, M * jm.nu[j] / eps.epsilon, T)
+            t = _rate_scaled_times(rng, rate, T)
             if ctrl is not None and t.size:
                 bins = np.minimum((t * ctrl.n_bins / T).astype(int), ctrl.n_bins - 1)
                 accept = rng.random(t.size) < ctrl.phi[bins, j] / M
@@ -190,8 +196,12 @@ def sample_prm_scales(jm: JumpModel, scales: list[NoiseScale], T: float,
 
 
 def _merge(times_all, marks_all, T: float) -> JumpSample:
+    """The marks' event streams as one time-sorted sample; a single stream
+    is already in time order and is returned as drawn."""
     if not times_all:
         return empty_sample(T)
+    if len(times_all) == 1:
+        return JumpSample(times_all[0], marks_all[0], T)
     t = np.concatenate(times_all)
     m = np.concatenate(marks_all)
     order = np.argsort(t, kind="stable")

@@ -97,9 +97,12 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
 
     Each round every unfinished path takes its own sub-step, to its next
     event or its next grid time, whichever comes first; every path's
-    sequence of sub-steps is laid out before stepping, and each round reads
-    the unfinished paths' entries of its row, so a path that leaves the
-    batch drops only its state, never a copy of the schedule.  A path's grid
+    sequence of sub-steps, with the factor each one ends by multiplying its
+    state by (1.0 without an event), is laid out before stepping, and each
+    round reads the unfinished paths' entries of its row, so a path that
+    leaves the batch drops only its state, never a copy of the schedule.  A
+    round in which some path kicks applies its kicks in one multiply masked
+    to the kicked rows, which leaves every other row as it is.  A path's grid
     index k counts its finished grid steps and fixes its control bin
     k // (steps per bin), so bins never depend on rounded float times.  A
     sub-step that starts on a grid time and ends on the next one uses the
@@ -111,8 +114,9 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     round if that is more; building a block takes about three times its
     size in temporaries), and banked after the cached ones, so a round
     gathers all its tables in one take.  A march without events builds no
-    block.  A path's arithmetic is the same whatever else its
-    batch holds, so its result is its S = 1 march's, bit for bit.
+    block and lays out no kick factors.  A path's arithmetic is the same
+    whatever else its batch holds, so its result is its S = 1 march's, bit
+    for bit.
 
     Callbacks see the batch rows they concern: ``on_save(rows, k, modes)``
     after each path's k-th grid step, and
@@ -155,6 +159,12 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     k_after = np.cumsum(~is_ev, axis=0, dtype=np.int32)  # grid steps finished after it
     end = grid_times[np.minimum(k_after, n_steps) - 1]     # time it ends at
     end[pos, es] = ev[es, ej]
+    # the factor it multiplies its state by, 1.0 for a sub-step without an
+    # event; a march without events builds none
+    kicked = is_ev.any(axis=1)              # rounds in which some path kicks
+    if es.size:
+        fac = np.ones((R, S))
+        fac[pos, es] = kick_factors[es, ej]
     del es, ej, pos                         # one entry per event: set-up only
     uniform = ~is_ev                        # a whole grid step
     uniform[1:] &= ~is_ev[:-1]
@@ -204,15 +214,17 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
         tables = bank.take(entry[r][sel], axis=1)
         c = etdrk2_step(c, tables, nonlin)
 
-        n_kick = np.count_nonzero(kick)
-        if n_kick:
-            kr = rows[kick]
-            j = r - kg[kick]                # earlier sub-steps less grid steps done
-            before = c[kick]
-            after = before * kick_factors[kr, j][:, None, None]
-            c[kick] = after
-            if on_kick is not None:
-                on_kick(kr, j, before, after)
+        if kicked[r]:
+            logged = on_kick is not None and kick.any()
+            if logged:
+                before = c[kick]
+            # writes the kicked rows only: a signed zero, an inf or a NaN
+            # of any other row stays as it is
+            np.multiply(c, fac[r][sel][:, None, None], out=c,
+                        where=kick[:, None, None])
+            if logged:
+                # j: earlier sub-steps less grid steps done
+                on_kick(rows[kick], r - kg[kick], before, c[kick])
 
         # blow-up check on every row; saving and finishing on a grid time
         w = c.view(np.float64).reshape(rows.size, n_real)

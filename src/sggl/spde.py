@@ -29,23 +29,41 @@ from .skeleton import MarchResult, TimeGrid, Trajectory, march, march_trajectory
 from .spectral import SpectralBasis, StateField, norm_powers
 
 
+def _kicks(jm: JumpModel, marks: np.ndarray, eps) -> tuple[np.ndarray, np.ndarray]:
+    """Kick factors 1 + eps g_j of events with ``marks`` at noise scale
+    ``eps`` (a float, or one per event), and which of them kick: a factor of
+    exactly 1.0 is no event."""
+    factors = 1.0 + eps * jm.g[marks]
+    return factors, factors != 1.0
+
+
 def _taken(sample: JumpSample, jm: JumpModel, eps: float) -> JumpSample:
     """The events of ``sample`` that kick its path at noise scale ``eps``."""
-    keep = 1.0 + eps * jm.g[sample.marks] != 1.0
+    keep = _kicks(jm, sample.marks, eps)[1]
     return JumpSample(sample.times[keep], sample.marks[keep], sample.T)
 
 
 def _pad_events(samples: list[JumpSample], jm: JumpModel,
                 eps: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """(S, E) times of the ``_taken`` events padded with +inf and their kick
-    factors padded with 1.0; ``eps`` holds the noise scale of each sample."""
-    samples = [_taken(s, jm, e) for s, e in zip(samples, eps)]
-    width = max((s.n_events for s in samples), default=0)
-    times = np.full((len(samples), width), np.inf)
-    factors = np.ones((len(samples), width))
-    for i, (s, e) in enumerate(zip(samples, eps)):
-        times[i, :s.n_events] = s.times
-        factors[i, :s.n_events] = 1.0 + e * jm.g[s.marks]
+    factors padded with 1.0; ``eps`` holds the noise scale of each sample.
+
+    The batch's events are laid end to end, their factors computed in one
+    expression and the taken ones scattered to (sample, rank among its
+    taken events), E being the most any sample takes.
+    """
+    n = [s.n_events for s in samples]
+    row = np.repeat(np.arange(len(samples)), n)
+    t = np.concatenate([s.times for s in samples])
+    m = np.concatenate([s.marks for s in samples])
+    f, keep = _kicks(jm, m, np.repeat(eps, n))
+    row, t, f = row[keep], t[keep], f[keep]
+    count = np.bincount(row, minlength=len(samples))
+    rank = np.arange(row.size) - (np.cumsum(count) - count)[row]
+    times = np.full((len(samples), count.max()), np.inf)
+    factors = np.ones(times.shape)
+    times[row, rank] = t
+    factors[row, rank] = f
     return times, factors
 
 

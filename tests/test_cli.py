@@ -401,6 +401,26 @@ def test_cli_blowup_is_reported(tmp_path, capsys):
     assert doc["error"] == "BlowUpError" and "step 1" in doc["message"]
 
 
+def test_cli_overflowing_intensity_is_an_error(tmp_path):
+    # nu_j / eps overflows at eps = 1e-310: the sampler must name the mark
+    # and eps, without a traceback or a warning (a RuntimeWarning would end
+    # a run under -W error in a traceback)
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL_CONFIG.format(beta=0.5, sigma=3.0).replace(
+        "eps_list = 0.25, 0.125", "eps_list = 1e-310"))
+    out = str(tmp_path / "o")
+    src = str(Path(sggl.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "sggl.cli",
+                           "simulate", "--config", str(path), "--out", out],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    message = "the intensity M*nu_j/eps of mark 0 overflows at eps = 1e-310"
+    assert done.returncode == 1
+    assert done.stderr == f"error: {message}\n"
+    doc = read_error(out)
+    assert doc["error"] == "ValueError" and doc["message"] == message
+
+
 def test_cli_out_of_memory_is_reported(tmp_path, capsys, monkeypatch):
     # numpy raises MemoryError for an allocation it cannot make; the run
     # ends like any module error, without a traceback

@@ -390,11 +390,13 @@ def test_table_cache_serves_whole_grid_steps(params_pi):
 
 
 def banked_rows(params_pi):
-    # five rows under per-path drift over 2 bins: row 0 kicks exactly on two
+    # seven rows under per-path drift over 2 bins: row 0 kicks exactly on two
     # grid times (the rest of each step has h = 0, identity tables), row 1
     # is jump-dense and finishes last, row 2 has no events and finishes
     # first, row 3 blows up on a huge kick, row 4 kicks inside the first step
-    # and its last event lies after T
+    # and its last event lies after T, row 5 takes negative factors, one on a
+    # grid time, and row 6 a factor of exactly 0 on a grid time and later
+    # kicks of its zero state, the last one at T
     basis = make_basis(2, 2, params_pi, pad_factor=4)
     u0 = mode_field(basis, 1, 1, 0.1)
     grid = TimeGrid(T=0.2, n_steps=20)
@@ -404,14 +406,19 @@ def banked_rows(params_pi):
               np.sort(rng.uniform(0.0, 0.2, 40)),
               np.empty(0),
               np.array([0.0235, 0.0871, 0.1410]),
-              np.array([0.004, 0.0333, 0.25])]
-    times = np.full((5, 40), np.inf)
-    factors = np.ones((5, 40))
+              np.array([0.004, 0.0333, 0.25]),
+              np.array([grid_times[7], 0.0911, 0.1502]),
+              np.array([0.0123, grid_times[9], 0.1111, 0.165, grid_times[19]])]
+    times = np.full((7, 40), np.inf)
+    factors = np.ones((7, 40))
     for s, t in enumerate(events):
         times[s, :t.size] = t
         factors[s, :t.size] = rng.uniform(0.6, 1.4, t.size)
     factors[3, 1] = 1e9
-    drift = np.array([[0.5, -0.3], [-1.0, 2.0], [0.0, 0.7], [0.2, 0.2], [1.5, -2.0]])
+    factors[5, :3] = -0.8, 1.1, -1.3
+    factors[6, 1] = 0.0
+    drift = np.array([[0.5, -0.3], [-1.0, 2.0], [0.0, 0.7], [0.2, 0.2], [1.5, -2.0],
+                      [-0.4, 0.9], [0.3, -0.6]])
     return basis, u0, grid, times, factors, drift
 
 
@@ -491,9 +498,21 @@ def test_banked_tables_do_not_depend_on_block_size(params_pi, monkeypatch):
     monkeypatch.setattr(skeleton, "linear_tables", counted)
     default = banked_march(params_pi, setup)
     res = default[0]
-    assert res.errors[:3] == [None] * 3 and res.errors[4] is None
+    fine = (0, 1, 2, 4, 5, 6)
+    assert [res.errors[s] for s in fine] == [None] * 6
     assert isinstance(res.errors[3], BlowUpError)
-    assert len(set(res.substeps.tolist())) == 5
+    assert len(set(res.substeps.tolist())) == 7
+    # every kick multiplies its row's state by its factor, as a complex
+    # array times a real; the zero factor leaves a zero state
+    assert res.kicks[5] == 3 and res.kicks[6] == 5
+    for rows, j, before, after in default[2]:
+        before = np.frombuffer(before, complex).reshape(len(rows), -1)
+        after = np.frombuffer(after, complex).reshape(len(rows), -1)
+        want = before * setup[4][rows, j][:, None]
+        assert want.tobytes() == after.tobytes()
+    assert not np.any(res.endpoints[6])
+    for s in range(7):
+        assert [j for _, (j,), *_ in own_calls(default[2], s)] == list(range(res.kicks[s]))
     # the cache, then one block, which holds row 3's sub-steps after its
     # blow-up too
     off_grid = int(np.sum(res.substeps - res.table_hits))
@@ -515,9 +534,9 @@ def test_banked_tables_do_not_depend_on_block_size(params_pi, monkeypatch):
     assert max(blocks[1]) <= 7 and len(blocks[0]) > len(blocks[1]) > 5
     monkeypatch.undo()
 
-    for s in (0, 1, 2, 4):
-        assert np.array_equal(stepped_alone(params_pi, setup, s), res.endpoints[s])
-    for s in range(5):
+    for s in fine:
+        assert stepped_alone(params_pi, setup, s).tobytes() == res.endpoints[s].tobytes()
+    for s in range(7):
         one, saves, kicks = banked_march(params_pi, setup, slice(s, s + 1))
         assert np.array_equal(one.endpoints[0], res.endpoints[s])
         assert blowup(one.errors[0]) == blowup(res.errors[s])

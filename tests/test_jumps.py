@@ -105,16 +105,20 @@ def test_sample_prm_uniform_times():
     assert abs(times.mean() - 0.5) <= 5.0 / np.sqrt(12 * n)
 
 
-@pytest.mark.parametrize("phi", [None, [[1.0, 0.3, 0.0], [0.4, 1.7, 0.0]]],
-                         ids=["raw", "two_bins"])
-def test_sample_prm_scales_match_one_scale_calls(phi):
+@pytest.mark.parametrize("n_marks, phi", [
+    (3, None), (3, [[1.0, 0.3, 0.0], [0.4, 1.7, 0.0]]),
+    (1, None), (1, [[1.0], [0.4]]),
+], ids=["raw", "two_bins", "one_mark", "one_mark_two_bins"])
+def test_sample_prm_scales_match_one_scale_calls(n_marks, phi):
     # one seed drawn at several noise scales, each mark's generator built
     # once, gives what a sample_prm call per scale gives: times, marks and,
     # under the control, the thinning draws that follow the event times in
-    # the mark's stream.  Under the control mark 2's dominating intensity
-    # is 0.  Seed 561 draws 16 mark-0 gaps below 7.4 at eps = 1/7.4, so
-    # _rate_scaled_times needs a second chunk there.
-    jm = JumpModel(nu=np.array([1.0, 2.0, 0.5]), g=np.array([0.5, -0.3, 0.2]))
+    # the mark's stream.  Under the 3-mark control mark 2's dominating
+    # intensity is 0.  Seed 561 draws 16 mark-0 gaps below 7.4 at
+    # eps = 1/7.4, so _rate_scaled_times needs a second chunk there.  A
+    # one-mark sample is its stream as drawn, which must be in time order.
+    jm = JumpModel(nu=np.array([1.0, 2.0, 0.5][:n_marks]),
+                   g=np.array([0.5, -0.3, 0.2][:n_marks]))
     ctrl = None if phi is None else Control(T=1.0, phi=np.array(phi))
     scales = [NoiseScale(e) for e in (0.5, 1 / 7.4, 0.05, 0.5)]
     assert np.count_nonzero(sample_prm(jm, scales[1], 1.0, 561).marks == 0) >= 16
@@ -126,8 +130,9 @@ def test_sample_prm_scales_match_one_scale_calls(phi):
             assert np.array_equal(a.times, b.times)
             assert np.array_equal(a.marks, b.marks)
             assert a.T == b.T
+            assert np.all(np.diff(a.times) > 0)
         assert got[0].n_events < got[2].n_events
-        if ctrl is not None:
+        if ctrl is not None and n_marks == 3:
             assert not np.any(got[2].marks == 2)
 
 

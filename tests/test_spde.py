@@ -9,6 +9,7 @@ from sggl import (Control, JumpModel, JumpSample, NoiseScale, Parameters,
                   solve_spde, zero_field)
 from sggl.jumps import compensator_drift
 from sggl.skeleton import march_trajectory
+from sggl.spde import _pad_events
 
 from conftest import jm2
 
@@ -213,6 +214,47 @@ def test_event_log_kicks_each_planted_event_in_order(params_pi):
         list(zip(events.times.tolist(), events.marks.tolist()))
     for _, mark, pre, post in log:
         assert post / pre == pytest.approx(abs(1 + 0.5 * jm.g[mark]), rel=1e-12)
+
+
+def test_pad_events_matches_per_sample_padding():
+    # a batch padded without a per-sample loop equals each sample's taken
+    # events padded one by one.  Mark 1 has g = 0 and mark 2 a g so small
+    # that 1 + eps g is exactly 1.0 at every eps used, so neither kicks;
+    # the batch mixes noise scales and holds empty rows and rows whose
+    # every event is a mark-1 or mark-2 one
+    jm = JumpModel(nu=np.array([2.0, 3.0, 1.0]), g=np.array([0.5, 0.0, 1e-17]))
+    eps = [0.25, 0.1, 0.05]
+    samples = [sample_prm(jm, NoiseScale(e), 1.0, seed)
+               for seed in range(3) for e in eps]
+    only = samples[1].marks != 0
+    samples += [empty_sample(1.0),
+                JumpSample(samples[1].times[only], samples[1].marks[only], 1.0)]
+    eps = eps * 3 + [0.25, 0.1]
+    kicks = [np.count_nonzero(s.marks == 0) for s in samples]
+    assert min(kicks[:-2]) > 0 and kicks[-2:] == [0, 0]
+    assert set(samples[-1].marks.tolist()) == {1, 2}
+
+    def padded(batch, scales):
+        rows = []
+        for sample, e in zip(batch, scales):
+            f = 1.0 + e * jm.g[sample.marks]
+            rows.append((sample.times[f != 1.0], f[f != 1.0]))
+        width = max((t.size for t, _ in rows), default=0)
+        times = np.full((len(rows), width), np.inf)
+        factors = np.ones((len(rows), width))
+        for i, (t, f) in enumerate(rows):
+            times[i, :t.size] = t
+            factors[i, :t.size] = f
+        return times, factors
+
+    for batch, scales in ((samples, eps), (samples[-2:], eps[-2:])):
+        times, factors = _pad_events(batch, jm, scales)
+        want_times, want_factors = padded(batch, scales)
+        assert times.shape == want_times.shape
+        assert times.tobytes() == want_times.tobytes()
+        assert factors.tobytes() == want_factors.tobytes()
+        width = max(np.count_nonzero(s.marks == 0) for s in batch)
+        assert times.shape == (len(batch), width)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ scale, so every sample is the one ``sample_prm`` draws on its own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +119,11 @@ def trajectory_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+# most events a mark may expect on [0, T]: drawing more would take over a GB,
+# and a path takes at least two nonlinearity calls per event
+_MAX_EVENTS = 1e8
+
+
 def _rate_scaled_times(rng: np.random.Generator, rate: float, T: float) -> np.ndarray:
     """Event times of a Poisson process of the given rate > 0 on [0, T > 0].
 
@@ -162,27 +166,36 @@ def sample_prm_scales(jm: JumpModel, scales: list[NoiseScale], T: float,
 
     Each mark's generator is built once and its state restored before each
     scale, so entry i is ``sample_prm(jm, scales[i], T, seed, ctrl)`` bit for
-    bit: every scale draws the same stream from its start.
+    bit: every scale draws the same stream from its start.  A mark that
+    expects more than 1e8 events on [0, T] at some scale is a ValueError,
+    raised before anything is drawn.
     """
     if not T > 0:
         raise ValueError("T must be > 0")
     if ctrl is not None and ctrl.T != T:
         raise ValueError(f"control horizon {ctrl.T} differs from the "
                          f"sampling horizon {T}")
+    dominating = [1.0 if ctrl is None else float(ctrl.phi[:, j].max())
+                  for j in range(jm.n_marks)]
+    # rates[j][i] of mark j at scales[i], in Python floats, which overflow
+    # to inf without a warning; every count is checked before any draw
+    rates = [[M * float(nu) / float(eps.epsilon) for eps in scales]
+             for M, nu in zip(dominating, jm.nu)]
+    for j, row in enumerate(rates):
+        for eps, rate in zip(scales, row):
+            count = rate * float(T)
+            if not count <= _MAX_EVENTS:
+                raise ValueError(
+                    f"mark {j} expects M*nu_j*T/eps = {count:.3g} events at "
+                    f"eps = {eps.epsilon!r}, above the limit {_MAX_EVENTS:g}")
     times_all = [[] for _ in scales]
     marks_all = [[] for _ in scales]
-    for j in range(jm.n_marks):
-        M = 1.0 if ctrl is None else float(ctrl.phi[:, j].max())
+    for j, (M, row) in enumerate(zip(dominating, rates)):
         if M == 0.0:
             continue
         rng = mark_rng(seed, j)
         start = rng.bit_generator.state if len(scales) > 1 else None
-        for i, eps in enumerate(scales):
-            # in Python floats, which overflow to inf without a warning
-            rate = M * float(jm.nu[j]) / float(eps.epsilon)
-            if not math.isfinite(rate):
-                raise ValueError(f"the intensity M*nu_j/eps of mark {j} "
-                                 f"overflows at eps = {eps.epsilon!r}")
+        for i, rate in enumerate(row):
             if i:
                 rng.bit_generator.state = start
             t = _rate_scaled_times(rng, rate, T)

@@ -129,7 +129,8 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     feasible when ``violation(gap) <= gap_tol``; the cheapest feasible one
     wins, else the one of smallest gap, and the earliest wins a tie.  Control
     dimension n_bins x K stays small, so finite differences are affordable:
-    the n_bins x K perturbed controls of a gradient share one march.  The
+    the n_bins x K perturbed controls of a gradient share one march, and a
+    stage that starts where the last one stopped reuses their gaps.  The
     line search tries steps s, s/2, s/4, ... (at most 25), marched in that
     order in batches of 2, 4, 8, ..., and accepts the first that improves
     the objective, so it accepts what a serial search would, bit for bit.
@@ -163,13 +164,16 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     gap = gaps_of(phi[None])[0]
     rho = _RHO0
     h = opt_cfg.fd_step
+    probe_gaps = None   # the probes' gaps depend on phi alone: kept until it moves
     for _outer in range(opt_cfg.n_rho):
         f = objective(phi, gap)
         step = opt_cfg.step0
         for _inner in range(opt_cfg.max_inner):
             iterations += 1
             probes = phi + h * np.eye(phi.size).reshape((-1,) + shape)
-            f2 = np.array([objective(p, g) for p, g in zip(probes, gaps_of(probes))])
+            if probe_gaps is None:
+                probe_gaps = gaps_of(probes)
+            f2 = np.array([objective(p, g) for p, g in zip(probes, probe_gaps)])
             grad = ((f2 - f) / h).reshape(shape)
             gnorm = float(np.sqrt(np.sum(grad**2)))
             if gnorm < 1e-10:
@@ -185,6 +189,7 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
                     fc = objective(cand, gc)
                     if fc < f - 1e-14:
                         phi, f, gap = cand, fc, gc
+                        probe_gaps = None
                         step = min(s * 2.0, 1e3)
                         improved = True
                         break

@@ -114,9 +114,8 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     round if that is more; building a block takes about three times its
     size in temporaries), and banked after the cached ones, so a round
     gathers all its tables in one take.  A march without events builds no
-    block and lays out no kick factors.  A path's arithmetic is the same
-    whatever else its batch holds, so its result is its S = 1 march's, bit
-    for bit.
+    block.  A path's arithmetic is the same whatever else its batch holds,
+    so its result is its S = 1 march's, bit for bit.
 
     Callbacks see the batch rows they concern: ``on_save(rows, k, modes)``
     after each path's k-th grid step, and
@@ -159,12 +158,10 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     k_after = np.cumsum(~is_ev, axis=0, dtype=np.int32)  # grid steps finished after it
     end = grid_times[np.minimum(k_after, n_steps) - 1]     # time it ends at
     end[pos, es] = ev[es, ej]
-    # the factor it multiplies its state by, 1.0 for a sub-step without an
-    # event; a march without events builds none
+    # the factor it multiplies its state by (1.0 without an event)
     kicked = is_ev.any(axis=1)              # rounds in which some path kicks
-    if es.size:
-        fac = np.ones((R, S))
-        fac[pos, es] = kick_factors[es, ej]
+    fac = np.ones((R, S))
+    fac[pos, es] = kick_factors[es, ej]
     del es, ej, pos                         # one entry per event: set-up only
     uniform = ~is_ev                        # a whole grid step
     uniform[1:] &= ~is_ev[:-1]

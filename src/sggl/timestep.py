@@ -8,9 +8,10 @@ nonlinearity is treated with the two-stage predictor-corrector
     c_next = a + h phi2(hL) (N(a) - N(c))
 
 which is second order.  phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2
-are evaluated in the direct form phi1 = expm1(z)/z, phi2 = (phi1 - 1)/z,
-except where |z| < 0.5: there phi2 is a Horner-evaluated Taylor series and
-phi1 = 1 + z phi2, which avoids the cancellation near z = 0.
+are evaluated on every entry as a Horner-evaluated Taylor series for phi2
+and phi1 = 1 + z phi2, which avoids the cancellation near z = 0; the entries
+with |z| >= 0.5 are then overwritten with the direct form
+phi1 = expm1(z)/z, phi2 = (phi1 - 1)/z.
 
 Everything is elementwise, so a step applies unchanged to a batch of paths
 held as (S, n1, n2) arrays with per-path tables; each element is computed by
@@ -53,19 +54,13 @@ def _phi2_series(z: np.ndarray) -> np.ndarray:
 
 
 def _phi12(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(phi1(z), phi2(z)): series where |z| < 0.5, direct form elsewhere."""
-    small = np.abs(z) < _SERIES_CUT
-    if small.all():
+    """(phi1(z), phi2(z)): the series on every entry, then the direct form
+    over the entries with |z| >= 0.5."""
+    # the series overflows on large entries, which the direct form redoes
+    with np.errstate(over="ignore", invalid="ignore"):
         p2 = _phi2_series(z)
-        return 1.0 + z * p2, p2
-    p1 = np.empty_like(z)
-    p2 = np.empty_like(z)
-    if small.any():
-        zs = z[small]
-        s2 = _phi2_series(zs)
-        p1[small] = 1.0 + zs * s2
-        p2[small] = s2
-    big = ~small
+        p1 = 1.0 + z * p2
+    big = np.abs(z) >= _SERIES_CUT
     zb = z[big]
     d1 = np.expm1(zb) / zb
     p1[big] = d1

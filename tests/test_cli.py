@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import sggl
-from sggl import cli, harness, outputs, spde
+from sggl import StateField, cli, harness, outputs, spde, verify
 from sggl.cli import main
 from sggl.config import _SCHEMA, ConfigError, parse_config
 from sggl.jumps import Control, constant_control
@@ -149,9 +149,10 @@ def test_parse_rejects_default_section_by_name(tmp_path):
 
 
 def test_parse_rejects_missing_section(tmp_path):
+    text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
     path = tmp_path / "bad.ini"
-    path.write_text("[physics]\nalpha = 0\n")
-    with pytest.raises(ConfigError):
+    path.write_text(text.replace("[time]\nT = 0.2\nn_steps = 20\n", ""))
+    with pytest.raises(ConfigError, match=r"missing mandatory section \[time\]"):
         parse_config(str(path))
 
 
@@ -214,6 +215,35 @@ def test_cli_audit_and_verify(tmp_path):
     assert doc2["ok"] and doc2["failures"] == []
 
 
+def test_cli_audit_violation_exits_1(tmp_path, monkeypatch):
+    # with a zero prefactor both bounds are 0, below any nonzero trajectory
+    monkeypatch.setattr(harness, "_GRONWALL_PREFACTOR", 0.0)
+    out = str(tmp_path / "o")
+    assert main(["audit", "--config", write_config(tmp_path), "--out", out]) == 1
+    doc = json.loads(Path(os.path.join(out, "audit.json")).read_text())
+    assert not doc["energy_ok"] and not doc["grad_ok"]
+    l2, h1 = doc["violations"]
+    assert l2.startswith("L2 energy ") and l2.endswith(" exceeds bound 0")
+    assert h1.startswith("H1 energy ") and h1.endswith(" exceeds bound 0")
+
+
+def test_cli_verify_failure_exits_1(tmp_path, monkeypatch, capsys):
+    real = verify.apply_A
+
+    def doubled(u, params):
+        # wrong by a factor 2 on every mode, still 0 on the zero field
+        return StateField(2.0 * real(u, params).modes, u.basis)
+
+    monkeypatch.setattr(verify, "apply_A", doubled)
+    out = str(tmp_path / "o")
+    assert main(["verify", "--config", write_config(tmp_path), "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["FAIL eigen_exactness: worst rel err 1"]
+    doc = json.loads(Path(os.path.join(out, "verify.json")).read_text())
+    assert doc["ok"] is False
+    assert doc["failures"] == ["eigen_exactness: worst rel err 1"]
+
+
 def read_error(out_dir):
     with open(os.path.join(out_dir, "error.json"), encoding="utf-8") as fh:
         return json.load(fh)
@@ -269,11 +299,20 @@ def test_cli_usage_errors(tmp_path):
      "must be finite"),
     # configparser copies [DEFAULT] keys into every section
     ("workers = 1", "workers = 1\n\n[DEFAULT]\nfoo = 1", "unknown section"),
+    # entries of the wrong length, a mode off the basis, a line without '='
+    ("lambda1 = 0.1+0j, 0.05+0j", "lambda1 = 0.1+0j, 0.05+0j, 0j",
+     "must be two finite complex numbers"),
+    ("modes = 1, 1, 0.3, 0.0; 2, 2, 0.1, 0.05", "modes = 1, 1, 0.3",
+     "entries must be 'k, m, re, im'"),
+    ("modes = 1, 1, 0.3, 0.0; 2, 2, 0.1, 0.05", "modes = 1, 1, 0.3, 0.0; 5, 2, 0.1, 0.05",
+     "outside basis"),
+    ("workers = 1", "workers = 1\nworkers", "malformed config"),
 ], ids=["n_samples", "eps_list", "master_seed", "modes", "target_phi", "fd_step",
         "lambda1", "eps_list_empty", "n_bins_zero", "target_phi_empty",
         "target_phi_ragged", "phi_ragged", "n_samples_zero",
         "target_radius_negative", "fd_step_zero", "master_seed_negative",
-        "gap_tol_nan", "default_section"])
+        "gap_tol_nan", "default_section", "lambda1_three", "modes_three_fields",
+        "mode_outside_basis", "malformed"])
 def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, line, bad, why):
     text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
     assert f"\n{line}\n" in text
@@ -401,24 +440,50 @@ def test_cli_blowup_is_reported(tmp_path, capsys):
     assert doc["error"] == "BlowUpError" and "step 1" in doc["message"]
 
 
-def test_cli_overflowing_intensity_is_an_error(tmp_path):
-    # nu_j / eps overflows at eps = 1e-310: the sampler must name the mark
-    # and eps, without a traceback or a warning (a RuntimeWarning would end
-    # a run under -W error in a traceback)
-    path = tmp_path / "run.ini"
-    path.write_text(SMALL_CONFIG.format(beta=0.5, sigma=3.0).replace(
-        "eps_list = 0.25, 0.125", "eps_list = 1e-310"))
-    out = str(tmp_path / "o")
+def run_warnings_as_errors(cmd, path, out):
+    # the entry point in a fresh interpreter under -W error, where a
+    # RuntimeWarning would end the run in a traceback
     src = str(Path(sggl.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-W", "error", "-m", "sggl.cli",
-                           "simulate", "--config", str(path), "--out", out],
+    return subprocess.run([sys.executable, "-W", "error", "-m", "sggl.cli",
+                           cmd, "--config", str(path), "--out", out],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True)
-    message = "the intensity M*nu_j/eps of mark 0 overflows at eps = 1e-310"
+
+
+@pytest.mark.parametrize("eps, count", [
+    ("1e-310", "inf"),          # nu_j / eps overflows
+    ("1e-300", "2e+299"),
+    ("1e-09", "2e+08"),         # a draw of about 2 GB
+], ids=["overflow", "tiny", "over_limit"])
+def test_cli_overflowing_intensity_is_an_error(tmp_path, eps, count):
+    # mark 0 expects nu_0 T / eps events, past the limit of 1e8: the sampler
+    # names the mark, eps and the count before it draws anything, without
+    # a traceback or a warning
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL_CONFIG.format(beta=0.5, sigma=3.0).replace(
+        "eps_list = 0.25, 0.125", f"eps_list = {eps}"))
+    out = str(tmp_path / "o")
+    done = run_warnings_as_errors("simulate", path, out)
+    message = (f"mark 0 expects M*nu_j*T/eps = {count} events at eps = {eps}, "
+               "above the limit 1e+08")
     assert done.returncode == 1
     assert done.stderr == f"error: {message}\n"
     doc = read_error(out)
     assert doc["error"] == "ValueError" and doc["message"] == message
+
+
+def test_cli_tiny_domain_blows_up_without_warning(tmp_path):
+    # L1 = 1e-12 makes |hL| about 1e23: the phi series overflows on those
+    # entries before the direct form replaces them, which must not warn
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL_CONFIG.format(beta=0.5, sigma=3.0).replace(
+        "L1 = 3.141592653589793", "L1 = 1e-12"))
+    out = str(tmp_path / "o")
+    done = run_warnings_as_errors("skeleton", path, out)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: blow-up detected at step 1")
+    assert done.stderr.count("\n") == 1
+    assert read_error(out)["error"] == "BlowUpError"
 
 
 def test_cli_out_of_memory_is_reported(tmp_path, capsys, monkeypatch):

@@ -12,7 +12,7 @@ from sggl import (BlowUpError, Control, EndpointSpec, JumpModel, JumpSample,
                   convergence_sweep, drift_coefficient, make_basis, mode_field,
                   sample_prm, solve_skeleton, solve_spde, tail_probability,
                   trajectory_seed)
-from sggl import harness, skeleton, spde
+from sggl import harness, skeleton, spde, timestep
 from sggl.skeleton import march
 from sggl.spde import march_batch
 from sggl.spectral import make_nonlin
@@ -59,6 +59,54 @@ def test_linear_tables_match_direct_form_across_series_cut():
     assert np.max(np.abs(hp1.ravel() - p1) / np.abs(p1)) <= 1e-12
     # the direct phi2 loses digits to cancellation near 0; 1e-10 covers it
     assert np.max(np.abs(hp2.ravel() - p2) / np.abs(p2)) <= 1e-10
+
+
+def phi12_three_way(z):
+    # reference: the series evaluated on the |z| < 0.5 entries only, by an
+    # all-small shortcut or a gather and scatter, and the direct form
+    # gathered from the rest
+    small = np.abs(z) < timestep._SERIES_CUT
+    if small.all():
+        p2 = timestep._phi2_series(z)
+        return 1.0 + z * p2, p2
+    p1 = np.empty_like(z)
+    p2 = np.empty_like(z)
+    if small.any():
+        zs = z[small]
+        s2 = timestep._phi2_series(zs)
+        p1[small] = 1.0 + zs * s2
+        p2[small] = s2
+    big = ~small
+    zb = z[big]
+    d1 = np.expm1(zb) / zb
+    p1[big] = d1
+    p2[big] = (d1 - 1.0) / zb
+    return p1, p2
+
+
+_BELOW = np.nextafter(0.5, 0.0)
+_RNG = np.random.default_rng(3)
+_MIXED = (_RNG.normal(size=(3, 5, 7)) + 1j * _RNG.normal(size=(3, 5, 7))) * 0.4
+
+
+@pytest.mark.parametrize("z", [
+    np.zeros((2, 3), complex),
+    np.array([0.5, 0.5j, -0.5], complex),
+    np.array([_BELOW, 1j * _BELOW, -_BELOW]),
+    _MIXED * 0.1,                       # all small
+    _MIXED * 100.0,                     # all large
+    _MIXED,                             # mixed
+    np.concatenate([_MIXED.ravel(), [0j, 0.5, -_BELOW]]).reshape(2, -1),
+    # stiff modes: Re z <= 0, where the series overflows and the direct
+    # form does not
+    np.array([-1e30, 1e30j, 1e30 * np.exp(2.5j), 0.25, -1e30 + 0j]),
+], ids=["zero", "cut", "below_cut", "all_small", "all_large", "mixed",
+        "mixed_flat", "huge"])
+def test_phi12_matches_three_way_reference(z):
+    # bit for bit, and without a warning: the suite turns warnings into errors
+    for g, w in zip(timestep._phi12(z), phi12_three_way(z)):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
 
 
 # ---------------------------------------------------------------------------

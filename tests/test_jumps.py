@@ -1,5 +1,7 @@
 """Jump noise: PRM sampling, thinning, compensator drift, and determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare, poisson
@@ -211,6 +213,22 @@ def test_thinning_rejects_control_on_other_horizon():
     for T in (0.5, 2.0):
         with pytest.raises(ValueError, match="horizon"):
             sample_prm(jm, NoiseScale(0.1), T, 5, ctrl)
+
+
+def test_sample_prm_scales_rejects_a_huge_count_before_drawing():
+    # mark 0 expects 1e6 events at eps = 1e-9, over 40 MB of draws; mark 1
+    # expects 1e9, past the limit, so nothing may be drawn at all
+    jm = JumpModel(nu=np.array([1e-3, 1.0]), g=np.array([0.5, -0.3]))
+    scales = [NoiseScale(0.5), NoiseScale(1e-9)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"mark 1 expects M\*nu_j\*T/eps = "
+                           r"1e\+09 events at eps = 1e-09, above the limit 1e\+08"):
+            sample_prm_scales(jm, scales, 1.0, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_control_rejects_negative():

@@ -195,9 +195,11 @@ def test_rate_search_independent_of_batching(params_pi, monkeypatch):
     center = solve_skeleton(params_pi, basis, u0, jm, phi_star, grid).endpoint
     target = EndpointSpec(center=center, radius=1e-2 * center.l2())
     opt = OptConfig(n_bins=2)
+    marched = []
 
     def one_row_at_a_time(params, basis, u0, grid, times, factors, drift,
                           n_bins, **kw):
+        marched.extend(row.tobytes() for row in drift)
         parts = [march(params, basis, u0, grid, times[i:i + 1],
                        factors[i:i + 1], drift[i:i + 1], n_bins, **kw)
                  for i in range(len(drift))]
@@ -214,6 +216,9 @@ def test_rate_search_independent_of_batching(params_pi, monkeypatch):
                  "skeleton_paths"):
         assert getattr(batched, name) == getattr(serial, name), name
     assert np.array_equal(batched.control.phi, serial.control.phi)
+    # no drift row is marched twice: a stage that starts where the last one
+    # stopped reuses the gaps of its gradient's probes
+    assert len(set(marched)) == len(marched) == serial.skeleton_paths
 
 
 def test_endpoint_spec_rejects_negative_radius(params_pi, basis8):

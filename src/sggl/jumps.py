@@ -81,19 +81,18 @@ def constant_control(T: float, n_marks: int, value: float = 1.0) -> Control:
 
 @dataclass
 class JumpSample:
-    """Time-sorted realized events (t_i, mark_i)."""
+    """Time-sorted realized events (t_i, mark_i) on the sampling horizon."""
 
-    times: np.ndarray    # (n,), increasing, in [0, T]
+    times: np.ndarray    # (n,), increasing
     marks: np.ndarray    # (n,), int indices into the mark space
-    T: float
 
     @property
     def n_events(self) -> int:
         return self.times.size
 
 
-def empty_sample(T: float) -> JumpSample:
-    return JumpSample(np.empty(0), np.empty(0, dtype=int), T)
+def empty_sample() -> JumpSample:
+    return JumpSample(np.empty(0), np.empty(0, dtype=int))
 
 
 def validate_model(jm: JumpModel, delta: float) -> float:
@@ -164,9 +163,9 @@ def sample_prm_scales(jm: JumpModel, scales: list[NoiseScale], T: float,
                       seed: int, ctrl: Control | None = None) -> list[JumpSample]:
     """``sample_prm`` of one seed at every noise scale of ``scales``, in order.
 
-    Each mark's generator is built once and its state restored before each
-    scale, so entry i is ``sample_prm(jm, scales[i], T, seed, ctrl)`` bit for
-    bit: every scale draws the same stream from its start.  A mark that
+    Each mark's generator is built once and restarted from its start state
+    at each scale after the first, so entry i is
+    ``sample_prm(jm, scales[i], T, seed, ctrl)`` bit for bit.  A mark that
     expects more than 1e8 events on [0, T] at some scale is a ValueError,
     raised before anything is drawn.
     """
@@ -194,7 +193,7 @@ def sample_prm_scales(jm: JumpModel, scales: list[NoiseScale], T: float,
         if M == 0.0:
             continue
         rng = mark_rng(seed, j)
-        start = rng.bit_generator.state if len(scales) > 1 else None
+        start = rng.bit_generator.state     # reading it draws nothing
         for i, rate in enumerate(row):
             if i:
                 rng.bit_generator.state = start
@@ -205,20 +204,20 @@ def sample_prm_scales(jm: JumpModel, scales: list[NoiseScale], T: float,
                 t = t[accept]
             times_all[i].append(t)
             marks_all[i].append(np.full(t.size, j, dtype=int))
-    return [_merge(t, m, T) for t, m in zip(times_all, marks_all)]
+    return [_merge(t, m) for t, m in zip(times_all, marks_all)]
 
 
-def _merge(times_all, marks_all, T: float) -> JumpSample:
+def _merge(times_all, marks_all) -> JumpSample:
     """The marks' event streams as one time-sorted sample; a single stream
     is already in time order and is returned as drawn."""
     if not times_all:
-        return empty_sample(T)
+        return empty_sample()
     if len(times_all) == 1:
-        return JumpSample(times_all[0], marks_all[0], T)
+        return JumpSample(times_all[0], marks_all[0])
     t = np.concatenate(times_all)
     m = np.concatenate(marks_all)
     order = np.argsort(t, kind="stable")
-    return JumpSample(t[order], m[order], T)
+    return JumpSample(t[order], m[order])
 
 
 def drift_coefficient(jm: JumpModel, phi: np.ndarray) -> np.ndarray:

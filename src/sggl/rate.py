@@ -12,9 +12,10 @@ A skeleton sees its control only through the compensator drift on each bin
 (``drift_coefficient``), so the search marches drift rows: every skeleton
 solve is one row of a batched ``march``, a gradient's forward differences
 share one march, and the line search marches its candidate steps in batches
-that double in size.  A row's result does not depend on its batch and
-candidates are accepted in their serial order, so the estimate is the one
-that solving the skeletons one at a time gives, bit for bit.
+that double in size.  The search keeps the gap of every drift row it has
+marched and marches each row once.  A row's result does not depend on its
+batch and candidates are accepted in their serial order, so the estimate is
+the one that solving the skeletons one at a time gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     feasible when ``violation(gap) <= gap_tol``; the cheapest feasible one
     wins, else the one of smallest gap, and the earliest wins a tie.  Control
     dimension n_bins x K stays small, so finite differences are affordable:
-    the n_bins x K perturbed controls of a gradient share one march, and a
-    stage that starts where the last one stopped reuses their gaps.  The
+    the n_bins x K perturbed controls of a gradient share one march, which
+    holds only the drift rows the search has not marched before.  The
     line search tries steps s, s/2, s/4, ... (at most 25), marched in that
     order in batches of 2, 4, 8, ..., and accepts the first that improves
     the objective, so it accepts what a serial search would, bit for bit.
@@ -142,12 +143,20 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     tol = opt_cfg.gap_tol
     marches = paths = 0
 
+    known = {}      # the gap of every drift row marched, keyed by its bytes
+
     def gaps_of(phis):
         nonlocal marches, paths
-        marches += 1
-        paths += len(phis)
-        return _endpoint_gaps(drift_coefficient(jm, phis), target, params,
-                              basis, u0, grid)
+        drift = drift_coefficient(jm, phis)
+        keys = [row.tobytes() for row in drift]
+        # the rows not marched yet, each once, in first-seen order
+        fresh = {key: row for key, row in zip(keys, drift) if key not in known}
+        if fresh:
+            marches += 1
+            paths += len(fresh)
+            known.update(zip(fresh, _endpoint_gaps(
+                np.array(list(fresh.values())), target, params, basis, u0, grid)))
+        return [known[key] for key in keys]
 
     def cost_of(phi):
         return _phi_cost(phi, jm, grid.T)
@@ -164,16 +173,13 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     gap = gaps_of(phi[None])[0]
     rho = _RHO0
     h = opt_cfg.fd_step
-    probe_gaps = None   # the probes' gaps depend on phi alone: kept until it moves
     for _outer in range(opt_cfg.n_rho):
         f = objective(phi, gap)
         step = opt_cfg.step0
         for _inner in range(opt_cfg.max_inner):
             iterations += 1
             probes = phi + h * np.eye(phi.size).reshape((-1,) + shape)
-            if probe_gaps is None:
-                probe_gaps = gaps_of(probes)
-            f2 = np.array([objective(p, g) for p, g in zip(probes, probe_gaps)])
+            f2 = np.array([objective(p, g) for p, g in zip(probes, gaps_of(probes))])
             grad = ((f2 - f) / h).reshape(shape)
             gnorm = float(np.sqrt(np.sum(grad**2)))
             if gnorm < 1e-10:
@@ -189,7 +195,6 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
                     fc = objective(cand, gc)
                     if fc < f - 1e-14:
                         phi, f, gap = cand, fc, gc
-                        probe_gaps = None
                         step = min(s * 2.0, 1e3)
                         improved = True
                         break

@@ -9,7 +9,8 @@ still compensated by eps^-1 nu, so only its events differ from the raw
 process, never its drift.  Jump times are inserted exactly into the step
 sequence, so a scalar single-mode run admits a closed-form product oracle.
 An event whose kick factor is exactly 1.0 (a mark with g_j = 0) is no
-event at all: it never splits a step, and no event log lists it.
+event at all: ``_pad_events``, the one place that lays out a path's kicks,
+drops it, so it never splits a step and no event log lists it.
 
 ``march_batch`` marches the Monte Carlo rows of a batch of seeds, each
 seed at every noise scale of a list, in lock step; it is the one place where
@@ -29,42 +30,33 @@ from .skeleton import MarchResult, TimeGrid, Trajectory, march, march_trajectory
 from .spectral import SpectralBasis, StateField, norm_powers
 
 
-def _kicks(jm: JumpModel, marks: np.ndarray, eps) -> tuple[np.ndarray, np.ndarray]:
-    """Kick factors 1 + eps g_j of events with ``marks`` at noise scale
-    ``eps`` (a float, or one per event), and which of them kick: a factor of
-    exactly 1.0 is no event."""
-    factors = 1.0 + eps * jm.g[marks]
-    return factors, factors != 1.0
-
-
-def _taken(sample: JumpSample, jm: JumpModel, eps: float) -> JumpSample:
-    """The events of ``sample`` that kick its path at noise scale ``eps``."""
-    keep = _kicks(jm, sample.marks, eps)[1]
-    return JumpSample(sample.times[keep], sample.marks[keep], sample.T)
-
-
 def _pad_events(samples: list[JumpSample], jm: JumpModel,
-                eps: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """(S, E) times of the ``_taken`` events padded with +inf and their kick
-    factors padded with 1.0; ``eps`` holds the noise scale of each sample.
+                eps: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, E) times, kick factors 1 + eps g_j and marks of the events that
+    kick each sample's path, padded with +inf, 1.0 and -1; ``eps`` holds the
+    noise scale of each sample.
 
     The batch's events are laid end to end, their factors computed in one
-    expression and the taken ones scattered to (sample, rank among its
-    taken events), E being the most any sample takes.
+    expression and the kicking ones scattered to (sample, rank among its
+    kicks), E being the most kicks any sample takes.
     """
     n = [s.n_events for s in samples]
     row = np.repeat(np.arange(len(samples)), n)
     t = np.concatenate([s.times for s in samples])
     m = np.concatenate([s.marks for s in samples])
-    f, keep = _kicks(jm, m, np.repeat(eps, n))
-    row, t, f = row[keep], t[keep], f[keep]
+    f = 1.0 + np.repeat(eps, n) * jm.g[m]
+    # a factor of exactly 1.0 (g_j = 0, or eps g_j below rounding) is no event
+    keep = f != 1.0
+    row, t, f, m = row[keep], t[keep], f[keep], m[keep]
     count = np.bincount(row, minlength=len(samples))
     rank = np.arange(row.size) - (np.cumsum(count) - count)[row]
     times = np.full((len(samples), count.max()), np.inf)
     factors = np.ones(times.shape)
+    marks = np.full(times.shape, -1)
     times[row, rank] = t
     factors[row, rank] = f
-    return times, factors
+    marks[row, rank] = m
+    return times, factors, marks
 
 
 def march_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
@@ -84,7 +76,7 @@ def march_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
     scales = [NoiseScale(e) for e in eps_list]
     samples = [sample for s in seeds
                for sample in sample_prm_scales(jm, scales, grid.T, s, ctrl)]
-    times, factors = _pad_events(samples, jm, list(eps_list) * len(seeds))
+    times, factors = _pad_events(samples, jm, list(eps_list) * len(seeds))[:2]
     n_bins = 1 if ctrl is None else ctrl.n_bins
     return march(params, basis, u0, grid, times, factors,
                  compensator_drift(jm), n_bins, on_save=on_save)
@@ -106,14 +98,13 @@ def solve_spde(params: Parameters, basis: SpectralBasis, u0: StateField,
     """
     if events is None:
         events = sample_prm(jm, eps, grid.T, seed, ctrl)
-    events = _taken(events, jm, eps.epsilon)
-    times, factors = _pad_events([events], jm, [eps.epsilon])
+    times, factors, marks = _pad_events([events], jm, [eps.epsilon])
     on_kick = None
     if event_log is not None:
         def on_kick(rows, j, before, after):
             i = int(j[0])
             pre, post = np.sqrt(norm_powers(basis, np.concatenate([before, after]))[0])
-            event_log.append((float(events.times[i]), int(events.marks[i]),
+            event_log.append((float(times[0, i]), int(marks[0, i]),
                               float(pre), float(post)))
     n_bins = 1 if ctrl is None else ctrl.n_bins
     return march_trajectory(params, basis, u0, grid, times, factors,

@@ -73,13 +73,16 @@ def linear_tables(h, L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     ``h`` is a scalar, or one step size per leading entry of ``L``
     (shape ``L.shape[:-2]``) for a batch of paths.  h = 0 gives the exact
-    identity tables (1, 0, 0).
+    identity tables (1, 0, 0).  Tables that overflow hold infs and NaNs,
+    without a warning.
     """
     h = np.asarray(h, dtype=float)
     h = h.reshape(h.shape + (1, 1))
     z = h * L
-    p1, p2 = _phi12(z)
-    return np.exp(z), h * p1, h * p2
+    # Re z above about 709 overflows; ``march`` never steps with such tables
+    with np.errstate(over="ignore", invalid="ignore"):
+        p1, p2 = _phi12(z)
+        return np.exp(z), h * p1, h * p2
 
 
 def etdrk2_step(c: np.ndarray, tables, nonlin) -> np.ndarray:

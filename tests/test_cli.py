@@ -486,6 +486,23 @@ def test_cli_tiny_domain_blows_up_without_warning(tmp_path):
     assert read_error(out)["error"] == "BlowUpError"
 
 
+@pytest.mark.parametrize("cmd", ["skeleton", "simulate"])
+def test_cli_huge_gamma_blows_up_without_warning(tmp_path, cmd):
+    # gamma = 1e6 makes Re(hL) about 1e4: the uniform tables overflow, and
+    # the first step, which would use them, is a blow-up instead of inf
+    # arithmetic
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL_CONFIG.format(beta=0.5, sigma=3.0).replace(
+        "gamma = 1.0", "gamma = 1e6"))
+    out = str(tmp_path / "o")
+    done = run_warnings_as_errors(cmd, path, out)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: blow-up detected at step 1")
+    assert done.stderr.count("\n") == 1
+    doc = read_error(out)
+    assert doc["error"] == "BlowUpError" and "||u||=inf" in doc["message"]
+
+
 def test_cli_out_of_memory_is_reported(tmp_path, capsys, monkeypatch):
     # numpy raises MemoryError for an allocation it cannot make; the run
     # ends like any module error, without a traceback

@@ -275,7 +275,7 @@ def planted_blowups(params_pi):
     def planted_prm(jm_, eps, T, seed, ctrl=None):
         i = index[seed]
         times = np.array([kick_at[i]]) if i in kick_at else np.empty(0)
-        return JumpSample(times, np.zeros(times.size, dtype=int), T)
+        return JumpSample(times, np.zeros(times.size, dtype=int))
 
     def single(i, eps):
         # the BlowUpError of path i run alone at eps
@@ -316,7 +316,7 @@ def test_blowup_order_across_eps_in_one_march(params_pi, monkeypatch, eps_list):
     def late_prm(jm_, eps, T, seed, ctrl=None):
         # path 1 unkicked at eps_list[0]: it still precedes path 3 and 5
         if seed == trajectory_seed(master, 1) and eps.epsilon == eps_list[0]:
-            return JumpSample(np.empty(0), np.zeros(0, dtype=int), T)
+            return JumpSample(np.empty(0), np.zeros(0, dtype=int))
         return planted_prm(jm_, eps, T, seed)
 
     for prm, want in [(planted_prm, first), (late_prm, second)]:
@@ -340,7 +340,7 @@ def test_sweep_blowup_order_is_cell_then_path(params_pi, monkeypatch):
 
     def late_prm(jm_, eps, T, seed, ctrl=None):
         if seed == trajectory_seed(master, 1) and eps.epsilon == eps_list[0]:
-            return JumpSample(np.empty(0), np.zeros(0, dtype=int), T)
+            return JumpSample(np.empty(0), np.zeros(0, dtype=int))
         return planted_prm(jm_, eps, T, seed)
 
     monkeypatch.setattr(spde, "sample_prm_scales", per_scale(late_prm))
@@ -365,7 +365,7 @@ def test_blowup_detected_on_the_kick_substep(params_pi):
     u0 = mode_field(basis, 1, 1, 0.1)
     jm = JumpModel(nu=np.array([1e-9]), g=np.array([1e9]))
     grid = TimeGrid(T=0.5, n_steps=50)
-    events = JumpSample(np.array([0.105]), np.zeros(1, dtype=int), grid.T)
+    events = JumpSample(np.array([0.105]), np.zeros(1, dtype=int))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(BlowUpError) as exc:
@@ -374,6 +374,30 @@ def test_blowup_detected_on_the_kick_substep(params_pi):
     err = exc.value
     assert (err.step, err.t) == (10, 0.105)
     assert np.isfinite(err.norm) and err.norm > err.cap
+
+
+def test_overflowed_tables_blow_up_before_their_substep(params_pi):
+    # a drift of 1e6 overflows its rows' tables (Re(hL) about 5e3): such a
+    # row blows up with an infinite norm on its first sub-step, which is
+    # never taken, and neither is the kick that ends it; the other row
+    # marches as it does alone, without a warning
+    basis = make_basis(2, 2, params_pi, pad_factor=4)
+    u0 = mode_field(basis, 1, 1, 0.1)
+    grid = TimeGrid(T=0.5, n_steps=50)
+    times = np.array([[0.105], [0.005], [np.inf]])
+    factors = np.array([[1.5], [1.5], [1.0]])
+    drift = np.array([[0.0], [1e6], [1e6]])
+    logged = []
+    res = march(params_pi, basis, u0, grid, times, factors, drift, 1,
+                on_kick=lambda rows, j, before, after: logged.append(rows.tolist()))
+    alone = march(params_pi, basis, u0, grid, times[:1], factors[:1], drift[:1], 1)
+    assert res.errors[0] is None
+    assert res.endpoints[0].tobytes() == alone.endpoints[0].tobytes()
+    assert logged == [[0]]
+    for s, step, t in ((1, 0, 0.005), (2, 1, 0.01)):
+        err = res.errors[s]
+        assert (err.step, err.t, err.norm) == (step, t, np.inf)
+        assert np.array_equal(res.endpoints[s], u0.modes)
 
 
 def test_blowup_freezes_only_its_path(params_pi):

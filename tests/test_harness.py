@@ -232,7 +232,7 @@ def test_tail_full_cover_event(params_pi):
             break
     assert master_seed is not None
     nojump = solve_spde(params_pi, basis, u0, jm, NoiseScale(0.25), grid,
-                        seed=0, events=empty_sample(grid.T))
+                        seed=0, events=empty_sample())
     skel = solve_skeleton(params_pi, basis, u0, jm,
                           constant_control(grid.T, 1, 1.0), grid)
     d0 = np.sqrt(np.sum(np.abs(nojump.endpoint.modes

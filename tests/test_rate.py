@@ -172,18 +172,30 @@ def test_rate_reports_infeasible_target(params_pi):
     assert res.endpoint_gap > 1e-6
 
 
-def test_rate_result_fields(params_pi):
+def test_rate_result_fields(params_pi, monkeypatch):
     basis, u0, jm, grid = rate_setup(params_pi)
     ctrl1 = constant_control(grid.T, 1, 1.0)
     center = solve_skeleton(params_pi, basis, u0, jm, ctrl1, grid).endpoint
+    marched = []
+
+    def recording_march(params, basis, u0, grid, times, factors, drift, n_bins, **kw):
+        marched.extend(row.tobytes() for row in drift)
+        return march(params, basis, u0, grid, times, factors, drift, n_bins, **kw)
+
+    monkeypatch.setattr(rate, "march", recording_march)
     res = estimate_rate(EndpointSpec(center=center, radius=1e-6), params_pi,
                         basis, jm, u0, grid, OptConfig(n_bins=2))
     assert res.value >= 0
     assert res.endpoint_gap >= 0
     assert res.iterations >= 0
     assert res.control.phi.shape == (2, 1)
-    # a start, then a gradient and at least one line-search batch per iteration
+    # every march holds a row; here the first stage marches the start, a
+    # gradient and a failed 25-step ladder in four batches, and the later
+    # stages find each of their rows already marched
     assert res.skeleton_paths >= res.marches >= 1 + res.iterations
+    # no drift row is marched twice, though every continuation stage retries
+    # the same failed line search from the same phi
+    assert len(set(marched)) == len(marched) == res.skeleton_paths
 
 
 def test_rate_search_independent_of_batching(params_pi, monkeypatch):
@@ -216,8 +228,7 @@ def test_rate_search_independent_of_batching(params_pi, monkeypatch):
                  "skeleton_paths"):
         assert getattr(batched, name) == getattr(serial, name), name
     assert np.array_equal(batched.control.phi, serial.control.phi)
-    # no drift row is marched twice: a stage that starts where the last one
-    # stopped reuses the gaps of its gradient's probes
+    # no drift row is marched twice: the search keeps every gap it marched
     assert len(set(marched)) == len(marched) == serial.skeleton_paths
 
 

@@ -124,7 +124,7 @@ def test_empty_events_balanced_model_equals_skeleton(params_pi, basis8):
     grid = TimeGrid(T=0.3, n_steps=30)
     skel = solve_skeleton(params_pi, basis8, u0, jm, ctrl, grid)
     path = solve_spde(params_pi, basis8, u0, jm, NoiseScale(0.1), grid, seed=0,
-                      ctrl=ctrl, events=empty_sample(0.3))
+                      ctrl=ctrl, events=empty_sample())
     for a, b in zip(path.modes, skel.modes):
         assert np.array_equal(a, b)
 
@@ -197,28 +197,46 @@ def test_event_log_records_kicks(params_pi):
         assert post == pytest.approx(pre * (1 + 0.5 * 0.5), rel=1e-12)
 
 
+def planted_log(params_pi, jm, steps, marks):
+    # the planted events, at the given multiples of the step, and the event
+    # log of the scalar path they drive at eps = 0.5
+    basis, u0 = scalar_setup(params_pi)
+    grid = TimeGrid(T=0.5, n_steps=20)
+    events = JumpSample(times=np.array(steps) * (grid.T / grid.n_steps),
+                        marks=np.array(marks))
+    log = []
+    solve_spde(params_pi, basis, u0, jm, NoiseScale(0.5), grid, seed=1,
+               events=events, event_log=log)
+    return events, log
+
+
 def test_event_log_kicks_each_planted_event_in_order(params_pi):
     # marks of opposite sign, one event on a grid time and two inside one
     # step: each kick must take its own event's mark, in order
-    basis, u0 = scalar_setup(params_pi)
     jm = jm2()
-    grid = TimeGrid(T=0.5, n_steps=20)
-    dt = grid.T / grid.n_steps
-    events = JumpSample(times=np.array([3 * dt, 10.2 * dt, 10.7 * dt]),
-                        marks=np.array([1, 0, 1]), T=grid.T)
-    eps = NoiseScale(0.5)
-    log = []
-    solve_spde(params_pi, basis, u0, jm, eps, grid, seed=1, events=events,
-               event_log=log)
+    events, log = planted_log(params_pi, jm, [3, 10.2, 10.7], [1, 0, 1])
     assert [(t, m) for t, m, _, _ in log] == \
         list(zip(events.times.tolist(), events.marks.tolist()))
     for _, mark, pre, post in log:
         assert post / pre == pytest.approx(abs(1 + 0.5 * jm.g[mark]), rel=1e-12)
 
 
+def test_event_log_skips_no_events_before_and_between_kicks(params_pi):
+    # mark 2 has g = 0, so its events are no events: planted before and
+    # between the kicks, they make a kick's index in its padded row differ
+    # from its index in the sample, and the log must still list each kick's
+    # own time and mark
+    jm = JumpModel(nu=np.append(jm2().nu, 1.0), g=np.append(jm2().g, 0.0))
+    events, log = planted_log(params_pi, jm, [1, 2.5, 3, 7, 10.2, 10.5, 10.7],
+                              [2, 2, 1, 2, 0, 2, 1])
+    kicks = events.marks != 2
+    assert [(t, m) for t, m, _, _ in log] == \
+        list(zip(events.times[kicks].tolist(), events.marks[kicks].tolist()))
+
+
 def test_pad_events_matches_per_sample_padding():
-    # a batch padded without a per-sample loop equals each sample's taken
-    # events padded one by one.  Mark 1 has g = 0 and mark 2 a g so small
+    # a batch padded without a per-sample loop equals each sample's kicks
+    # padded one by one.  Mark 1 has g = 0 and mark 2 a g so small
     # that 1 + eps g is exactly 1.0 at every eps used, so neither kicks;
     # the batch mixes noise scales and holds empty rows and rows whose
     # every event is a mark-1 or mark-2 one
@@ -227,8 +245,8 @@ def test_pad_events_matches_per_sample_padding():
     samples = [sample_prm(jm, NoiseScale(e), 1.0, seed)
                for seed in range(3) for e in eps]
     only = samples[1].marks != 0
-    samples += [empty_sample(1.0),
-                JumpSample(samples[1].times[only], samples[1].marks[only], 1.0)]
+    samples += [empty_sample(),
+                JumpSample(samples[1].times[only], samples[1].marks[only])]
     eps = eps * 3 + [0.25, 0.1]
     kicks = [np.count_nonzero(s.marks == 0) for s in samples]
     assert min(kicks[:-2]) > 0 and kicks[-2:] == [0, 0]
@@ -238,21 +256,26 @@ def test_pad_events_matches_per_sample_padding():
         rows = []
         for sample, e in zip(batch, scales):
             f = 1.0 + e * jm.g[sample.marks]
-            rows.append((sample.times[f != 1.0], f[f != 1.0]))
-        width = max((t.size for t, _ in rows), default=0)
+            rows.append((sample.times[f != 1.0], f[f != 1.0],
+                         sample.marks[f != 1.0]))
+        width = max((t.size for t, _, _ in rows), default=0)
         times = np.full((len(rows), width), np.inf)
         factors = np.ones((len(rows), width))
-        for i, (t, f) in enumerate(rows):
+        marks = np.full((len(rows), width), -1)
+        for i, (t, f, m) in enumerate(rows):
             times[i, :t.size] = t
             factors[i, :t.size] = f
-        return times, factors
+            marks[i, :t.size] = m
+        return times, factors, marks
 
     for batch, scales in ((samples, eps), (samples[-2:], eps[-2:])):
-        times, factors = _pad_events(batch, jm, scales)
-        want_times, want_factors = padded(batch, scales)
+        times, factors, marks = _pad_events(batch, jm, scales)
+        want_times, want_factors, want_marks = padded(batch, scales)
         assert times.shape == want_times.shape
         assert times.tobytes() == want_times.tobytes()
         assert factors.tobytes() == want_factors.tobytes()
+        assert marks.dtype == want_marks.dtype
+        assert marks.tobytes() == want_marks.tobytes()
         width = max(np.count_nonzero(s.marks == 0) for s in batch)
         assert times.shape == (len(batch), width)
 

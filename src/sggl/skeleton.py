@@ -80,6 +80,10 @@ class MarchResult(NamedTuple):
     kicks: np.ndarray
 
 
+# A march enters np.errstate once, not once per round (which costs about 1%
+# of a rate search): an overflow or invalid operation leaves a state that is
+# not finite, and the norm check blows its path up.
+@np.errstate(over="ignore", invalid="ignore")
 def march(params: Parameters, basis: SpectralBasis, u0: StateField,
           grid: TimeGrid, event_times: np.ndarray, kick_factors: np.ndarray,
           drift, n_bins: int, on_save=None, on_kick=None) -> MarchResult:
@@ -121,8 +125,9 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     after each path's k-th grid step, and
     ``on_kick(rows, j, before, after)`` at each path's j-th event.  A path
     whose norm leaves the blow-up cap after any sub-step, a kick included,
-    is frozen and its ``BlowUpError`` recorded.  A sub-step whose tables
-    overflowed is never taken: its path blows up there with an infinite norm.
+    is frozen and its ``BlowUpError`` recorded, with an infinite norm if
+    its state is not finite.  A sub-step whose tables overflowed is never
+    taken: its path blows up there with an infinite norm.
     """
     n_steps = grid.refined_steps(n_bins)
     dt = grid.T / n_steps
@@ -240,6 +245,7 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
         ok = sq <= cap * cap                # a NaN norm fails too
         n_bad = rows.size - np.count_nonzero(ok)
         if n_bad:
+            sq[np.isnan(sq)] = np.inf       # an overflowed state, inf - inf
             for i in np.flatnonzero(~ok):
                 errors[rows[i]] = BlowUpError(int(kg[i]), float(end[r, rows[i]]),
                                               float(np.sqrt(sq[i])), cap)

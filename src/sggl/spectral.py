@@ -20,7 +20,8 @@ every grid field comes out C-contiguous.  A batch (S, n1, n2) is
 transformed one (n1, n2) slice per GEMM, all of the same shape, so a
 path's result does not depend on the batch it is marched in.
 ``make_nonlin`` evaluates the whole nonlinearity on these factors in one
-kernel; ``apply_B`` and ``apply_F`` go through it too.
+kernel, with the derivative term's constants and conjugation folded into
+copies of the right factors; ``apply_B`` and ``apply_F`` go through it too.
 
 Grid powers |u|^q are taken from |u|^2 = re^2 + im^2, never from |u|
 (which costs a hypot), and raised by ``_power``: an integer exponent by
@@ -41,7 +42,7 @@ from .params import Parameters
 # default oversampling: n modes on an axis get pad_factor (n + 1) - 1 grid points
 PAD_FACTOR = 4
 # The nonlinearity kernel walks a batch in row chunks whose grid buffers hold
-# at most this many bytes, so they stay in a core's L2 cache: 11 rows at 8x8
+# at most this many bytes, so they stay in a core's L2 cache: 14 rows at 8x8
 # with F, 34 without (``chunk_rows``).
 WORKSPACE_BYTES = 1_500_000
 
@@ -236,15 +237,19 @@ def apply_A(u: StateField, params: Parameters) -> StateField:
     return StateField(coef * u.modes, u.basis)
 
 
-def _kernel_layout(basis: SpectralBasis, with_F: bool) -> dict:
+def _kernel_layout(basis: SpectralBasis, with_F: bool, with_conj: bool = False) -> dict:
     """One path's share of each of the nonlinearity kernel's buffers, as
     {name: (shape, dtype)}."""
-    half, grid = (basis.n1, basis.grid_shape[1]), basis.grid_shape
-    layout = {"R": (half, complex), "U": (grid, complex), "a": (grid, float),
-              "t": (grid, float)}
+    n1, grid = basis.n1, basis.grid_shape
+    layout = {"U": (grid, complex), "a": (grid, float), "t": (grid, float)}
     if with_F:
-        layout.update(R1=(half, complex), Ux=(grid, complex), Uy=(grid, complex),
-                      T=(grid, complex), T2=(grid, complex))
+        # Y: c S2^T and the folded x parts over the folded y parts
+        layout.update(Y=((2 * n1, (2 + with_conj) * grid[1]), complex),
+                      D=(grid, complex))
+        if with_conj:
+            layout["E"] = (grid, complex)
+    else:
+        layout["R"] = ((n1, grid[1]), complex)
     return layout
 
 
@@ -261,7 +266,8 @@ def chunk_rows(params: Parameters, basis: SpectralBasis) -> int:
     """The rows that the nonlinearity of ``make_nonlin(params, basis)``
     evaluates in one chunk: as many as its buffers hold within
     WORKSPACE_BYTES, at least one."""
-    return max(1, WORKSPACE_BYTES // _row_bytes(_kernel_layout(basis, _has_F(params))))
+    layout = _kernel_layout(basis, _has_F(params), any(params.lambda1))
+    return max(1, WORKSPACE_BYTES // _row_bytes(layout))
 
 
 def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
@@ -279,10 +285,22 @@ def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
     multiplies the n1 x n2 result instead of the padded grid.  Terms whose
     lambdas vanish are left out when the kernel is built.
 
+    F's gradient fields D = ((2 lambda1 + lambda2)/kappa) . grad u and
+    E = (lambda1/kappa) . grad(conj u) come straight out of GEMMs.  A
+    constant times a float pair, conjugated or not, is a real 2x2 map, which
+    the kernel folds into copies of the right factors once (``folded``).
+    Per chunk cf @ [kron(S2^T, I2) | kron(S2^T, A_x) | kron(S2^T, B_x)] gives
+    c S2^T and the x parts of D and E, and cf @ [kron(C2^T, A_y) |
+    kron(C2^T, B_y)] their y parts, in the rows below them in one buffer Y;
+    [C1 | S1] applied to Y's D columns, then to its E columns, sums the
+    parts.  That is seven GEMMs with the projection, and F's grid passes are
+    D |u|^2, E u twice and their sum.  D, E and u each keep a contiguous
+    buffer: a layout with D and E side by side in one array was slower.
+
     |u|^(2 sigma) is (|u|^2)^sigma by ``_power_by(sigma)``, built with the
     kernel, in the buffers ``a`` and ``t``: two multiplies for sigma = 3,
     ``np.power`` only for a non-integer sigma.  The projection's first GEMM
-    writes into R, which is spent by then.
+    writes into the spent c S2^T.
 
     The grid fields live in buffers that the returned function keeps
     between calls.  A batch's fields run to megabytes; allocated afresh on
@@ -299,20 +317,34 @@ def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
     kappa = -(1.0 - 1j * params.beta) if saturation else 1.0
     l1, l2 = params.lambda1, params.lambda2
     with_F, with_conj = _has_F(params), any(l1)
-    ax, ay = ((2 * l1[i] + l2[i]) / kappa for i in (0, 1))
-    bx, by = (np.conj(l1[i] / kappa) for i in (0, 1))
     power = _power_by(params.sigma)
-    S1, C1, P1 = basis._S1, basis._C1, basis._P1
-    RS2, RC2, RP2 = basis._RS2, basis._RC2, basis._RP2
-    half_f = (basis.n1, 2 * basis.n2)       # a coefficient array's float view
-    layout = _kernel_layout(basis, with_F)
+    S1, P1 = basis._S1, basis._P1
+    RS2, RP2 = basis._RS2, basis._RP2
+    n1, g = basis.n1, RS2.shape[1]          # g: floats in a grid row
+    if with_F:
+        CS = np.hstack((basis._C1, S1))
+
+        def folded(R: np.ndarray, i: int) -> list:
+            """Axis i's factor R = kron(M, I2) as kron(M, A_i) and, with E,
+            kron(M, B_i): a float pair [x, y] times A_i is a (x + iy), times
+            B_i is b conj(x + iy), for D's constant a and E's b."""
+            a, b = (2 * l1[i] + l2[i]) / kappa, l1[i] / kappa
+            maps = [[[a.real, a.imag], [-a.imag, a.real]]]
+            if with_conj:
+                maps.append([[b.real, b.imag], [b.imag, -b.real]])
+            return [np.kron(R[::2, ::2], m) for m in maps]
+        K1 = np.hstack([RS2] + folded(RS2, 0))
+        K2 = np.hstack(folded(basis._RC2, 1))
+    half_f = (n1, 2 * basis.n2)             # a coefficient array's float view
+    layout = _kernel_layout(basis, with_F, with_conj)
     most = chunk_rows(params, basis)
     bases: dict[str, np.ndarray] = {}
     plans: dict[int, list] = {}
 
     def views(S: int) -> SimpleNamespace:
         """The buffers' first S rows, with the float64 view ``<name>_f`` of
-        each complex one and u's real and imaginary parts."""
+        each complex one and u's real and imaginary parts; with F, the
+        blocks of Y (its lower first g columns go unused)."""
         w = SimpleNamespace()
         for k, base in bases.items():
             v = base[:S]
@@ -320,6 +352,10 @@ def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
             if v.dtype == complex:
                 setattr(w, k + "_f", v.view(np.float64))
         w.U_re, w.U_im = w.U.real, w.U.imag
+        if with_F:
+            Y = w.Y_f
+            w.R_f, w.Yx, w.Yy = Y[:, :n1, :g], Y[:, :n1], Y[:, n1:, g:]
+            w.YD, w.YE = Y[..., g:2 * g], Y[..., 2 * g:]
         return w
 
     def plan(S: int) -> list:
@@ -340,35 +376,32 @@ def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
         """The rows cf (S, n1, 2 n2) of the float view, in the views ``w``,
         into ``out``."""
         U, a = w.U, w.a
-        np.matmul(cf, RS2, out=w.R_f)               # c S2^T, shared by u and du/dx
+        if with_F:
+            np.matmul(cf, K1, out=w.Yx)             # c S2^T, D and E: x parts
+            np.matmul(cf, K2, out=w.Yy)             # D and E: y parts
+        else:
+            np.matmul(cf, RS2, out=w.R_f)           # c S2^T
         np.matmul(S1, w.R_f, out=w.U_f)
         np.multiply(w.U_re, w.U_re, out=a)          # |u|^2
         np.multiply(w.U_im, w.U_im, out=w.t)
         a += w.t
         if with_F:
-            Ux, Uy, T = w.Ux, w.Uy, w.T
-            np.matmul(C1, w.R_f, out=w.Ux_f)
-            np.matmul(cf, RC2, out=w.R1_f)
-            np.matmul(S1, w.R1_f, out=w.Uy_f)
-            np.multiply(Ux, ax, out=T)              # ((2 l1 + l2) . grad u)|u|^2
-            np.multiply(Uy, ay, out=w.T2)
-            T += w.T2
-            T *= a
+            D = w.D
+            np.matmul(CS, w.YD, out=w.D_f)
+            D *= a                                  # ((2 l1 + l2) . grad u)|u|^2
             if with_conj:                           # (l1 . grad conj u) u^2
-                Ux *= bx
-                Uy *= by
-                Ux += Uy
-                np.conjugate(Ux, out=Ux)
-                Ux *= U
-                Ux *= U
-                T += Ux
+                E = w.E
+                np.matmul(CS, w.YE, out=w.E_f)
+                E *= U
+                E *= U
+                D += E
         if saturation:
             U *= power(a, w.t)                      # |u|^(2 sigma) u
             if with_F:
-                U += T
+                U += D
             G = w.U_f
         else:
-            G = w.T_f if with_F else np.zeros_like(w.U_f)
+            G = w.D_f if with_F else np.zeros_like(w.U_f)
         np.matmul(P1, G, out=w.R_f)
         np.matmul(w.R_f, RP2, out=out)
 

@@ -486,14 +486,22 @@ def test_cli_tiny_domain_blows_up_without_warning(tmp_path):
     assert read_error(out)["error"] == "BlowUpError"
 
 
-@pytest.mark.parametrize("cmd", ["skeleton", "simulate"])
-def test_cli_huge_gamma_blows_up_without_warning(tmp_path, cmd):
-    # gamma = 1e6 makes Re(hL) about 1e4: the uniform tables overflow, and
-    # the first step, which would use them, is a blow-up instead of inf
-    # arithmetic
+@pytest.mark.parametrize("cmd, gamma", [
+    pytest.param(cmd, gamma, id=cmd if gamma == "1e6" else f"{cmd}-{gamma}")
+    for gamma, cmds in [("1e6", ["skeleton", "simulate"]),
+                        ("3e4", ["skeleton", "simulate", "rate", "sweep"]),
+                        ("1e5", ["skeleton", "simulate", "rate", "sweep"])]
+    for cmd in cmds])
+def test_cli_huge_gamma_blows_up_without_warning(tmp_path, cmd, gamma):
+    # at h = 0.005, gamma = 1e6 makes Re(hL) about 5e3: the uniform tables
+    # overflow, and the first step, which would use them, is a blow-up
+    # instead of inf arithmetic.  gamma = 3e4 and 1e5 make it about 150 and
+    # 500: the tables are finite, but the predictor e^(hL) u overflows the
+    # nonlinearity's |u|^(2 sigma) u, and the step's state that is not
+    # finite blows up with an infinite norm, not a NaN one
     path = tmp_path / "run.ini"
     path.write_text(SMALL_CONFIG.format(beta=0.5, sigma=3.0).replace(
-        "gamma = 1.0", "gamma = 1e6"))
+        "gamma = 1.0", f"gamma = {gamma}").replace("n_steps = 20", "n_steps = 40"))
     out = str(tmp_path / "o")
     done = run_warnings_as_errors(cmd, path, out)
     assert done.returncode == 1

@@ -246,7 +246,8 @@ def nonlin_by_transforms(modes, basis, p):
 
 LAMBDAS = {"no F": ((0, 0), (0, 0)),
            "F": ((0.3 + 0.1j, -0.2), (0.1, 0.4j)),
-           "lambda2 only": ((0, 0), (0.1 - 0.2j, 0.3))}
+           "lambda2 only": ((0, 0), (0.1 - 0.2j, 0.3)),
+           "lambda1 only": ((-0.2 + 0.3j, 0.1j), (0, 0))}
 
 
 def nonlin_params(sigma, lambdas):
@@ -314,7 +315,7 @@ def test_make_nonlin_workspace_stays_within_budget(lambdas):
     nonlin = make_nonlin(p, b)
     modes = random_modes((256, 8, 8), seed=5)
     most = chunk_rows(p, b)
-    assert most == (34 if lambdas == "no F" else 11)
+    assert most == (34 if lambdas == "no F" else 14)
     tracemalloc.start()
     try:
         out = nonlin(modes)

@@ -228,7 +228,7 @@ def parse_config(path: str) -> RunSpec:
     v = _read(cfg)
 
     params = _build("physics", lambda: Parameters(**v["physics"]))
-    basis = make_basis(params=params, **v["spectral"])
+    basis = _build("physics", lambda: make_basis(params=params, **v["spectral"]))
     jm = _build("jumps", lambda: JumpModel(**v["jumps"]))
     grid = TimeGrid(**v["time"])
 

@@ -32,8 +32,8 @@ from .params import Parameters
 from .rate import EndpointSpec
 from .skeleton import TimeGrid, Trajectory, solve_skeleton
 from .spde import march_batch
-from .spectral import (WORKSPACE_BYTES, SpectralBasis, StateField, _abs_sq, _power,
-                       chunk_rows, lp_integrals, norm_powers, scalar_pow)
+from .spectral import (WORKSPACE_BYTES, SpectralBasis, StateField, _abs_sq, _or_inf,
+                       _power, chunk_rows, lp_integrals, norm_powers, scalar_pow)
 
 # paths marched together; the batch of path i is i // BATCH
 BATCH = 64
@@ -372,7 +372,9 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
     exponent p = min(2 sigma - 1/2, max(2, sigma)) starting from ||grad u0||^p
     with constant c_g (c_f, c_g, slack: _C_F, _C_G, _SLACK).  For jump
     trajectories pass eps (a float) and the realized events: each
-    kick scales the admissible bound by max(1, (1+eps*g)^2).
+    kick scales the admissible bound by max(1, (1+eps*g)^2).  A bound or
+    total beyond float range is +inf; a total that is not finite fails
+    its check, whatever the bound.
     """
     basis, modes = traj.basis, traj.modes
     sigma = params.sigma
@@ -391,11 +393,13 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
     gp = scalar_pow(gradsq, (p - 2) / 2)
     sup_sq = float(np.max(l2sq))
     sup_gp = float(np.max(scalar_pow(gradsq, p / 2)))
-    # right-endpoint sums over the saved states, added in time order
+    # right-endpoint sums over the saved states, added in time order; at a
+    # large sigma the H1 ones may overflow to inf
     int_grad = float(np.cumsum(dts * gradsq[1:])[-1])
     int_lp = float(np.cumsum(dts * lp[1:])[-1])
-    int_lap = float(np.cumsum(dts * gp[1:] * lapsq[1:])[-1])
-    int_mixed = float(np.cumsum(dts * gp[1:] * mixed[1:])[-1])
+    with np.errstate(over="ignore"):
+        int_lap = float(np.cumsum(dts * gp[1:] * lapsq[1:])[-1])
+        int_mixed = float(np.cumsum(dts * gp[1:] * mixed[1:])[-1])
 
     # time-integrated drift-deviation factor int sum_j |g_j||phi-1| nu_j ds
     if ctrl is not None:
@@ -414,22 +418,21 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
 
     energy_total = sup_sq + int_grad + int_lp
     energy_bound = (_GRONWALL_PREFACTOR * u0_sq
-                    * math.exp((2 * params.gamma + _C_F) * T + 2 * dev)
-                    * jump_factor * (1 + _SLACK))
+                    * _or_inf(math.exp, (2 * params.gamma + _C_F) * T + 2 * dev)
+                    * jump_factor * (1 + _SLACK)) if u0_sq else 0.0  # not 0 * inf
     grad_total = sup_gp + int_lap + int_mixed
-    grad_bound = (_GRONWALL_PREFACTOR * (grad0_sq ** (p / 2) + 1.0)
-                  * math.exp((p * params.gamma + _C_G) * T + p * dev)
-                  * (jump_factor ** (p / 2)) * (1 + _SLACK))
+    grad_bound = (_GRONWALL_PREFACTOR * (_or_inf(pow, grad0_sq, p / 2) + 1.0)
+                  * _or_inf(math.exp, (p * params.gamma + _C_G) * T + p * dev)
+                  * _or_inf(pow, jump_factor, p / 2) * (1 + _SLACK))
 
-    violations = []
-    energy_ok = energy_total <= energy_bound
-    grad_ok = grad_total <= grad_bound
-    if not energy_ok:
-        violations.append(
-            f"L2 energy {energy_total:.6g} exceeds bound {energy_bound:.6g}")
-    if not grad_ok:
-        violations.append(
-            f"H1 energy {grad_total:.6g} exceeds bound {grad_bound:.6g}")
+    energy_ok = math.isfinite(energy_total) and energy_total <= energy_bound
+    grad_ok = math.isfinite(grad_total) and grad_total <= grad_bound
+    violations = [
+        f"{name} energy {total:.6g} " + (f"exceeds bound {bound:.6g}"
+                                         if math.isfinite(total) else "is not finite")
+        for name, total, bound, ok in (("L2", energy_total, energy_bound, energy_ok),
+                                       ("H1", grad_total, grad_bound, grad_ok))
+        if not ok]
     return AuditReport(sup_sq, int_grad, int_lp, energy_total, energy_bound,
                        energy_ok, sup_gp, int_lap, int_mixed, grad_total,
                        grad_bound, grad_ok, violations)

@@ -67,7 +67,8 @@ class MarchResult(NamedTuple):
     """Outcome of one lock-step march over S paths.
 
     ``errors[s]`` is the ``BlowUpError`` of path s, or None; a path that
-    blew up is frozen and its row of ``endpoints`` holds its last state.
+    blew up is frozen and its row of ``endpoints`` holds the state that
+    failed the check.
     The counters are (S,) integer arrays: ``substeps[s]`` counts path s's
     ETDRK2 sub-steps, of which ``table_hits[s]`` reused a cached
     uniform-step table, and ``kicks[s]`` the kicks it took.
@@ -126,8 +127,7 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     ``on_kick(rows, j, before, after)`` at each path's j-th event.  A path
     whose norm leaves the blow-up cap after any sub-step, a kick included,
     is frozen and its ``BlowUpError`` recorded, with an infinite norm if
-    its state is not finite.  A sub-step whose tables overflowed is never
-    taken: its path blows up there with an infinite norm.
+    its state is not finite (as after a sub-step whose tables overflow).
     """
     n_steps = grid.refined_steps(n_bins)
     dt = grid.T / n_steps
@@ -144,8 +144,6 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     d = np.broadcast_to(d, (len(d) if per_path else 1, n_bins))
     L = (Lbase + d[..., None, None]).reshape((d.size,) + Lbase.shape)
     cache = np.stack(linear_tables(dt, L))      # (3, entries, n1, n2)
-    # the uniform tables bound every other one, since no sub-step is longer
-    overflowed = not np.isfinite(cache).all()
     step_bin = np.arange(n_steps, dtype=np.int32) // (n_steps // n_bins)
     cap = BLOWUP_FACTOR * (u0.l2() + 1.0)
     grid_times = np.arange(1, n_steps + 1) * dt
@@ -216,14 +214,7 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
                 entry[br, bs] = np.arange(n_entries, n_entries + br.size)
         kick = is_ev[r][sel]
         kg = k_after[r][sel]
-        tables = bank.take(entry[r][sel], axis=1)
-        if overflowed:
-            # a sub-step whose tables are not finite is not taken: identity
-            # tables keep its state, without its kick, and it blows up below
-            lost = ~np.isfinite(tables).all(axis=(0, 2, 3))
-            tables[:, lost] = np.array([1, 0, 0])[:, None, None, None]
-            kick = kick & ~lost
-        c = etdrk2_step(c, tables, nonlin)
+        c = etdrk2_step(c, bank.take(entry[r][sel], axis=1), nonlin)
 
         if kicked[r]:
             logged = on_kick is not None and kick.any()
@@ -240,12 +231,10 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
         # blow-up check on every row; saving and finishing on a grid time
         w = c.view(np.float64).reshape(rows.size, n_real)
         sq = (w * w).sum(axis=1)
-        if overflowed:
-            sq[lost] = np.inf
         ok = sq <= cap * cap                # a NaN norm fails too
         n_bad = rows.size - np.count_nonzero(ok)
         if n_bad:
-            sq[np.isnan(sq)] = np.inf       # an overflowed state, inf - inf
+            sq[np.isnan(sq)] = np.inf       # a state that overflows, inf - inf
             for i in np.flatnonzero(~ok):
                 errors[rows[i]] = BlowUpError(int(kg[i]), float(end[r, rows[i]]),
                                               float(np.sqrt(sq[i])), cap)

@@ -21,7 +21,8 @@ transformed one (n1, n2) slice per GEMM, all of the same shape, so a
 path's result does not depend on the batch it is marched in.
 ``make_nonlin`` evaluates the whole nonlinearity on these factors in one
 kernel, with the derivative term's constants and conjugation folded into
-copies of the right factors; ``apply_B`` and ``apply_F`` go through it too.
+copies of the right factors.  ``apply_B`` goes through it, and ``apply_F``
+is its difference from the same kernel with lambda1 = lambda2 = 0.
 
 Grid powers |u|^q are taken from |u|^2 = re^2 + im^2, never from |u|
 (which costs a hypot), and raised by ``_power``: an integer exponent by
@@ -32,7 +33,7 @@ pow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -169,6 +170,13 @@ def make_basis(n1: int, n2: int, params: Parameters,
     if pad_factor < 1:
         raise ValueError(f"pad_factor must be >= 1, got {pad_factor}")
     L1, L2 = params.L1, params.L2
+    for name, L, n in (("L1", L1, n1), ("L2", L2, n2)):
+        # L^2 within float range, and the axis's largest eigenvalue term
+        # within a quarter of it, so the two axes' sum stays finite too
+        sq = L * L
+        if not (0 < sq < math.inf and math.pi**2 * n**2 / sq < np.finfo(float).max / 4):
+            raise ValueError(f"{name} = {L!r} puts the Laplacian's eigenvalues "
+                             f"pi^2 k^2/{name}^2, k <= {n}, outside float range")
     k = np.arange(1, n1 + 1)
     m = np.arange(1, n2 + 1)
     eig = -np.pi**2 * (k[:, None]**2 / L1**2 + m[None, :]**2 / L2**2)
@@ -270,20 +278,23 @@ def chunk_rows(params: Parameters, basis: SpectralBasis) -> int:
     return max(1, WORKSPACE_BYTES // _row_bytes(layout))
 
 
-def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
-    """Mode-space map c -> P[s(u) + F(u)] on the precomputed factors.
+def make_nonlin(params: Parameters, basis: SpectralBasis):
+    """Mode-space nonlinearity N(c) = P[s(u) + F(u)]: the saturable term
+    s(u) = -(1-i*beta)|u|^(2 sigma) u plus the derivative term F(u),
+    evaluated pseudo-spectrally on the precomputed factors.
 
-    s(u) = -(1-i*beta)|u|^(2 sigma) u if ``saturation``, else 0; P projects
+    The returned function takes one (n1, n2) coefficient array or a batch
+    shaped (S, n1, n2) and returns an array of the same shape.  P projects
     grid values back onto the basis.  F(u) = lambda1 . grad(|u|^2 u)
     + (lambda2 . grad u)|u|^2 is expanded via grad(|u|^2 u) = 2|u|^2 grad u
     + u^2 grad(conj u), i.e.
 
         F(u) = ((2 lambda1 + lambda2) . grad u)|u|^2 + (lambda1 . grad(conj u)) u^2.
 
-    The grid sum is formed divided by kappa = -(1-i*beta) (or 1 without
-    saturation), so the saturable term is a real scaling of u and kappa
-    multiplies the n1 x n2 result instead of the padded grid.  Terms whose
-    lambdas vanish are left out when the kernel is built.
+    The grid sum is formed divided by kappa = -(1-i*beta), so the saturable
+    term is a real scaling of u and kappa multiplies the n1 x n2 result
+    instead of the padded grid.  Terms whose lambdas vanish are left out
+    when the kernel is built.
 
     F's gradient fields D = ((2 lambda1 + lambda2)/kappa) . grad u and
     E = (lambda1/kappa) . grad(conj u) come straight out of GEMMs.  A
@@ -314,7 +325,7 @@ def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
     the same in any chunk.  One returned function must not run in two
     threads at once.
     """
-    kappa = -(1.0 - 1j * params.beta) if saturation else 1.0
+    kappa = -(1.0 - 1j * params.beta)
     l1, l2 = params.lambda1, params.lambda2
     with_F, with_conj = _has_F(params), any(l1)
     power = _power_by(params.sigma)
@@ -395,14 +406,10 @@ def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
                 E *= U
                 E *= U
                 D += E
-        if saturation:
-            U *= power(a, w.t)                      # |u|^(2 sigma) u
-            if with_F:
-                U += D
-            G = w.U_f
-        else:
-            G = w.D_f if with_F else np.zeros_like(w.U_f)
-        np.matmul(P1, G, out=w.R_f)
+        U *= power(a, w.t)                          # |u|^(2 sigma) u
+        if with_F:
+            U += D
+        np.matmul(P1, w.U_f, out=w.R_f)
         np.matmul(w.R_f, RP2, out=out)
 
     def nonlin(c: np.ndarray) -> np.ndarray:
@@ -419,20 +426,14 @@ def _nonlin_kernel(params: Parameters, basis: SpectralBasis, saturation: bool):
     return nonlin
 
 
-def make_nonlin(params: Parameters, basis: SpectralBasis):
-    """Mode-space nonlinearity N(c): saturable term -(1-i*beta)|u|^(2 sigma) u
-    plus the derivative term F(u), evaluated pseudo-spectrally.
-
-    The returned function takes one (n1, n2) coefficient array or a batch
-    shaped (S, n1, n2) and returns an array of the same shape.
-    """
-    return _nonlin_kernel(params, basis, saturation=True)
-
-
 def apply_F(u: StateField, params: Parameters) -> StateField:
-    """Cubic derivative term F(u), evaluated pseudo-spectrally."""
+    """Cubic derivative term F(u): ``make_nonlin``'s value less its value
+    with lambda1 = lambda2 = 0, which is the same code when both vanish, so
+    F is then exactly 0."""
     _check_finite(u)
-    return StateField(_nonlin_kernel(params, u.basis, saturation=False)(u.modes), u.basis)
+    no_F = replace(params, lambda1=(0j, 0j), lambda2=(0j, 0j))
+    F = make_nonlin(params, u.basis)(u.modes) - make_nonlin(no_F, u.basis)(u.modes)
+    return StateField(F, u.basis)
 
 
 def apply_B(u: StateField, params: Parameters) -> StateField:
@@ -480,14 +481,24 @@ def lp_integrals(basis: SpectralBasis, sq: np.ndarray, p_list) -> dict:
     return {p: basis.cell_area * np.sum(integrand(p), axis=(-2, -1)) for p in p_list}
 
 
+def _or_inf(f, *args) -> float:
+    """f(*args) for a float function f such as pow or math.exp with a
+    non-negative value, +inf where it overflows (Python raises there)."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.inf
+
+
 def scalar_pow(x, e: float):
-    """x ** e elementwise, one Python float at a time.
+    """x ** e elementwise for x >= 0, one Python float at a time, +inf
+    where it overflows.
 
     numpy's vectorised array pow rounds some values differently from the
     scalar libm pow; the written norms and audit figures are the scalar
     pow's.  A 0-d input gives a numpy scalar.
     """
-    out = np.array([v ** e for v in np.ravel(x).tolist()])
+    out = np.array([_or_inf(pow, v, e) for v in np.ravel(x).tolist()])
     return out.reshape(np.shape(x))[()]
 
 

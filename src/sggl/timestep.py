@@ -79,7 +79,7 @@ def linear_tables(h, L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     h = np.asarray(h, dtype=float)
     h = h.reshape(h.shape + (1, 1))
     z = h * L
-    # Re z above about 709 overflows; ``march`` never steps with such tables
+    # Re z above about 709 overflows; ``march`` blows up a path stepped by it
     with np.errstate(over="ignore", invalid="ignore"):
         p1, p2 = _phi12(z)
         return np.exp(z), h * p1, h * p2

@@ -472,6 +472,61 @@ def test_cli_overflowing_intensity_is_an_error(tmp_path, eps, count):
     assert doc["error"] == "ValueError" and doc["message"] == message
 
 
+@pytest.mark.parametrize("key, value", [
+    ("L1", "1e300"), ("L2", "1e300"), ("L1", "1e155"),      # L^2 overflows
+    ("L1", "1e-300"), ("L2", "1e-300"),                     # L^2 is 0
+    ("L1", "1e-155"),                                       # k^2/L^2 overflows
+])
+def test_cli_domain_out_of_float_range_is_a_config_error(tmp_path, key, value):
+    # a domain length whose eigenvalues pi^2 k^2/L^2 leave float range is a
+    # config error that names the key, without a traceback or a warning
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL_CONFIG.format(beta=0.5, sigma=3.0).replace(
+        f"{key} = 3.141592653589793", f"{key} = {value}"))
+    out = str(tmp_path / "o")
+    done = run_warnings_as_errors("skeleton", path, out)
+    message = (f"invalid [physics]: {key} = {float(value)!r} puts the "
+               f"Laplacian's eigenvalues pi^2 k^2/{key}^2, k <= 4, outside "
+               "float range")
+    assert done.returncode == 2
+    assert done.stderr == f"config error: {message}\n"
+    doc = read_error(out)
+    assert doc["error"] == "ConfigError" and doc["message"] == message
+
+
+@pytest.mark.parametrize("case", ["sigma-2000", "sigma-20000", "zero-gamma-1000"])
+def test_cli_audit_beyond_float_range_without_warning(tmp_path, case):
+    # default.ini at an admissible large sigma (|beta| < sqrt(2 sigma + 1) /
+    # sigma = 0.0316 at sigma = 2000): the H1 bound's exp((p gamma + c_g) T)
+    # leaves float range, so it is +inf, written null, and passes.  At
+    # sigma = 20000 the H1 total ||grad u||^p leaves it too, and a total
+    # that is not finite is a violation, never a pass.  With u0 = 0 and
+    # gamma = 1000 the L2 bound is 0, not 0 * inf = nan
+    text = Path(DEFAULT_INI).read_text()
+    if case.startswith("sigma"):
+        text = text.replace("sigma = 3.0", f"sigma = {case[6:]}").replace(
+            "beta = 0.5", "beta = 0.001")
+    else:
+        text = text.replace("gamma = 1.0", "gamma = 1000").replace(
+            "modes = 1, 1, 0.5, 0.0; 2, 2, 0.25, 0.1", "")
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    out = str(tmp_path / "o")
+    done = run_warnings_as_errors("audit", path, out)
+    assert done.stderr == ""
+    doc = json.loads(Path(out, "audit.json").read_text())
+    assert doc["energy_ok"] and doc["grad_bound"] is None
+    if case == "sigma-20000":
+        assert done.returncode == 1
+        assert not doc["grad_ok"] and doc["grad_total"] is None
+        assert doc["violations"] == ["H1 energy inf is not finite"]
+    else:
+        assert done.returncode == 0
+        assert doc["grad_ok"] and doc["violations"] == []
+    if case == "zero-gamma-1000":
+        assert doc["energy_total"] == doc["energy_bound"] == 0.0
+
+
 def test_cli_tiny_domain_blows_up_without_warning(tmp_path):
     # L1 = 1e-12 makes |hL| about 1e23: the phi series overflows on those
     # entries before the direct form replaces them, which must not warn

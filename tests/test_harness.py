@@ -11,6 +11,7 @@ from sggl import (Control, EndpointSpec, JumpModel, NoiseScale, TimeGrid,
                   tail_probability, trajectory_seed, zero_field)
 from sggl import harness
 from sggl.harness import _fit_loglog, _wilson
+from sggl.jumps import compensator_drift, drift_coefficient, sample_prm
 from sggl.spectral import norm_powers
 
 from conftest import jm2
@@ -208,6 +209,71 @@ def test_sweep_cells_match_per_path_trajectories(params_pi, monkeypatch, squeeze
         assert (cell.se_sup_sq, cell.se_grad_int, cell.se_lp_int) == tuple(se)
         assert cell.mean_sup_sq > 0
     assert rep.kicks > 0
+
+
+def scalar_model_rows(params, basis, u0, jm, ctrl, grid, eps_list, master, n):
+    """Each path's sweep statistics from the scalar-multiplier model, (n, m, 3).
+
+    Every kick multiplies the whole field by the real scalar 1 + eps g_j, so
+    while the nonlinearity is small u^eps(t) = w(t) X^eps(t), with the
+    skeleton's shape w = u_skel / X_skel, X_skel(t) = exp(int_0^t c) for the
+    control's drift c, and X^eps(t) = exp(c_raw t) prod_{t_i <= t}(1 + eps g)
+    over the path's own events (``sample_prm`` under the control) with the
+    raw compensator c_raw = -sum_j g_j nu_j.  Then d = w (X^eps - X_skel),
+    and its norms at the grid times are |X^eps - X_skel|^q times w's.
+    """
+    skel = solve_skeleton(params, basis, u0, jm, ctrl, grid, with_norms=False)
+    n_steps = grid.refined_steps(ctrl.n_bins)
+    t = skel.times
+    c = drift_coefficient(jm, ctrl.phi)[np.arange(n_steps) // (n_steps // ctrl.n_bins)]
+    x_skel = np.exp(np.concatenate(([0.0], np.cumsum(c * (grid.T / n_steps)))))
+    p = params.lp_exponent
+    w_l2, w_grad, w_lp = norm_powers(basis, skel.modes / x_skel[:, None, None], [p])
+    dts = np.diff(t, prepend=0.0)
+    rows = np.empty((n, len(eps_list), 3))
+    for i in range(n):
+        for j, eps in enumerate(eps_list):
+            ev = sample_prm(jm, NoiseScale(eps), grid.T, trajectory_seed(master, i), ctrl)
+            log_kicks = np.concatenate(([0.0], np.cumsum(np.log1p(eps * jm.g[ev.marks]))))
+            x = np.exp(compensator_drift(jm) * t
+                       + log_kicks[np.searchsorted(ev.times, t, side="right")])
+            dx2 = (x - x_skel) ** 2
+            rows[i, j] = (np.max(dx2 * w_l2), np.sum(dts * dx2 * w_grad),
+                          np.sum(dts * dx2 ** (p // 2) * w_lp[p]))
+    return rows, skel
+
+
+@pytest.mark.parametrize("amp, bound", [
+    # 40 master seeds (0-39) gave at most 1.09e-3, 1.23e-3 and 5.7e-3
+    (1.0, (2e-3, 2.5e-3, 1e-2)),
+    # initial modes x4, where the nonlinearity is as large as the linear
+    # term: the model must fail, by more than this floor (40 seeds: at
+    # least 0.52, 0.58 and 9.2)
+    (4.0, (0.25, 0.25, 2.0)),
+], ids=["linear", "nonlinear_fails"])
+def test_sweep_rows_match_scalar_model(params_pi, amp, bound):
+    # criterion 4's setting (8x8, two marks of opposite sign, a 2-bin
+    # control): each path's sup ||d||^2, sum dt ||grad d||^2 and
+    # sum dt ||d||_8^8 from the march against the scalar model, which pins
+    # the kick factor, the compensator, the thinning and the kick-time
+    # convention that the slope of criterion 4 cannot see
+    basis = make_basis(8, 8, params_pi, pad_factor=4)
+    u0 = zero_field(basis)
+    u0.modes[0, 0] = 0.5 * amp
+    u0.modes[1, 1] = (0.25 + 0.1j) * amp
+    jm = jm2()
+    grid = TimeGrid(T=0.5, n_steps=100)
+    ctrl = Control(T=grid.T, phi=np.array([[1.5, 0.5], [1.0, 1.5]]))
+    eps_list, n, master = [2.0 ** -3, 2.0 ** -9], 16, 12345
+    model, skel = scalar_model_rows(params_pi, basis, u0, jm, ctrl, grid,
+                                    eps_list, master, n)
+    rows = harness._sweep_batch(params_pi, basis, u0, jm, ctrl, grid, master,
+                                skel, eps_list, (0, n))[0]
+    worst = (np.abs(model - rows) / rows).max(axis=(0, 1))
+    if amp == 1.0:
+        assert np.all(worst < bound), worst
+    else:
+        assert np.all(worst > bound), worst
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ from .params import Parameters
 from .rate import EndpointSpec
 from .skeleton import TimeGrid, Trajectory, solve_skeleton
 from .spde import march_batch
-from .spectral import (WORKSPACE_BYTES, SpectralBasis, StateField, _abs_sq, _or_inf,
-                       _power, chunk_rows, lp_integrals, norm_powers, scalar_pow)
+from .spectral import (WORKSPACE_BYTES, SpectralBasis, StateField, _abs_sq, _norm_rows,
+                       _or_inf, _power, _row_chunks, chunk_rows, norm_powers, scalar_pow)
 
 # paths marched together; the batch of path i is i // BATCH
 BATCH = 64
@@ -375,6 +375,11 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
     kick scales the admissible bound by max(1, (1+eps*g)^2).  A bound or
     total beyond float range is +inf; a total that is not finite fails
     its check, whatever the bound.
+
+    The grid-side integrals, int ||u||_{2s+2}^{2s+2} (``norm_powers``) and
+    int |u|^(2 sigma) |grad u|^2, are taken in row chunks of the trajectory
+    (``spectral._norm_rows`` rows), so the audit's memory does not grow
+    with the number of saved states.
     """
     basis, modes = traj.basis, traj.modes
     sigma = params.sigma
@@ -383,20 +388,23 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
     dts = np.diff(traj.times)
     p2s2 = params.lp_exponent
 
-    l2sq, gradsq, _ = norm_powers(basis, modes)
-    sq = _abs_sq(basis.to_grid(modes))
-    lp = lp_integrals(basis, sq, [p2s2])[p2s2]
+    l2sq, gradsq, lp = norm_powers(basis, modes, [p2s2])
     lapsq = np.sum(basis.eigenvalues ** 2 * np.abs(modes) ** 2, axis=(-2, -1))
-    Ux, Uy = basis.grad_to_grid(modes)
-    mixed = basis.cell_area * np.sum(_power(sq, sigma)
-                                     * (np.abs(Ux) ** 2 + np.abs(Uy) ** 2), axis=(-2, -1))
+
+    def mixed_part(rows: slice) -> np.ndarray:
+        sq = _abs_sq(basis.to_grid(modes[rows]))
+        Ux, Uy = basis.grad_to_grid(modes[rows])
+        grad_sq = np.abs(Ux) ** 2 + np.abs(Uy) ** 2
+        return basis.cell_area * np.sum(_power(sq, sigma) * grad_sq, axis=(-2, -1))
+    mixed = np.concatenate([mixed_part(rows)
+                            for rows in _row_chunks(len(modes), _norm_rows(basis))])
     gp = scalar_pow(gradsq, (p - 2) / 2)
     sup_sq = float(np.max(l2sq))
     sup_gp = float(np.max(scalar_pow(gradsq, p / 2)))
     # right-endpoint sums over the saved states, added in time order; at a
     # large sigma the H1 ones may overflow to inf
     int_grad = float(np.cumsum(dts * gradsq[1:])[-1])
-    int_lp = float(np.cumsum(dts * lp[1:])[-1])
+    int_lp = float(np.cumsum(dts * lp[p2s2][1:])[-1])
     with np.errstate(over="ignore"):
         int_lap = float(np.cumsum(dts * gp[1:] * lapsq[1:])[-1])
         int_mixed = float(np.cumsum(dts * gp[1:] * mixed[1:])[-1])

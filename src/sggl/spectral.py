@@ -21,8 +21,9 @@ transformed one (n1, n2) slice per GEMM, all of the same shape, so a
 path's result does not depend on the batch it is marched in.
 ``make_nonlin`` evaluates the whole nonlinearity on these factors in one
 kernel, with the derivative term's constants and conjugation folded into
-copies of the right factors.  ``apply_B`` goes through it, and ``apply_F``
-is its difference from the same kernel with lambda1 = lambda2 = 0.
+copies of the right factors; the derivative term is left out only when
+lambda1 = lambda2 = 0.  ``apply_B`` goes through it, and ``apply_F`` is
+its difference from the same kernel with lambda1 = lambda2 = 0.
 
 Grid powers |u|^q are taken from |u|^2 = re^2 + im^2, never from |u|
 (which costs a hypot), and raised by ``_power``: an integer exponent by
@@ -245,19 +246,15 @@ def apply_A(u: StateField, params: Parameters) -> StateField:
     return StateField(coef * u.modes, u.basis)
 
 
-def _kernel_layout(basis: SpectralBasis, with_F: bool, with_conj: bool = False) -> dict:
+def _kernel_layout(basis: SpectralBasis, with_F: bool) -> dict:
     """One path's share of each of the nonlinearity kernel's buffers, as
     {name: (shape, dtype)}."""
     n1, grid = basis.n1, basis.grid_shape
-    layout = {"U": (grid, complex), "a": (grid, float), "t": (grid, float)}
+    # Y: c S2^T, and with F the folded x parts beside it over the folded y parts
+    layout = {"U": (grid, complex), "a": (grid, float), "t": (grid, float),
+              "Y": (((1 + with_F) * n1, (1 + 2 * with_F) * grid[1]), complex)}
     if with_F:
-        # Y: c S2^T and the folded x parts over the folded y parts
-        layout.update(Y=((2 * n1, (2 + with_conj) * grid[1]), complex),
-                      D=(grid, complex))
-        if with_conj:
-            layout["E"] = (grid, complex)
-    else:
-        layout["R"] = ((n1, grid[1]), complex)
+        layout.update(D=(grid, complex), E=(grid, complex))
     return layout
 
 
@@ -274,7 +271,7 @@ def chunk_rows(params: Parameters, basis: SpectralBasis) -> int:
     """The rows that the nonlinearity of ``make_nonlin(params, basis)``
     evaluates in one chunk: as many as its buffers hold within
     WORKSPACE_BYTES, at least one."""
-    layout = _kernel_layout(basis, _has_F(params), any(params.lambda1))
+    layout = _kernel_layout(basis, _has_F(params))
     return max(1, WORKSPACE_BYTES // _row_bytes(layout))
 
 
@@ -293,8 +290,7 @@ def make_nonlin(params: Parameters, basis: SpectralBasis):
 
     The grid sum is formed divided by kappa = -(1-i*beta), so the saturable
     term is a real scaling of u and kappa multiplies the n1 x n2 result
-    instead of the padded grid.  Terms whose lambdas vanish are left out
-    when the kernel is built.
+    instead of the padded grid.  F is left out when both lambdas vanish.
 
     F's gradient fields D = ((2 lambda1 + lambda2)/kappa) . grad u and
     E = (lambda1/kappa) . grad(conj u) come straight out of GEMMs.  A
@@ -307,6 +303,8 @@ def make_nonlin(params: Parameters, basis: SpectralBasis):
     parts.  That is seven GEMMs with the projection, and F's grid passes are
     D |u|^2, E u twice and their sum.  D, E and u each keep a contiguous
     buffer: a layout with D and E side by side in one array was slower.
+    Without F, Y holds c S2^T alone, the first GEMM is cf @ kron(S2^T, I2)
+    into it, and the kernel makes four GEMMs.
 
     |u|^(2 sigma) is (|u|^2)^sigma by ``_power_by(sigma)``, built with the
     kernel, in the buffers ``a`` and ``t``: two multiplies for sigma = 3,
@@ -327,35 +325,36 @@ def make_nonlin(params: Parameters, basis: SpectralBasis):
     """
     kappa = -(1.0 - 1j * params.beta)
     l1, l2 = params.lambda1, params.lambda2
-    with_F, with_conj = _has_F(params), any(l1)
+    with_F = _has_F(params)
     power = _power_by(params.sigma)
     S1, P1 = basis._S1, basis._P1
     RS2, RP2 = basis._RS2, basis._RP2
     n1, g = basis.n1, RS2.shape[1]          # g: floats in a grid row
+    K1 = RS2
     if with_F:
         CS = np.hstack((basis._C1, S1))
 
         def folded(R: np.ndarray, i: int) -> list:
-            """Axis i's factor R = kron(M, I2) as kron(M, A_i) and, with E,
+            """Axis i's factor R = kron(M, I2) as kron(M, A_i) and
             kron(M, B_i): a float pair [x, y] times A_i is a (x + iy), times
             B_i is b conj(x + iy), for D's constant a and E's b."""
             a, b = (2 * l1[i] + l2[i]) / kappa, l1[i] / kappa
-            maps = [[[a.real, a.imag], [-a.imag, a.real]]]
-            if with_conj:
-                maps.append([[b.real, b.imag], [b.imag, -b.real]])
+            maps = ([[a.real, a.imag], [-a.imag, a.real]],
+                    [[b.real, b.imag], [b.imag, -b.real]])
             return [np.kron(R[::2, ::2], m) for m in maps]
         K1 = np.hstack([RS2] + folded(RS2, 0))
         K2 = np.hstack(folded(basis._RC2, 1))
     half_f = (n1, 2 * basis.n2)             # a coefficient array's float view
-    layout = _kernel_layout(basis, with_F, with_conj)
+    layout = _kernel_layout(basis, with_F)
     most = chunk_rows(params, basis)
     bases: dict[str, np.ndarray] = {}
     plans: dict[int, list] = {}
 
     def views(S: int) -> SimpleNamespace:
         """The buffers' first S rows, with the float64 view ``<name>_f`` of
-        each complex one and u's real and imaginary parts; with F, the
-        blocks of Y (its lower first g columns go unused)."""
+        each complex one, u's real and imaginary parts and the blocks of Y:
+        without F, Y is c S2^T and the F blocks are empty; with F, Y's lower
+        first g columns go unused."""
         w = SimpleNamespace()
         for k, base in bases.items():
             v = base[:S]
@@ -363,10 +362,9 @@ def make_nonlin(params: Parameters, basis: SpectralBasis):
             if v.dtype == complex:
                 setattr(w, k + "_f", v.view(np.float64))
         w.U_re, w.U_im = w.U.real, w.U.imag
-        if with_F:
-            Y = w.Y_f
-            w.R_f, w.Yx, w.Yy = Y[:, :n1, :g], Y[:, :n1], Y[:, n1:, g:]
-            w.YD, w.YE = Y[..., g:2 * g], Y[..., 2 * g:]
+        Y = w.Y_f
+        w.R_f, w.Yx, w.Yy = Y[:, :n1, :g], Y[:, :n1], Y[:, n1:, g:]
+        w.YD, w.YE = Y[..., g:2 * g], Y[..., 2 * g:]
         return w
 
     def plan(S: int) -> list:
@@ -387,25 +385,21 @@ def make_nonlin(params: Parameters, basis: SpectralBasis):
         """The rows cf (S, n1, 2 n2) of the float view, in the views ``w``,
         into ``out``."""
         U, a = w.U, w.a
+        np.matmul(cf, K1, out=w.Yx)                 # c S2^T; D and E: x parts
         if with_F:
-            np.matmul(cf, K1, out=w.Yx)             # c S2^T, D and E: x parts
             np.matmul(cf, K2, out=w.Yy)             # D and E: y parts
-        else:
-            np.matmul(cf, RS2, out=w.R_f)           # c S2^T
         np.matmul(S1, w.R_f, out=w.U_f)
         np.multiply(w.U_re, w.U_re, out=a)          # |u|^2
         np.multiply(w.U_im, w.U_im, out=w.t)
         a += w.t
         if with_F:
-            D = w.D
+            D, E = w.D, w.E
             np.matmul(CS, w.YD, out=w.D_f)
             D *= a                                  # ((2 l1 + l2) . grad u)|u|^2
-            if with_conj:                           # (l1 . grad conj u) u^2
-                E = w.E
-                np.matmul(CS, w.YE, out=w.E_f)
-                E *= U
-                E *= U
-                D += E
+            np.matmul(CS, w.YE, out=w.E_f)
+            E *= U                                  # (l1 . grad conj u) u^2
+            E *= U
+            D += E
         U *= power(a, w.t)                          # |u|^(2 sigma) u
         if with_F:
             U += D
@@ -443,17 +437,24 @@ def apply_B(u: StateField, params: Parameters) -> StateField:
     return StateField(modes, u.basis)
 
 
+def _norm_rows(basis: SpectralBasis) -> int:
+    """The rows of a grid-side norm's row chunks (``_row_chunks``): as many
+    as keep the temporaries of the kernel without F (a half-transformed
+    field, the grid field, |u|^2 and its power) within a quarter of
+    WORKSPACE_BYTES."""
+    return WORKSPACE_BYTES // 4 // _row_bytes(_kernel_layout(basis, with_F=False))
+
+
 def norm_powers(basis: SpectralBasis, modes: np.ndarray, p_list=()):
     """(||u||^2, ||grad u||^2, {p: int |u|^p dx}) of each field of a
     (..., n1, n2) coefficient stack, each shaped like its leading axes.
 
     The squared L2 norm and H1 seminorm come from Parseval (the basis is
-    orthonormal in L2), the Lp integrals from collocation quadrature on the
-    padded grid.  The quadrature runs beside the kernel's buffers (a sweep
-    reduces its buffered grid-time fields mid-march), so it takes row chunks
-    (``_row_chunks``) whose temporaries stay within a quarter of
-    WORKSPACE_BYTES; a row's are those of the kernel without F: a
-    half-transformed field, the grid field, |u|^2 and its power.
+    orthonormal in L2), the Lp integrals, for integers p >= 2, from
+    collocation quadrature on the padded grid: |u|^p is (|u|^2)^(p // 2)
+    by ``_power``, times sqrt(|u|^2) for odd p.  The quadrature runs beside
+    the kernel's buffers (a sweep reduces its buffered grid-time fields
+    mid-march), so it takes row chunks of ``_norm_rows`` rows.
     """
     sq = np.abs(modes) ** 2
     l2sq = np.sum(sq, axis=(-2, -1))
@@ -461,24 +462,15 @@ def norm_powers(basis: SpectralBasis, modes: np.ndarray, p_list=()):
     if not p_list:
         return l2sq, gradsq, {}
     flat = modes.reshape((-1,) + modes.shape[-2:])
-    most = WORKSPACE_BYTES // 4 // _row_bytes(_kernel_layout(basis, with_F=False))
-    parts = [lp_integrals(basis, _abs_sq(basis.to_grid(flat[rows])), p_list)
-             for rows in _row_chunks(len(flat), most)]
-    lp = {p: np.concatenate([part[p] for part in parts]).reshape(l2sq.shape)[()]
-          for p in p_list}
+    parts = {p: [] for p in p_list}
+    for rows in _row_chunks(len(flat), _norm_rows(basis)):
+        grid_sq = _abs_sq(basis.to_grid(flat[rows]))
+        for p, part in parts.items():
+            f = _power(grid_sq, p // 2)
+            part.append(basis.cell_area
+                        * np.sum(f * np.sqrt(grid_sq) if p % 2 else f, axis=(-2, -1)))
+    lp = {p: np.concatenate(part).reshape(l2sq.shape)[()] for p, part in parts.items()}
     return l2sq, gradsq, lp
-
-
-def lp_integrals(basis: SpectralBasis, sq: np.ndarray, p_list) -> dict:
-    """{p: int |u|^p dx} for integers p >= 2 by collocation quadrature from
-    the grid values |u|^2 (..., N1, N2) of each field of a stack.
-
-    |u|^p is (|u|^2)^(p // 2) by ``_power``, times sqrt(|u|^2) for odd p.
-    """
-    def integrand(p):
-        f = _power(sq, p // 2)
-        return f * np.sqrt(sq) if p % 2 else f
-    return {p: basis.cell_area * np.sum(integrand(p), axis=(-2, -1)) for p in p_list}
 
 
 def _or_inf(f, *args) -> float:

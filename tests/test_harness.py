@@ -1,17 +1,21 @@
 """Monte Carlo harness: sweeps, tail probabilities, and energy audits."""
 
+import functools
 import math
+import os
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
-from sggl import (Control, EndpointSpec, JumpModel, NoiseScale, TimeGrid,
+from sggl import (Control, EndpointSpec, JumpModel, NoiseScale, StateField, TimeGrid,
                   constant_control, convergence_sweep, cost, energy_audit,
                   make_basis, mode_field, solve_skeleton, solve_spde,
                   tail_probability, trajectory_seed, zero_field)
-from sggl import harness
+from sggl import harness, spectral
+from sggl.config import parse_config
 from sggl.harness import _fit_loglog, _wilson
-from sggl.jumps import compensator_drift, drift_coefficient, sample_prm
+from sggl.jumps import compensator_drift, drift_coefficient, sample_prm, sample_prm_scales
 from sggl.spectral import norm_powers
 
 from conftest import jm2
@@ -279,6 +283,126 @@ def test_sweep_rows_match_scalar_model(params_pi, amp, bound):
 # ---------------------------------------------------------------------------
 # tail probabilities
 
+DEFAULT_INI = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "default.ini")
+TAIL_EPS = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5]
+
+
+@functools.cache
+def default_tail_setup(amp):
+    """(spec, u0, event, u_d) of configs/default.ini with its initial modes
+    times ``amp``: ``sggl tail``'s event from that start, its radius times
+    ``amp`` too, and the endpoint modes u_d of the phi = 1 skeleton."""
+    spec = parse_config(DEFAULT_INI)
+    u0 = StateField(amp * spec.u0.modes, spec.basis)
+
+    def endpoint(ctrl):
+        return solve_skeleton(spec.params, spec.basis, u0, spec.jm, ctrl, spec.grid,
+                              with_norms=False).endpoint
+    center = endpoint(Control(T=spec.grid.T, phi=spec.target_phi))
+    event = EndpointSpec(center=center, radius=amp * spec.target_radius)
+    u_d = endpoint(constant_control(spec.grid.T, spec.jm.n_marks, 1.0)).modes
+    return spec, u0, event, u_d
+
+
+def scalar_model_log_x(jm, T, eps_list, master, n):
+    """log X^eps(T) = c_raw T + sum_i log(1 + eps g_{j_i}) of paths 0..n-1 at
+    each eps, (n, m), over each path's own events (``sample_prm_scales``, no
+    control); with phi = 1 the skeleton's drift is 0, so the scalar model's
+    endpoint is X^eps(T) u_d."""
+    out = np.empty((n, len(eps_list)))
+    for i in range(n):
+        samples = sample_prm_scales(jm, [NoiseScale(eps) for eps in eps_list], T,
+                                    trajectory_seed(master, i))
+        for j, (eps, ev) in enumerate(zip(eps_list, samples)):
+            out[i, j] = compensator_drift(jm) * T + np.sum(np.log1p(eps * jm.g[ev.marks]))
+    return out
+
+
+@functools.cache
+def tail_rows(amp, master=12345, n=128):
+    """(model gaps, marched gaps, marched hit flags), each (n, 3), of paths
+    0..n-1 of ``default_tail_setup(amp)`` at TAIL_EPS, and the radius: the
+    march is ``harness._tail_batch``'s, its gaps recorded on their way to the
+    hit test."""
+    spec, u0, event, u_d = default_tail_setup(amp)
+    marched = []
+
+    class Recorder:
+        radius = event.radius
+
+        def gaps(self, modes):
+            marched.append(event.gaps(modes))
+            return marched[-1]
+    hits = harness._tail_batch(spec.params, spec.basis, u0, spec.jm, spec.grid,
+                               Recorder(), TAIL_EPS, master, (0, n))[0]
+    x = np.exp(scalar_model_log_x(spec.jm, spec.grid.T, TAIL_EPS, master, n))
+    model = event.gaps(x[..., None, None] * u_d)
+    return model, marched[0].reshape(model.shape), hits.astype(bool), event.radius
+
+
+@pytest.mark.parametrize("amp", [1.0, 4.0], ids=["linear", "nonlinear_fails"])
+def test_tail_rows_match_scalar_model(amp):
+    # default.ini (F on, two marks) and sggl tail's event: each path's
+    # endpoint gap from the march against the scalar model's
+    # ||X u_d - center||, and its hit flag against the model's, except for
+    # rows whose model gap lies within 1e-3 of the radius, which are skipped
+    model, gap, hit, radius = tail_rows(amp)
+    err = np.abs(model - gap).max()
+    near = np.abs(model - radius) < 1e-3
+    mismatched = np.sum(((model <= radius) != hit) & ~near)
+    if amp == 1.0:
+        # 24 master seeds (0-23), radius 0.005: gap errors of at most 1.5e-4,
+        # no mismatched flag, and at most 13 of 384 rows skipped
+        assert err < 5e-4 and mismatched == 0 and near.sum() <= 24, \
+            (err, mismatched, near.sum())
+    else:
+        # initial modes x4, where the nonlinearity matters; center and radius
+        # (0.02) from the x4 target skeleton: the model must fail by more
+        # than this floor (24 seeds: gap errors of at least 0.065, at least
+        # 13 mismatched flags)
+        assert err > 0.03 and mismatched >= 5, (err, mismatched)
+
+
+def lattice_tail_probability(event, u_d, jm, T, eps):
+    """p(eps) of the scalar model: P(||X u_d - center|| <= radius) for
+    X = exp(c_raw T) prod_j (1 + eps g_j)^N_j with independent
+    N_j ~ Poisson(nu_j T / eps), summed over the two-mark lattice of counts.
+
+    The squared gap X^2 |u_d|^2 - 2 X Re<u_d, center> + |center|^2 is at most
+    radius^2 on a window of X, so a count pair hits when its log X lies in
+    the window's logs.
+    """
+    a = np.sum(np.abs(u_d) ** 2)
+    b = np.sum((u_d * np.conj(event.center.modes)).real)
+    c = np.sum(np.abs(event.center.modes) ** 2)
+    root = math.sqrt(b * b - a * (c - event.radius ** 2))
+    lo, hi = math.log((b - root) / a), math.log((b + root) / a)
+    means = jm.nu * T / eps
+    n0, n1 = (np.arange(int(m + 12 * math.sqrt(m)) + 30) for m in means)
+    log_x = (compensator_drift(jm) * T + n0[:, None] * np.log1p(eps * jm.g[0])
+             + n1[None, :] * np.log1p(eps * jm.g[1]))
+    w = poisson.pmf(n0, means[0])[:, None] * poisson.pmf(n1, means[1])[None, :]
+    return float(np.sum(w[(lo <= log_x) & (log_x <= hi)]))
+
+
+def test_tail_lattice_matches_model_paths_and_crude_mc():
+    # the scalar model's p(eps) on default.ini, summed exactly over the
+    # lattice of the two marks' event counts, against the hit frequency of
+    # 4,000 model paths and of the 128 marched paths of the per-path check,
+    # each within 4 binomial SE (24 master seeds: at most 3.1 SE)
+    spec, _, event, u_d = default_tail_setup(1.0)
+    jm, T = spec.jm, spec.grid.T
+    p = np.array([lattice_tail_probability(event, u_d, jm, T, eps) for eps in TAIL_EPS])
+    assert p == pytest.approx([6.118e-2, 4.761e-2, 2.885e-2], rel=1e-3)
+    n = 4000
+    x = np.exp(scalar_model_log_x(jm, T, TAIL_EPS, 12345, n))
+    model_hit = event.gaps(x[..., None, None] * u_d) <= event.radius
+    marched_hit = tail_rows(1.0)[2]
+    for hit in (model_hit, marched_hit):
+        z = (hit.mean(axis=0) - p) / np.sqrt(p * (1 - p) / len(hit))
+        assert np.all(np.abs(z) < 4), z
+
+
 def test_tail_full_cover_event(params_pi):
     # every sampled endpoint inside the event ball: p_hat = 1, eps log p = 0.
     # Use a near-zero jump intensity and a master seed whose samples all have
@@ -410,3 +534,30 @@ def test_audit_jump_trajectory(params_pi):
                           events=events)
         rep = energy_audit(traj, params_pi, jm, eps=eps.epsilon, events=events)
         assert rep.energy_ok, rep.violations
+
+
+def test_audit_transforms_a_row_chunk_at_a_time(params_pi, monkeypatch):
+    # a long trajectory reaches the grid transforms one row chunk at a time,
+    # so the audit's memory does not grow with the number of saved states,
+    # and its report is the same with chunks of a single row
+    basis = make_basis(8, 8, params_pi, pad_factor=4)
+    u0 = mode_field(basis, 1, 1, 0.5)
+    u0.modes[1, 1] = 0.25 + 0.1j
+    jm, grid = jm2(), TimeGrid(T=0.5, n_steps=2000)
+    ctrl = Control(T=grid.T, phi=np.array([[2.0, 0.5], [1.0, 1.5]]))
+    traj = solve_skeleton(params_pi, basis, u0, jm, ctrl, grid)
+    batches = []
+    for name in ("to_grid", "grad_to_grid"):
+        def spy(self, modes, transform=getattr(spectral.SpectralBasis, name)):
+            batches.append(len(modes) if modes.ndim == 3 else 1)
+            return transform(self, modes)
+        monkeypatch.setattr(spectral.SpectralBasis, name, spy)
+    rep = energy_audit(traj, params_pi, jm, ctrl=ctrl)
+    assert rep.energy_ok and rep.grad_ok
+    most = spectral._norm_rows(basis)
+    assert 1 < most < len(traj.modes) and len(batches) >= len(traj.modes) / most
+    assert max(batches) <= most
+    monkeypatch.setattr(spectral, "WORKSPACE_BYTES", 0)
+    batches.clear()
+    assert energy_audit(traj, params_pi, jm, ctrl=ctrl) == rep
+    assert max(batches) == 1

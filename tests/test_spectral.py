@@ -306,6 +306,18 @@ def test_make_nonlin_batch_rows_equal_single_calls(lambdas, sigma):
     assert np.array_equal(nonlin(modes[0]), first)
 
 
+def test_chunk_rows_one_layout_with_F():
+    # with F the kernel keeps one buffer layout, E included, whichever lambdas
+    # are nonzero; without F its buffer Y holds c S2^T alone
+    for n, with_F, no_F in [(8, 14, 34), (2, 152, 355)]:
+        rows = {}
+        for lam in LAMBDAS:
+            p = nonlin_params(3.0, lam)
+            rows[lam] = chunk_rows(p, make_basis(n, n, p, pad_factor=4))
+        assert rows == {"no F": no_F, "F": with_F, "lambda2 only": with_F,
+                        "lambda1 only": with_F}
+
+
 @pytest.mark.parametrize("lambdas", ["no F", "F"])
 def test_make_nonlin_workspace_stays_within_budget(lambdas):
     # a 256-row 8x8 batch would need about 30 MB of grid buffers with F; the

@@ -12,10 +12,11 @@ A skeleton sees its control only through the compensator drift on each bin
 (``drift_coefficient``), so the search marches drift rows: every skeleton
 solve is one row of a batched ``march``, a gradient's forward differences
 share one march, and the line search marches its candidate steps in batches
-that double in size.  The search keeps the gap of every drift row it has
-marched and marches each row once.  A row's result does not depend on its
-batch and candidates are accepted in their serial order, so the estimate is
-the one that solving the skeletons one at a time gives, bit for bit.
+that double in size, leaving out a step whose cost alone rules it out.  The
+search keeps the gap of every drift row it has marched and marches each row
+once.  A row's result does not depend on its batch and candidates are
+accepted in their serial order, so the estimate is the one that solving the
+skeletons one at a time gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -105,6 +106,13 @@ class RateResult:
     skeleton_paths: int
 
 
+def _may_improve(c: float, f: float) -> bool:
+    """Whether a line-search candidate of cost c can pass the search's test
+    objective < f - 1e-14; its objective is at least its cost, so one that
+    fails here is rejected without a march."""
+    return c < f - 1e-14
+
+
 def _endpoint_gaps(drift: np.ndarray, target: EndpointSpec, params, basis,
                    u0, grid) -> list[float]:
     """Endpoint gap of the skeleton under each (n_bins,) drift row
@@ -135,6 +143,7 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     line search tries steps s, s/2, s/4, ... (at most 25), marched in that
     order in batches of 2, 4, 8, ..., and accepts the first that improves
     the objective, so it accepts what a serial search would, bit for bit.
+    A candidate whose cost alone rules out an improvement is not marched.
     Infeasibility within the budget is reported via the ``feasible`` flag
     (the numerical proxy for an infinite rate), never as a sentinel value.
     """
@@ -191,6 +200,8 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
             while lo < scales.size and not improved:
                 batch = scales[lo:lo + size]
                 cands = np.maximum(0.0, phi - batch[:, None, None] * grad)
+                live = np.array([_may_improve(cost_of(c), f) for c in cands], dtype=bool)
+                batch, cands = batch[live], cands[live]
                 for s, cand, gc in zip(batch, cands, gaps_of(cands)):
                     fc = objective(cand, gc)
                     if fc < f - 1e-14:

@@ -21,14 +21,18 @@ transformed one (n1, n2) slice per GEMM, all of the same shape, so a
 path's result does not depend on the batch it is marched in.
 ``make_nonlin`` evaluates the whole nonlinearity on these factors in one
 kernel, with the derivative term's constants and conjugation folded into
-copies of the right factors; the derivative term is left out only when
-lambda1 = lambda2 = 0.  ``apply_B`` goes through it, and ``apply_F`` is
-its difference from the same kernel with lambda1 = lambda2 = 0.
+copies of the right factors, and -(1 - i beta) into the projection's; the
+derivative term is left out only when lambda1 = lambda2 = 0.  ``apply_B``
+goes through it, and ``apply_F`` is its difference from the same kernel
+with lambda1 = lambda2 = 0.
 
-Grid powers |u|^q are taken from |u|^2 = re^2 + im^2, never from |u|
-(which costs a hypot), and raised by ``_power``: an integer exponent by
-repeated multiplication, so sigma = 3 and the L^8 quadrature need no libm
-pow.
+Grid powers |u|^q are taken from |u|^2, never from |u| (which costs a
+hypot).  The kernel forms |u|^2 as conj(u) u in a complex buffer and
+multiplies u by its power in place (``_times_power_by``), so no pass reads
+a strided real or imaginary part or casts a real field to complex;
+``norm_powers`` and the energy audit take re^2 + im^2 (``_abs_sq``) and
+raise it by ``_power``.  Both raise an integer exponent by repeated
+multiplication, so sigma = 3 and the L^8 quadrature need no libm pow.
 """
 
 from __future__ import annotations
@@ -87,6 +91,30 @@ def _power_by(e: float):
                 r *= a
         return r
     return power
+
+
+def _times_power_by(e: float):
+    """The map (U, A) -> U * A ** e in place in U, for complex fields U and
+    A; A is spent.  The kernel's |u|^(2 sigma) u, with A = |u|^2.
+
+    An integer e >= 1 is applied by right-to-left binary powering: U *= A
+    for each set bit of e, lowest first, and A *= A between bits, so no
+    other buffer is needed: U A^3 is (U A) A^2.  Any other e goes to
+    ``np.power`` in place in A.
+    """
+    if not float(e).is_integer():
+        def times_power(U: np.ndarray, A: np.ndarray):
+            U *= np.power(A, e, out=A)
+        return times_power
+    bits = [bit == "1" for bit in reversed(bin(int(e))[2:])]
+
+    def times_power(U: np.ndarray, A: np.ndarray):
+        for i, times_A in enumerate(bits):
+            if i:
+                A *= A
+            if times_A:
+                U *= A
+    return times_power
 
 
 def _power(a: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -251,7 +279,7 @@ def _kernel_layout(basis: SpectralBasis, with_F: bool) -> dict:
     {name: (shape, dtype)}."""
     n1, grid = basis.n1, basis.grid_shape
     # Y: c S2^T, and with F the folded x parts beside it over the folded y parts
-    layout = {"U": (grid, complex), "a": (grid, float), "t": (grid, float),
+    layout = {"U": (grid, complex), "A": (grid, complex),
               "Y": (((1 + with_F) * n1, (1 + 2 * with_F) * grid[1]), complex)}
     if with_F:
         layout.update(D=(grid, complex), E=(grid, complex))
@@ -289,8 +317,10 @@ def make_nonlin(params: Parameters, basis: SpectralBasis):
         F(u) = ((2 lambda1 + lambda2) . grad u)|u|^2 + (lambda1 . grad(conj u)) u^2.
 
     The grid sum is formed divided by kappa = -(1-i*beta), so the saturable
-    term is a real scaling of u and kappa multiplies the n1 x n2 result
-    instead of the padded grid.  F is left out when both lambdas vanish.
+    term is u times a power of |u|^2, and kappa is folded into the
+    projection's right factor, kron(S2, [[Re kappa, Im kappa], [-Im kappa,
+    Re kappa]]), so no pass scales the result.  F is left out when both
+    lambdas vanish.
 
     F's gradient fields D = ((2 lambda1 + lambda2)/kappa) . grad u and
     E = (lambda1/kappa) . grad(conj u) come straight out of GEMMs.  A
@@ -306,10 +336,15 @@ def make_nonlin(params: Parameters, basis: SpectralBasis):
     Without F, Y holds c S2^T alone, the first GEMM is cf @ kron(S2^T, I2)
     into it, and the kernel makes four GEMMs.
 
-    |u|^(2 sigma) is (|u|^2)^sigma by ``_power_by(sigma)``, built with the
-    kernel, in the buffers ``a`` and ``t``: two multiplies for sigma = 3,
-    ``np.power`` only for a non-integer sigma.  The projection's first GEMM
-    writes into the spent c S2^T.
+    |u|^2 is conj(u) u, two contiguous complex passes into the buffer
+    ``A``; its imaginary part is 0 up to rounding (numpy's complex product
+    may fuse its multiply-adds).  F's D |u|^2 reads A, then
+    ``_times_power_by(sigma)``, built with the kernel, multiplies u by
+    A^sigma in place, powering A in place too: U *= A, A *= A, U *= A for
+    sigma = 3, and for a non-integer sigma ``np.power`` into A and one
+    product.  With F a chunk thus makes ten grid passes at sigma = 3, all
+    complex and contiguous, and without F five.  The projection's first
+    GEMM writes into the spent c S2^T.
 
     The grid fields live in buffers that the returned function keeps
     between calls.  A batch's fields run to megabytes; allocated afresh on
@@ -320,16 +355,22 @@ def make_nonlin(params: Parameters, basis: SpectralBasis):
     within WORKSPACE_BYTES and in cache however large the batch; they hold
     the longest chunk seen, or ``chunk_rows`` rows once a batch has been
     cut, so a batch that shrinks never regrows them.  A row's arithmetic is
-    the same in any chunk.  One returned function must not run in two
-    threads at once.
+    the same in any chunk.  No reference cycle holds the function, so a
+    march's kernel frees its buffers as soon as the march drops it.  One
+    returned function must not run in two threads at once.
     """
     kappa = -(1.0 - 1j * params.beta)
     l1, l2 = params.lambda1, params.lambda2
     with_F = _has_F(params)
-    power = _power_by(params.sigma)
+    times_power = _times_power_by(params.sigma)
     S1, P1 = basis._S1, basis._P1
-    RS2, RP2 = basis._RS2, basis._RP2
+    RS2 = basis._RS2
     n1, g = basis.n1, RS2.shape[1]          # g: floats in a grid row
+
+    def times(a: complex) -> list:
+        """The real 2x2 map that takes a float pair [x, y] to a (x + iy)."""
+        return [[a.real, a.imag], [-a.imag, a.real]]
+    RP2k = np.kron(basis._RP2[::2, ::2], times(kappa))     # kron(S2, kappa)
     K1 = RS2
     if with_F:
         CS = np.hstack((basis._C1, S1))
@@ -339,12 +380,12 @@ def make_nonlin(params: Parameters, basis: SpectralBasis):
             kron(M, B_i): a float pair [x, y] times A_i is a (x + iy), times
             B_i is b conj(x + iy), for D's constant a and E's b."""
             a, b = (2 * l1[i] + l2[i]) / kappa, l1[i] / kappa
-            maps = ([[a.real, a.imag], [-a.imag, a.real]],
-                    [[b.real, b.imag], [b.imag, -b.real]])
+            maps = (times(a), [[b.real, b.imag], [b.imag, -b.real]])
             return [np.kron(R[::2, ::2], m) for m in maps]
         K1 = np.hstack([RS2] + folded(RS2, 0))
         K2 = np.hstack(folded(basis._RC2, 1))
     half_f = (n1, 2 * basis.n2)             # a coefficient array's float view
+    one_point = math.prod(basis.grid_shape) == 1
     layout = _kernel_layout(basis, with_F)
     most = chunk_rows(params, basis)
     bases: dict[str, np.ndarray] = {}
@@ -352,16 +393,14 @@ def make_nonlin(params: Parameters, basis: SpectralBasis):
 
     def views(S: int) -> SimpleNamespace:
         """The buffers' first S rows, with the float64 view ``<name>_f`` of
-        each complex one, u's real and imaginary parts and the blocks of Y:
+        each (all are complex) and the blocks of Y:
         without F, Y is c S2^T and the F blocks are empty; with F, Y's lower
         first g columns go unused."""
         w = SimpleNamespace()
         for k, base in bases.items():
             v = base[:S]
             setattr(w, k, v)
-            if v.dtype == complex:
-                setattr(w, k + "_f", v.view(np.float64))
-        w.U_re, w.U_im = w.U.real, w.U.imag
+            setattr(w, k + "_f", v.view(np.float64))
         Y = w.Y_f
         w.R_f, w.Yx, w.Yy = Y[:, :n1, :g], Y[:, :n1], Y[:, n1:, g:]
         w.YD, w.YE = Y[..., g:2 * g], Y[..., 2 * g:]
@@ -384,29 +423,34 @@ def make_nonlin(params: Parameters, basis: SpectralBasis):
     def chunk(w: SimpleNamespace, cf: np.ndarray, out: np.ndarray):
         """The rows cf (S, n1, 2 n2) of the float view, in the views ``w``,
         into ``out``."""
-        U, a = w.U, w.a
+        U, A = w.U, w.A
         np.matmul(cf, K1, out=w.Yx)                 # c S2^T; D and E: x parts
         if with_F:
             np.matmul(cf, K2, out=w.Yy)             # D and E: y parts
         np.matmul(S1, w.R_f, out=w.U_f)
-        np.multiply(w.U_re, w.U_re, out=a)          # |u|^2
-        np.multiply(w.U_im, w.U_im, out=w.t)
-        a += w.t
+        np.conjugate(U, out=A)                      # |u|^2
+        A *= U
         if with_F:
             D, E = w.D, w.E
             np.matmul(CS, w.YD, out=w.D_f)
-            D *= a                                  # ((2 l1 + l2) . grad u)|u|^2
+            D *= A                                  # ((2 l1 + l2) . grad u)|u|^2
             np.matmul(CS, w.YE, out=w.E_f)
             E *= U                                  # (l1 . grad conj u) u^2
             E *= U
             D += E
-        U *= power(a, w.t)                          # |u|^(2 sigma) u
+        times_power(U, A)                           # |u|^(2 sigma) u
         if with_F:
             U += D
         np.matmul(P1, w.U_f, out=w.R_f)
-        np.matmul(w.R_f, RP2, out=out)
+        np.matmul(w.R_f, RP2k, out=out)             # kappa P[...]
 
     def nonlin(c: np.ndarray) -> np.ndarray:
+        # numpy multiplies a lone complex number in place without the fused
+        # multiply-adds of its vector loop, so a lone grid value is evaluated
+        # in a batch of two, as in any larger batch
+        lone = one_point and c.size == 1
+        if lone:
+            c = np.broadcast_to(c, (2,) + c.shape)
         res = np.empty(c.shape, dtype=complex)
         cf, out = _float_view(c), res.view(np.float64)
         # a batch (S, n1, n2) is sliced as it is: a reshape costs about as much
@@ -415,8 +459,7 @@ def make_nonlin(params: Parameters, basis: SpectralBasis):
             cf, out = cf.reshape(-1, *half_f), out.reshape(-1, *half_f)
         for rows, w in plans.get(len(cf)) or plan(len(cf)):
             chunk(w, cf[rows], out[rows])
-        res *= kappa
-        return res
+        return res[0] if lone else res
     return nonlin
 
 

@@ -1,5 +1,8 @@
 """Entropy cost, level sets, and the rate-function estimator."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,13 @@ from sggl import (Control, EndpointSpec, JumpModel, OptConfig, TimeGrid,
                   constant_control, cost, ell, estimate_rate, in_level_set,
                   make_basis, mode_field, solve_skeleton)
 from sggl import rate
+from sggl.cli import _opt_config
+from sggl.config import parse_config
 from sggl.skeleton import MarchResult, march
 
 from conftest import jm2
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def jm1(g=0.5, nu=1.0):
@@ -189,10 +196,11 @@ def test_rate_result_fields(params_pi, monkeypatch):
     assert res.endpoint_gap >= 0
     assert res.iterations >= 0
     assert res.control.phi.shape == (2, 1)
-    # every march holds a row; here the first stage marches the start, a
-    # gradient and a failed 25-step ladder in four batches, and the later
-    # stages find each of their rows already marched
-    assert res.skeleton_paths >= res.marches >= 1 + res.iterations
+    # phi = 1 lands on the center, so the objective is 0 and every line-search
+    # candidate costs more: the search marches the start and one gradient of
+    # two probes, and no candidate (the later stages find the gradient's rows
+    # already marched)
+    assert (res.marches, res.skeleton_paths) == (2, 3)
     # no drift row is marched twice, though every continuation stage retries
     # the same failed line search from the same phi
     assert len(set(marched)) == len(marched) == res.skeleton_paths
@@ -230,6 +238,39 @@ def test_rate_search_independent_of_batching(params_pi, monkeypatch):
     assert np.array_equal(batched.control.phi, serial.control.phi)
     # no drift row is marched twice: the search keeps every gap it marched
     assert len(set(marched)) == len(marched) == serial.skeleton_paths
+
+
+def test_rate_search_skips_only_candidates_it_would_reject(tmp_path, monkeypatch):
+    # on the benchmark's tiny rate configuration (4x4 basis, 20 steps), the
+    # search that marches every line-search candidate, its cost ruling it
+    # out or not, finds the same answer bit for bit with more skeletons
+    sys.path.insert(0, str(BENCH))
+    try:
+        from workloads import DEFAULT_SEED, ini_text
+    finally:
+        sys.path.remove(str(BENCH))
+    ini = tmp_path / "rate.ini"
+    ini.write_text(ini_text("rate-default", DEFAULT_SEED, "tiny", BENCH.parent),
+                   encoding="utf-8")
+    spec = parse_config(str(ini))
+    assert (spec.basis.n1, spec.basis.n2, spec.grid.n_steps) == (4, 4, 20)
+    center = solve_skeleton(spec.params, spec.basis, spec.u0, spec.jm,
+                            Control(T=spec.grid.T, phi=spec.target_phi),
+                            spec.grid).endpoint
+    target = EndpointSpec(center=center, radius=spec.target_radius)
+
+    def solve():
+        return estimate_rate(target, spec.params, spec.basis, spec.jm, spec.u0,
+                             spec.grid, _opt_config(spec))
+    pruned = solve()
+    monkeypatch.setattr(rate, "_may_improve", lambda c, f: True)
+    every = solve()
+    assert pruned.feasible
+    for name in ("value", "endpoint_gap", "iterations", "feasible"):
+        assert getattr(pruned, name) == getattr(every, name), name
+    assert np.array_equal(pruned.control.phi, every.control.phi)
+    assert pruned.skeleton_paths < every.skeleton_paths
+    assert pruned.marches <= every.marches
 
 
 def test_endpoint_spec_rejects_negative_radius(params_pi, basis8):

@@ -1,6 +1,8 @@
 """Spectral core: basis construction, operators, norms, and their invariants."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -262,7 +264,7 @@ def random_modes(shape, seed):
 
 
 @pytest.mark.parametrize("S", [1, 3])
-@pytest.mark.parametrize("sigma", [3.0, 2.5])
+@pytest.mark.parametrize("sigma", [3.0, 2.5, 4.0, 5.0])
 @pytest.mark.parametrize("lambdas", list(LAMBDAS))
 def test_make_nonlin_matches_transform_formula(S, sigma, lambdas):
     p = nonlin_params(sigma, lambdas)
@@ -275,14 +277,17 @@ def test_make_nonlin_matches_transform_formula(S, sigma, lambdas):
 
 
 @pytest.mark.parametrize("lambdas, sigma",
-                         [(lam, 3.0) for lam in LAMBDAS] + [(lam, 2.5) for lam in LAMBDAS],
-                         ids=list(LAMBDAS) + [f"{lam}-2.5" for lam in LAMBDAS])
+                         [(lam, 3.0) for lam in LAMBDAS]
+                         + [(lam, s) for s in (2.5, 4.0, 5.0) for lam in LAMBDAS],
+                         ids=list(LAMBDAS)
+                         + [f"{lam}-{s:g}" for s in (2.5, 4.0, 5.0) for lam in LAMBDAS])
 def test_make_nonlin_batch_rows_equal_single_calls(lambdas, sigma):
     # the kernel keeps grid buffers between calls and walks a batch too large
     # for WORKSPACE_BYTES in row chunks: a single call, then a batch of at
     # least three chunks, then smaller batches and a batch of another shape
     # reuse the buffers; each row's result is its single call's bit for bit,
-    # with the power taken by multiplication (sigma = 3) or by np.power
+    # with the power taken by multiplication (sigma = 3, 4 and 5: both bits
+    # set, the top bit alone, the lowest and top bits) or by np.power
     # (sigma = 2.5)
     p = nonlin_params(sigma, lambdas)
     b = make_basis(6, 5, p, pad_factor=4)
@@ -304,6 +309,40 @@ def test_make_nonlin_batch_rows_equal_single_calls(lambdas, sigma):
                           got.reshape(16, 10, 6, 5))
     assert np.array_equal(got, kept)         # a result is not a buffer
     assert np.array_equal(nonlin(modes[0]), first)
+
+
+@pytest.mark.parametrize("sigma", [3.0, 2.5])
+@pytest.mark.parametrize("lambdas", ["no F", "F"])
+def test_make_nonlin_one_point_grid_rows_equal_single_calls(lambdas, sigma):
+    # a 1x1 basis without oversampling has a one-point grid, where numpy
+    # rounds a lone complex product in place unlike its vector loop; a
+    # single call still gives its row of a batch bit for bit
+    p = nonlin_params(sigma, lambdas)
+    b = make_basis(1, 1, p, pad_factor=1)
+    assert b.grid_shape == (1, 1)
+    nonlin = make_nonlin(p, b)
+    modes = random_modes((50, 1, 1), seed=3)
+    got = nonlin(modes)
+    for s in range(50):
+        one = nonlin(modes[s])
+        assert one.shape == (1, 1)
+        assert np.array_equal(one, got[s])
+        assert np.array_equal(nonlin(modes[s:s + 1])[0], got[s])
+
+
+def test_make_nonlin_is_freed_without_the_cycle_collector():
+    # a march builds its own kernel; one that a reference cycle keeps alive
+    # holds its grid buffers (up to WORKSPACE_BYTES) until the collector runs
+    p = nonlin_params(3.0, "F")
+    nonlin = make_nonlin(p, make_basis(6, 5, p, pad_factor=4))
+    nonlin(random_modes((3, 6, 5), seed=1))
+    ref = weakref.ref(nonlin)
+    gc.disable()
+    try:
+        del nonlin
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_chunk_rows_one_layout_with_F():

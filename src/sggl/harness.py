@@ -33,7 +33,7 @@ from .rate import EndpointSpec
 from .skeleton import TimeGrid, Trajectory, solve_skeleton
 from .spde import march_batch
 from .spectral import (WORKSPACE_BYTES, SpectralBasis, StateField, _abs_sq, _norm_rows,
-                       _or_inf, _power, _row_chunks, chunk_rows, norm_powers, scalar_pow)
+                       _power_by, _row_chunks, chunk_rows, norm_powers)
 
 # paths marched together; the batch of path i is i // BATCH
 BATCH = 64
@@ -372,9 +372,10 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
     exponent p = min(2 sigma - 1/2, max(2, sigma)) starting from ||grad u0||^p
     with constant c_g (c_f, c_g, slack: _C_F, _C_G, _SLACK).  For jump
     trajectories pass eps (a float) and the realized events: each
-    kick scales the admissible bound by max(1, (1+eps*g)^2).  A bound or
-    total beyond float range is +inf; a total that is not finite fails
-    its check, whatever the bound.
+    kick scales the admissible bound by max(1, (1+eps*g)^2).  Powers,
+    integrals and bounds are numpy's, under one ``np.errstate``, and each
+    figure is a Python float.  A bound or total beyond float range is +inf;
+    a total that is not finite fails its check, whatever the bound.
 
     The grid-side integrals, int ||u||_{2s+2}^{2s+2} (``norm_powers``) and
     int |u|^(2 sigma) |grad u|^2, are taken in row chunks of the trajectory
@@ -395,19 +396,9 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
         sq = _abs_sq(basis.to_grid(modes[rows]))
         Ux, Uy = basis.grad_to_grid(modes[rows])
         grad_sq = np.abs(Ux) ** 2 + np.abs(Uy) ** 2
-        return basis.cell_area * np.sum(_power(sq, sigma) * grad_sq, axis=(-2, -1))
+        return basis.cell_area * np.sum(_power_by(sigma)(sq, None) * grad_sq, axis=(-2, -1))
     mixed = np.concatenate([mixed_part(rows)
                             for rows in _row_chunks(len(modes), _norm_rows(basis))])
-    gp = scalar_pow(gradsq, (p - 2) / 2)
-    sup_sq = float(np.max(l2sq))
-    sup_gp = float(np.max(scalar_pow(gradsq, p / 2)))
-    # right-endpoint sums over the saved states, added in time order; at a
-    # large sigma the H1 ones may overflow to inf
-    int_grad = float(np.cumsum(dts * gradsq[1:])[-1])
-    int_lp = float(np.cumsum(dts * lp[p2s2][1:])[-1])
-    with np.errstate(over="ignore"):
-        int_lap = float(np.cumsum(dts * gp[1:] * lapsq[1:])[-1])
-        int_mixed = float(np.cumsum(dts * gp[1:] * mixed[1:])[-1])
 
     # time-integrated drift-deviation factor int sum_j |g_j||phi-1| nu_j ds
     if ctrl is not None:
@@ -423,15 +414,25 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
         jump_factor = float(np.prod(np.maximum(1.0, kicks ** 2)))
 
     u0_sq, grad0_sq = float(l2sq[0]), float(gradsq[0])
-
+    sup_sq = float(np.max(l2sq))
+    # right-endpoint sums over the saved states, added in time order; at a
+    # large sigma the H1 figures and the bounds leave float range and are inf
+    with np.errstate(over="ignore"):
+        gp = np.power(gradsq, (p - 2) / 2)
+        sup_gp = float(np.max(np.power(gradsq, p / 2)))
+        int_grad = float(np.cumsum(dts * gradsq[1:])[-1])
+        int_lp = float(np.cumsum(dts * lp[p2s2][1:])[-1])
+        int_lap = float(np.cumsum(dts * gp[1:] * lapsq[1:])[-1])
+        int_mixed = float(np.cumsum(dts * gp[1:] * mixed[1:])[-1])
+        # Python-float factors: a product past float range is inf, silently
+        energy_bound = (_GRONWALL_PREFACTOR * u0_sq
+                        * float(np.exp((2 * params.gamma + _C_F) * T + 2 * dev))
+                        * jump_factor * (1 + _SLACK)) if u0_sq else 0.0  # not 0 * inf
+        grad_bound = (_GRONWALL_PREFACTOR * (float(np.power(grad0_sq, p / 2)) + 1.0)
+                      * float(np.exp((p * params.gamma + _C_G) * T + p * dev))
+                      * float(np.power(jump_factor, p / 2)) * (1 + _SLACK))
     energy_total = sup_sq + int_grad + int_lp
-    energy_bound = (_GRONWALL_PREFACTOR * u0_sq
-                    * _or_inf(math.exp, (2 * params.gamma + _C_F) * T + 2 * dev)
-                    * jump_factor * (1 + _SLACK)) if u0_sq else 0.0  # not 0 * inf
     grad_total = sup_gp + int_lap + int_mixed
-    grad_bound = (_GRONWALL_PREFACTOR * (_or_inf(pow, grad0_sq, p / 2) + 1.0)
-                  * _or_inf(math.exp, (p * params.gamma + _C_G) * T + p * dev)
-                  * _or_inf(pow, jump_factor, p / 2) * (1 + _SLACK))
 
     energy_ok = math.isfinite(energy_total) and energy_total <= energy_bound
     grad_ok = math.isfinite(grad_total) and grad_total <= grad_bound

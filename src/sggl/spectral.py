@@ -31,8 +31,10 @@ hypot).  The kernel forms |u|^2 as conj(u) u in a complex buffer and
 multiplies u by its power in place (``_times_power_by``), so no pass reads
 a strided real or imaginary part or casts a real field to complex;
 ``norm_powers`` and the energy audit take re^2 + im^2 (``_abs_sq``) and
-raise it by ``_power``.  Both raise an integer exponent by repeated
+raise it by ``_power_by``.  Both raise an integer exponent by repeated
 multiplication, so sigma = 3 and the L^8 quadrature need no libm pow.
+Any other real power, such as an Lp norm's root, is ``np.power`` on the
+whole array, which rounds a value alike alone or in any array.
 """
 
 from __future__ import annotations
@@ -103,23 +105,18 @@ def _times_power_by(e: float):
     ``np.power`` in place in A.
     """
     if not float(e).is_integer():
-        def times_power(U: np.ndarray, A: np.ndarray):
+        def times_pow(U: np.ndarray, A: np.ndarray):
             U *= np.power(A, e, out=A)
-        return times_power
+        return times_pow
     bits = [bit == "1" for bit in reversed(bin(int(e))[2:])]
 
-    def times_power(U: np.ndarray, A: np.ndarray):
+    def times_pow(U: np.ndarray, A: np.ndarray):
         for i, times_A in enumerate(bits):
             if i:
                 A *= A
             if times_A:
                 U *= A
-    return times_power
-
-
-def _power(a: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
-    """a ** e into ``out`` by ``_power_by(e)``."""
-    return _power_by(e)(a, out)
+    return times_pow
 
 
 def _abs_sq(U: np.ndarray) -> np.ndarray:
@@ -362,7 +359,7 @@ def make_nonlin(params: Parameters, basis: SpectralBasis):
     kappa = -(1.0 - 1j * params.beta)
     l1, l2 = params.lambda1, params.lambda2
     with_F = _has_F(params)
-    times_power = _times_power_by(params.sigma)
+    times_pow = _times_power_by(params.sigma)
     S1, P1 = basis._S1, basis._P1
     RS2 = basis._RS2
     n1, g = basis.n1, RS2.shape[1]          # g: floats in a grid row
@@ -438,7 +435,7 @@ def make_nonlin(params: Parameters, basis: SpectralBasis):
             E *= U                                  # (l1 . grad conj u) u^2
             E *= U
             D += E
-        times_power(U, A)                           # |u|^(2 sigma) u
+        times_pow(U, A)                           # |u|^(2 sigma) u
         if with_F:
             U += D
         np.matmul(P1, w.U_f, out=w.R_f)
@@ -495,7 +492,7 @@ def norm_powers(basis: SpectralBasis, modes: np.ndarray, p_list=()):
     The squared L2 norm and H1 seminorm come from Parseval (the basis is
     orthonormal in L2), the Lp integrals, for integers p >= 2, from
     collocation quadrature on the padded grid: |u|^p is (|u|^2)^(p // 2)
-    by ``_power``, times sqrt(|u|^2) for odd p.  The quadrature runs beside
+    by ``_power_by``, times sqrt(|u|^2) for odd p.  The quadrature runs beside
     the kernel's buffers (a sweep reduces its buffered grid-time fields
     mid-march), so it takes row chunks of ``_norm_rows`` rows.
     """
@@ -509,38 +506,18 @@ def norm_powers(basis: SpectralBasis, modes: np.ndarray, p_list=()):
     for rows in _row_chunks(len(flat), _norm_rows(basis)):
         grid_sq = _abs_sq(basis.to_grid(flat[rows]))
         for p, part in parts.items():
-            f = _power(grid_sq, p // 2)
+            f = _power_by(p // 2)(grid_sq, None)
             part.append(basis.cell_area
                         * np.sum(f * np.sqrt(grid_sq) if p % 2 else f, axis=(-2, -1)))
     lp = {p: np.concatenate(part).reshape(l2sq.shape)[()] for p, part in parts.items()}
     return l2sq, gradsq, lp
 
 
-def _or_inf(f, *args) -> float:
-    """f(*args) for a float function f such as pow or math.exp with a
-    non-negative value, +inf where it overflows (Python raises there)."""
-    try:
-        return f(*args)
-    except OverflowError:
-        return math.inf
-
-
-def scalar_pow(x, e: float):
-    """x ** e elementwise for x >= 0, one Python float at a time, +inf
-    where it overflows.
-
-    numpy's vectorised array pow rounds some values differently from the
-    scalar libm pow; the written norms and audit figures are the scalar
-    pow's.  A 0-d input gives a numpy scalar.
-    """
-    out = np.array([_or_inf(pow, v, e) for v in np.ravel(x).tolist()])
-    return out.reshape(np.shape(x))[()]
-
-
 def compute_norms(u: StateField, p_list: list[int] | None = None) -> NormReport:
     """L2 norm, H1 seminorm and Lp norms (``norm_powers``) of one field, or
-    of each field of a stack: ``u.modes`` shaped (..., n1, n2)."""
+    of each field of a stack: ``u.modes`` shaped (..., n1, n2).  The roots
+    are numpy's, so a field's norms are the same in any stack."""
     _check_finite(u)
     l2sq, gradsq, lp = norm_powers(u.basis, u.modes, p_list)
     return NormReport(l2=np.sqrt(l2sq), grad_l2=np.sqrt(gradsq),
-                      lp={p: scalar_pow(v, 1.0 / p) for p, v in lp.items()})
+                      lp={p: np.power(v, 1.0 / p) for p, v in lp.items()})

@@ -48,7 +48,8 @@ _PHI2_COEFFS = tuple(1.0 / math.factorial(k + 2) for k in range(13, -1, -1))
 def _phi2_series(z: np.ndarray) -> np.ndarray:
     acc = np.full_like(z, _PHI2_COEFFS[0])
     for coef in _PHI2_COEFFS[1:]:
-        acc *= z
+        # not in place: numpy rounds a lone entry's in-place product unlike a batch's
+        acc = acc * z
         acc += coef
     return acc
 

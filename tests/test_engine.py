@@ -49,6 +49,22 @@ def test_linear_tables_zero_step_is_identity():
     assert np.array_equal(Eb[1], E1) and np.array_equal(hp1b[1], hp11)
 
 
+@pytest.mark.parametrize("per_entry", [False, True])
+def test_linear_tables_lone_entry_matches_its_row(per_entry):
+    # a 1x1 L alone gets the bits of its row in a batch, on both sides of
+    # the series cut: numpy rounds an in-place complex product of a lone
+    # entry without the fused multiply-adds of its vector loop
+    rng = np.random.default_rng(11)
+    n = 300
+    L = (-rng.uniform(0.0, 80.0, n) + 1j * rng.uniform(-40.0, 40.0, n)).reshape(n, 1, 1)
+    h = rng.uniform(0.001, 0.02, n) if per_entry else 0.01
+    full = linear_tables(h, L)
+    for k in range(n):
+        one = linear_tables(h[k:k + 1] if per_entry else h, L[k:k + 1])
+        for alone, batched in zip(one, full):
+            assert np.array_equal(alone[0], batched[k])
+
+
 def test_linear_tables_match_direct_form_across_series_cut():
     # on both sides of |z| = 0.5 the tables agree with the direct formulas
     r = np.array([0.05, 0.2, 0.49, 0.51, 1.0, 4.0])

@@ -561,3 +561,28 @@ def test_audit_transforms_a_row_chunk_at_a_time(params_pi, monkeypatch):
     batches.clear()
     assert energy_audit(traj, params_pi, jm, ctrl=ctrl) == rep
     assert max(batches) == 1
+
+
+@pytest.mark.parametrize("sigma", [2000, 20000])
+def test_audit_beyond_float_range_in_process(tmp_path, sigma):
+    # default.ini at an admissible large sigma on a 10-step grid: the H1
+    # bound's exp((p gamma + c_g) T) leaves float range, so it is +inf and
+    # passes; at sigma = 20000 the total ||grad u0||^p leaves it too, and a
+    # total that is not finite fails.  pytest makes any warning an error
+    path = tmp_path / "run.ini"
+    with open(DEFAULT_INI) as fh:
+        path.write_text(fh.read().replace("sigma = 3.0", f"sigma = {sigma}")
+                        .replace("beta = 0.5", "beta = 0.001"))
+    spec = parse_config(str(path))
+    traj = solve_skeleton(spec.params, spec.basis, spec.u0, spec.jm, spec.ctrl,
+                          TimeGrid(T=spec.grid.T, n_steps=10))
+    rep = energy_audit(traj, spec.params, spec.jm, ctrl=spec.ctrl)
+    figures = [v for v in vars(rep).values() if not isinstance(v, (bool, list))]
+    assert len(figures) == 10 and all(type(v) is float for v in figures)
+    assert rep.energy_ok and rep.grad_bound == math.inf
+    if sigma == 2000:
+        assert math.isfinite(rep.grad_total)
+        assert rep.grad_ok and rep.violations == []
+    else:
+        assert rep.grad_total == math.inf and not rep.grad_ok
+        assert rep.violations == ["H1 energy inf is not finite"]

@@ -65,7 +65,7 @@ def test_trajectory_time_axis(params_pi, basis8):
 def test_stacked_norms_match_per_field_norms():
     # the skeleton of configs/default.ini: the norms of its stacked states
     # equal each state's own compute_norms and the per-field formulas bit
-    # for bit, the Lp root (a scalar pow per value) included
+    # for bit, the Lp root (np.power on the whole stack) included
     spec = parse_config(os.path.join(os.path.dirname(__file__), os.pardir,
                                      "configs", "default.ini"))
     b, grid, n_bins = spec.basis, spec.grid, spec.ctrl.n_bins
@@ -82,7 +82,7 @@ def test_stacked_norms_match_per_field_norms():
         U = b.to_grid(modes)
         u2 = U.real * U.real + U.imag * U.imag
         u4 = u2 * u2                        # |u|^8 by binary powering: (|u|^4)^2
-        lp = float((b.cell_area * np.sum(u4 * u4)) ** (1.0 / p))
+        lp = float(np.power(b.cell_area * np.sum(u4 * u4), 1.0 / p))
         assert nr.l2[i] == one.l2 == float(np.sqrt(np.sum(sq)))
         assert nr.grad_l2[i] == one.grad_l2 == float(
             np.sqrt(np.sum(np.abs(b.eigenvalues) * sq)))

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from sggl import (Parameters, ParameterError, StateField, apply_A, apply_B,
                   apply_F, compute_norms, make_basis, make_nonlin, mode_field,
                   zero_field)
-from sggl.spectral import WORKSPACE_BYTES, _power, _row_chunks, chunk_rows, norm_powers
+from sggl.spectral import WORKSPACE_BYTES, _power_by, _row_chunks, chunk_rows, norm_powers
 
 from conftest import DenseGrid, oracle_B_modes, oracle_F_modes, rel_err
 
@@ -412,16 +412,16 @@ def test_power_multiplies_integer_exponents():
     a[0, 0] = 0.0
     kept = a.copy()
     out = np.empty_like(a)
-    got = _power(a, 3.0, out=out)
+    got = _power_by(3.0)(a, out)
     assert got is out and np.array_equal(got, a * a * a)
     sq = a * a
-    assert np.array_equal(_power(a, 4), sq * sq)
-    assert np.array_equal(_power(a, 5), sq * sq * a)
-    assert _power(a, 1) is a
-    assert np.array_equal(_power(a, 2.5), np.power(a, 2.5))
+    assert np.array_equal(_power_by(4)(a, None), sq * sq)
+    assert np.array_equal(_power_by(5)(a, None), sq * sq * a)
+    assert _power_by(1)(a, None) is a
+    assert np.array_equal(_power_by(2.5)(a, None), np.power(a, 2.5))
     assert np.array_equal(a, kept)           # the base is never written
     with pytest.raises(ValueError):
-        _power(a, 0)
+        _power_by(0)
 
 
 def test_make_nonlin_accepts_non_contiguous_input():

@@ -109,7 +109,8 @@ def _target_from_spec(spec: RunSpec) -> EndpointSpec:
     if spec.target_phi is None:
         raise ConfigError("rate/tail runs need [rate] target_phi")
     ctrl = Control(T=spec.grid.T, phi=spec.target_phi)
-    traj = solve_skeleton(spec.params, spec.basis, spec.u0, spec.jm, ctrl, spec.grid)
+    traj = solve_skeleton(spec.params, spec.basis, spec.u0, spec.jm, ctrl, spec.grid,
+                          with_norms=False)
     return EndpointSpec(center=traj.endpoint, radius=spec.target_radius)
 
 
@@ -205,7 +206,8 @@ def cmd_tail(spec: RunSpec, out: str, args) -> int:
 
 
 def cmd_audit(spec: RunSpec, out: str, args) -> int:
-    traj = solve_skeleton(spec.params, spec.basis, spec.u0, spec.jm, spec.ctrl, spec.grid)
+    traj = solve_skeleton(spec.params, spec.basis, spec.u0, spec.jm, spec.ctrl, spec.grid,
+                          with_norms=False)
     report = harness.energy_audit(traj, spec.params, spec.jm, ctrl=spec.ctrl)
     outputs.write_json(os.path.join(out, "audit.json"), asdict(report),
                        spec.config_hash, spec.master_seed)

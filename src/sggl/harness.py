@@ -32,8 +32,8 @@ from .params import Parameters
 from .rate import EndpointSpec
 from .skeleton import TimeGrid, Trajectory, solve_skeleton
 from .spde import march_batch
-from .spectral import (WORKSPACE_BYTES, SpectralBasis, StateField, _abs_sq, _norm_rows,
-                       _power_by, _row_chunks, chunk_rows, norm_powers)
+from .spectral import (WORKSPACE_BYTES, SpectralBasis, StateField, _abs_sq, _lp_power,
+                       _norm_rows, _power_by, _row_chunks, chunk_rows, norm_powers)
 
 # paths marched together; the batch of path i is i // BATCH
 BATCH = 64
@@ -184,11 +184,11 @@ def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
     and the jump sampler nests event streams across intensities.  The cells
     are taken in groups of consecutive distinct eps, as many as keep a
     batch's (path, eps) rows within one chunk of the nonlinearity kernel
-    (``chunk_rows``), or one; a group's cells march together, and its march
-    never outgrows the kernel's buffers.  An eps repeated in the list is
-    marched once and shares its cell.  ``precomputed`` supplies
-    already-finished cells (checkpoint resume); ``on_cell`` is called for
-    each freshly computed cell when its group has finished.  The first
+    (``chunk_rows``), or one, and a group's cells march together.  An eps
+    repeated in the list is marched once and shares its cell.
+    ``precomputed`` supplies already-finished cells (checkpoint resume);
+    ``on_cell`` is called for each freshly computed cell when its group
+    has finished.  The first
     blow-up raised is that of the first cell, then the lowest path,
     whatever the grouping.  The report's ``marches`` are those of a fresh
     run, one per batch of each group, resumed or not; its ``substeps``,
@@ -377,10 +377,11 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
     figure is a Python float.  A bound or total beyond float range is +inf;
     a total that is not finite fails its check, whatever the bound.
 
-    The grid-side integrals, int ||u||_{2s+2}^{2s+2} (``norm_powers``) and
-    int |u|^(2 sigma) |grad u|^2, are taken in row chunks of the trajectory
-    (``spectral._norm_rows`` rows), so the audit's memory does not grow
-    with the number of saved states.
+    The grid-side integrals, int ||u||_{2s+2}^{2s+2} (as ``norm_powers``
+    takes it) and int |u|^(2 sigma) |grad u|^2, are taken from one grid
+    transform of each row chunk of the trajectory (``spectral._norm_rows``
+    rows), so the audit's memory does not grow with the number of saved
+    states.
     """
     basis, modes = traj.basis, traj.modes
     sigma = params.sigma
@@ -389,16 +390,18 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
     dts = np.diff(traj.times)
     p2s2 = params.lp_exponent
 
-    l2sq, gradsq, lp = norm_powers(basis, modes, [p2s2])
+    l2sq, gradsq, _ = norm_powers(basis, modes)
     lapsq = np.sum(basis.eigenvalues ** 2 * np.abs(modes) ** 2, axis=(-2, -1))
 
-    def mixed_part(rows: slice) -> np.ndarray:
+    def grid_part(rows: slice) -> list:
+        """[int |u|^(2s+2), int |u|^(2s) |grad u|^2] of the rows' states."""
         sq = _abs_sq(basis.to_grid(modes[rows]))
         Ux, Uy = basis.grad_to_grid(modes[rows])
         grad_sq = np.abs(Ux) ** 2 + np.abs(Uy) ** 2
-        return basis.cell_area * np.sum(_power_by(sigma)(sq, None) * grad_sq, axis=(-2, -1))
-    mixed = np.concatenate([mixed_part(rows)
-                            for rows in _row_chunks(len(modes), _norm_rows(basis))])
+        return [basis.cell_area * np.sum(f, axis=(-2, -1))
+                for f in (_lp_power(sq, p2s2), _power_by(sigma)(sq, None) * grad_sq)]
+    lp, mixed = np.concatenate([grid_part(rows) for rows
+                                in _row_chunks(len(modes), _norm_rows(basis))], axis=1)
 
     # time-integrated drift-deviation factor int sum_j |g_j||phi-1| nu_j ds
     if ctrl is not None:
@@ -421,7 +424,7 @@ def energy_audit(traj: Trajectory, params: Parameters, jm: JumpModel,
         gp = np.power(gradsq, (p - 2) / 2)
         sup_gp = float(np.max(np.power(gradsq, p / 2)))
         int_grad = float(np.cumsum(dts * gradsq[1:])[-1])
-        int_lp = float(np.cumsum(dts * lp[p2s2][1:])[-1])
+        int_lp = float(np.cumsum(dts * lp[1:])[-1])
         int_lap = float(np.cumsum(dts * gp[1:] * lapsq[1:])[-1])
         int_mixed = float(np.cumsum(dts * gp[1:] * mixed[1:])[-1])
         # Python-float factors: a product past float range is inf, silently

@@ -320,7 +320,7 @@ def galerkin_refine(params: Parameters, jm: JumpModel, ctrl: Control,
     for n in n_list:
         basis_n = make_basis(n, n, params, pad_factor)
         u0_n = StateField(embed_modes(u0.modes, basis_n), basis_n)
-        traj = solve_skeleton(params, basis_n, u0_n, jm, ctrl, grid)
+        traj = solve_skeleton(params, basis_n, u0_n, jm, ctrl, grid, with_norms=False)
         endpoints[n] = traj.endpoint.modes
     basis_max = basis_n     # the loop's last basis, the largest
     ref = endpoints[n_list[-1]]

@@ -272,20 +272,18 @@ def apply_A(u: StateField, params: Parameters) -> StateField:
 
 
 def _kernel_layout(basis: SpectralBasis, with_F: bool) -> dict:
-    """One path's share of each of the nonlinearity kernel's buffers, as
-    {name: (shape, dtype)}."""
+    """One path's share of each of the nonlinearity kernel's buffers, all
+    complex, as {name: shape}."""
     n1, grid = basis.n1, basis.grid_shape
     # Y: c S2^T, and with F the folded x parts beside it over the folded y parts
-    layout = {"U": (grid, complex), "A": (grid, complex),
-              "Y": (((1 + with_F) * n1, (1 + 2 * with_F) * grid[1]), complex)}
+    layout = {"U": grid, "A": grid, "Y": ((1 + with_F) * n1, (1 + 2 * with_F) * grid[1])}
     if with_F:
-        layout.update(D=(grid, complex), E=(grid, complex))
+        layout.update(D=grid, E=grid)
     return layout
 
 
 def _row_bytes(layout: dict) -> int:
-    return sum(math.prod(shape) * np.dtype(dtype).itemsize
-               for shape, dtype in layout.values())
+    return sum(math.prod(shape) for shape in layout.values()) * np.dtype(complex).itemsize
 
 
 def _has_F(params: Parameters) -> bool:
@@ -347,14 +345,14 @@ def make_nonlin(params: Parameters, basis: SpectralBasis):
     between calls.  A batch's fields run to megabytes; allocated afresh on
     every call, their pages went back to the system and were faulted in
     again each time (about 14 page faults per path and call at 8x8), which
-    cost more than the arithmetic.  A batch is walked in equal row chunks
-    of at most ``chunk_rows`` rows (``_row_chunks``), so the buffers stay
-    within WORKSPACE_BYTES and in cache however large the batch; they hold
-    the longest chunk seen, or ``chunk_rows`` rows once a batch has been
-    cut, so a batch that shrinks never regrows them.  A row's arithmetic is
-    the same in any chunk.  No reference cycle holds the function, so a
-    march's kernel frees its buffers as soon as the march drops it.  One
-    returned function must not run in two threads at once.
+    cost more than the arithmetic.  The first call allocates them for its
+    own rows, or ``chunk_rows`` if it has more, and every batch is walked
+    in equal row chunks of at most their length (``_row_chunks``), so they
+    stay within WORKSPACE_BYTES and in cache however large the batch; a
+    march's first call is its largest.  A row's arithmetic is the same in
+    any chunk.  No reference cycle holds the function, so a march's kernel
+    frees its buffers as soon as the march drops it.  One returned function
+    must not run in two threads at once.
     """
     kappa = -(1.0 - 1j * params.beta)
     l1, l2 = params.lambda1, params.lambda2
@@ -406,15 +404,14 @@ def make_nonlin(params: Parameters, basis: SpectralBasis):
     def plan(S: int) -> list:
         """[(rows, views)] for each chunk of a batch of S rows.  Plans are
         kept, because making a view costs about as much as a small
-        elementwise op; the buffers grow (and every plan is dropped) when a
-        chunk is longer than they are."""
-        chunks = _row_chunks(S, most)
-        if not bases or chunks[0].stop > len(bases["U"]):
-            plans.clear()                           # the old buffers go first
-            bases.clear()
-            bases.update((k, np.empty((min(S, most),) + shape, dtype))
-                         for k, (shape, dtype) in layout.items())
-        p = plans[S] = [(rows, views(rows.stop - rows.start)) for rows in chunks]
+        elementwise op.  The first call sizes the buffers, a one-point
+        grid's at ``most`` rows, so no chunk is a lone row (``nonlin``)."""
+        if not bases:
+            n = most if one_point else max(1, min(S, most))
+            bases.update((k, np.empty((n,) + shape, complex))
+                         for k, shape in layout.items())
+        p = plans[S] = [(rows, views(rows.stop - rows.start))
+                        for rows in _row_chunks(S, len(bases["U"]))]
         return p
 
     def chunk(w: SimpleNamespace, cf: np.ndarray, out: np.ndarray):
@@ -485,16 +482,23 @@ def _norm_rows(basis: SpectralBasis) -> int:
     return WORKSPACE_BYTES // 4 // _row_bytes(_kernel_layout(basis, with_F=False))
 
 
+def _lp_power(grid_sq: np.ndarray, p: int) -> np.ndarray:
+    """|u|^p for an integer p >= 2 from the grid values of |u|^2:
+    (|u|^2)^(p // 2) by ``_power_by``, times sqrt(|u|^2) for odd p."""
+    f = _power_by(p // 2)(grid_sq, None)
+    return f * np.sqrt(grid_sq) if p % 2 else f
+
+
 def norm_powers(basis: SpectralBasis, modes: np.ndarray, p_list=()):
     """(||u||^2, ||grad u||^2, {p: int |u|^p dx}) of each field of a
     (..., n1, n2) coefficient stack, each shaped like its leading axes.
 
     The squared L2 norm and H1 seminorm come from Parseval (the basis is
     orthonormal in L2), the Lp integrals, for integers p >= 2, from
-    collocation quadrature on the padded grid: |u|^p is (|u|^2)^(p // 2)
-    by ``_power_by``, times sqrt(|u|^2) for odd p.  The quadrature runs beside
-    the kernel's buffers (a sweep reduces its buffered grid-time fields
-    mid-march), so it takes row chunks of ``_norm_rows`` rows.
+    collocation quadrature of ``_lp_power`` on the padded grid.  The
+    quadrature runs beside the kernel's buffers (a sweep reduces its
+    buffered grid-time fields mid-march), so it takes row chunks of
+    ``_norm_rows`` rows.
     """
     sq = np.abs(modes) ** 2
     l2sq = np.sum(sq, axis=(-2, -1))
@@ -506,9 +510,7 @@ def norm_powers(basis: SpectralBasis, modes: np.ndarray, p_list=()):
     for rows in _row_chunks(len(flat), _norm_rows(basis)):
         grid_sq = _abs_sq(basis.to_grid(flat[rows]))
         for p, part in parts.items():
-            f = _power_by(p // 2)(grid_sq, None)
-            part.append(basis.cell_area
-                        * np.sum(f * np.sqrt(grid_sq) if p % 2 else f, axis=(-2, -1)))
+            part.append(basis.cell_area * np.sum(_lp_power(grid_sq, p), axis=(-2, -1)))
     lp = {p: np.concatenate(part).reshape(l2sq.shape)[()] for p, part in parts.items()}
     return l2sq, gradsq, lp
 

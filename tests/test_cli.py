@@ -307,12 +307,13 @@ def test_cli_usage_errors(tmp_path):
     ("modes = 1, 1, 0.3, 0.0; 2, 2, 0.1, 0.05", "modes = 1, 1, 0.3, 0.0; 5, 2, 0.1, 0.05",
      "outside basis"),
     ("workers = 1", "workers = 1\nworkers", "malformed config"),
+    ("alpha = 0.5", "", "missing mandatory key 'alpha'"),
 ], ids=["n_samples", "eps_list", "master_seed", "modes", "target_phi", "fd_step",
         "lambda1", "eps_list_empty", "n_bins_zero", "target_phi_empty",
         "target_phi_ragged", "phi_ragged", "n_samples_zero",
         "target_radius_negative", "fd_step_zero", "master_seed_negative",
         "gap_tol_nan", "default_section", "lambda1_three", "modes_three_fields",
-        "mode_outside_basis", "malformed"])
+        "mode_outside_basis", "malformed", "alpha_missing"])
 def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, line, bad, why):
     text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
     assert f"\n{line}\n" in text

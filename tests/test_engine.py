@@ -2,15 +2,17 @@
 independence, blow-up ordering, table cache, and control-bin edges."""
 
 import pickle
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sggl import (BlowUpError, Control, EndpointSpec, JumpModel, JumpSample,
                   NoiseScale, StateField, TimeGrid, constant_control,
-                  convergence_sweep, drift_coefficient, make_basis, mode_field,
-                  sample_prm, solve_skeleton, solve_spde, tail_probability,
+                  convergence_sweep, drift_coefficient, in_level_set, make_basis,
+                  mode_field, sample_prm, solve_skeleton, solve_spde, tail_probability,
                   trajectory_seed)
 from sggl import harness, skeleton, spde, timestep
 from sggl.skeleton import march
@@ -699,3 +701,28 @@ def test_event_on_grid_time(params_pi):
     want3 = 2.0 * c0 * np.exp(lam * 0.03)
     assert abs(saved[0, 3] - want3) <= 1e-10 * abs(want3)
 
+
+
+# ---------------------------------------------------------------------------
+# argument checks that no config reaches
+
+def sweep_of_no_samples(params, basis):
+    grid = TimeGrid(T=0.25, n_steps=25)
+    return convergence_sweep(params, basis, jm2(), mode_field(basis, 1, 1, 0.2),
+                             constant_control(grid.T, 2), grid, [0.5], 0, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p, b: TimeGrid(T=0, n_steps=10), "need T > 0, n_steps >= 1"),
+    (lambda p, b: Control(T=0, phi=np.ones((1, 2))), "control horizon T must be > 0"),
+    (lambda p, b: sample_prm(jm2(), NoiseScale(0.5), 0.0, 1), "T must be > 0"),
+    (lambda p, b: replace(p, L1=0.0), "domain dimensions L1, L2 must be > 0"),
+    (lambda p, b: in_level_set(constant_control(1.0, 2), jm2(), N=-1),
+     "level N must be >= 0"),
+    (lambda p, b: mode_field(b, 9, 1), "mode (9,1) outside basis 8x8"),
+    (sweep_of_no_samples, "n_samples must be >= 1"),
+], ids=["time_grid", "control", "sample_prm", "parameters", "level_set",
+        "mode_field", "sweep_samples"])
+def test_out_of_range_argument_raises_its_message(params_pi, basis8, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(params_pi, basis8)

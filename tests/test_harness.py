@@ -539,17 +539,20 @@ def test_audit_jump_trajectory(params_pi):
 def test_audit_transforms_a_row_chunk_at_a_time(params_pi, monkeypatch):
     # a long trajectory reaches the grid transforms one row chunk at a time,
     # so the audit's memory does not grow with the number of saved states,
-    # and its report is the same with chunks of a single row
+    # and its report is the same with chunks of a single row; both grid
+    # integrals come from one to_grid of each state
     basis = make_basis(8, 8, params_pi, pad_factor=4)
     u0 = mode_field(basis, 1, 1, 0.5)
     u0.modes[1, 1] = 0.25 + 0.1j
     jm, grid = jm2(), TimeGrid(T=0.5, n_steps=2000)
     ctrl = Control(T=grid.T, phi=np.array([[2.0, 0.5], [1.0, 1.5]]))
     traj = solve_skeleton(params_pi, basis, u0, jm, ctrl, grid)
-    batches = []
+    batches, to_grid = [], []
     for name in ("to_grid", "grad_to_grid"):
-        def spy(self, modes, transform=getattr(spectral.SpectralBasis, name)):
+        def spy(self, modes, name=name, transform=getattr(spectral.SpectralBasis, name)):
             batches.append(len(modes) if modes.ndim == 3 else 1)
+            if name == "to_grid":
+                to_grid.append(modes)
             return transform(self, modes)
         monkeypatch.setattr(spectral.SpectralBasis, name, spy)
     rep = energy_audit(traj, params_pi, jm, ctrl=ctrl)
@@ -557,6 +560,7 @@ def test_audit_transforms_a_row_chunk_at_a_time(params_pi, monkeypatch):
     most = spectral._norm_rows(basis)
     assert 1 < most < len(traj.modes) and len(batches) >= len(traj.modes) / most
     assert max(batches) <= most
+    assert np.array_equal(np.concatenate(to_grid), traj.modes)
     monkeypatch.setattr(spectral, "WORKSPACE_BYTES", 0)
     batches.clear()
     assert energy_audit(traj, params_pi, jm, ctrl=ctrl) == rep

@@ -283,11 +283,11 @@ def test_make_nonlin_matches_transform_formula(S, sigma, lambdas):
                          + [f"{lam}-{s:g}" for s in (2.5, 4.0, 5.0) for lam in LAMBDAS])
 def test_make_nonlin_batch_rows_equal_single_calls(lambdas, sigma):
     # the kernel keeps grid buffers between calls and walks a batch too large
-    # for WORKSPACE_BYTES in row chunks: a single call, then a batch of at
-    # least three chunks, then smaller batches and a batch of another shape
-    # reuse the buffers; each row's result is its single call's bit for bit,
-    # with the power taken by multiplication (sigma = 3, 4 and 5: both bits
-    # set, the top bit alone, the lowest and top bits) or by np.power
+    # for WORKSPACE_BYTES in row chunks: a batch of at least three chunks,
+    # then single calls, smaller batches and a batch of another shape reuse
+    # the buffers; each row's result is its single call's bit for bit, with
+    # the power taken by multiplication (sigma = 3, 4 and 5: both bits set,
+    # the top bit alone, the lowest and top bits) or by np.power
     # (sigma = 2.5)
     p = nonlin_params(sigma, lambdas)
     b = make_basis(6, 5, p, pad_factor=4)
@@ -295,8 +295,8 @@ def test_make_nonlin_batch_rows_equal_single_calls(lambdas, sigma):
     S = 160
     assert len(_row_chunks(S, chunk_rows(p, b))) >= 3
     modes = random_modes((S, 6, 5), seed=9)
-    first = nonlin(modes[0])
     got = nonlin(modes)
+    first = nonlin(modes[0])
     kept = got.copy()
     for s in range(S):
         one = nonlin(modes[s])
@@ -316,18 +316,24 @@ def test_make_nonlin_batch_rows_equal_single_calls(lambdas, sigma):
 def test_make_nonlin_one_point_grid_rows_equal_single_calls(lambdas, sigma):
     # a 1x1 basis without oversampling has a one-point grid, where numpy
     # rounds a lone complex product in place unlike its vector loop; a
-    # single call still gives its row of a batch bit for bit
+    # single call still gives its row of a batch bit for bit, also when it
+    # is the kernel's first call and batches of three follow, which a
+    # two-row workspace would cut into two rows and a lone one
     p = nonlin_params(sigma, lambdas)
     b = make_basis(1, 1, p, pad_factor=1)
     assert b.grid_shape == (1, 1)
     nonlin = make_nonlin(p, b)
-    modes = random_modes((50, 1, 1), seed=3)
+    modes = random_modes((51, 1, 1), seed=3)
+    first = nonlin(modes[0])
     got = nonlin(modes)
-    for s in range(50):
+    assert np.array_equal(first, got[0])
+    for s in range(51):
         one = nonlin(modes[s])
         assert one.shape == (1, 1)
         assert np.array_equal(one, got[s])
         assert np.array_equal(nonlin(modes[s:s + 1])[0], got[s])
+    for s in range(0, 51, 3):
+        assert np.array_equal(nonlin(modes[s:s + 3]), got[s:s + 3])
 
 
 def test_make_nonlin_is_freed_without_the_cycle_collector():
@@ -392,6 +398,21 @@ def test_make_nonlin_workspace_stays_within_budget(lambdas):
     finally:
         tracemalloc.stop()
     assert peak_one <= one.nbytes + 2 ** 18
+    # the first call sizes the buffers: a kernel called with one row, then
+    # with a 160-row batch, walks the batch a row at a time and allocates
+    # nothing besides its result, and each row is its single call's
+    nonlin = make_nonlin(p, b)
+    singles = [nonlin(m) for m in modes[:160]]
+    tracemalloc.start()
+    try:
+        batch = nonlin(modes[:160])
+        left = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    finally:
+        tracemalloc.stop()
+    assert sum(t.size for t in left.traces) == batch.nbytes
+    for s, one in enumerate(singles):
+        assert np.array_equal(batch[s], one)
 
 
 def test_row_chunks_are_equal_and_within_budget():

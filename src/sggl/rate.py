@@ -10,13 +10,14 @@ finite-difference gradient descent over the control entries.
 
 A skeleton sees its control only through the compensator drift on each bin
 (``drift_coefficient``), so the search marches drift rows: every skeleton
-solve is one row of a batched ``march``, a gradient's forward differences
-share one march, and the line search marches its candidate steps in batches
-that double in size, leaving out a step whose cost alone rules it out.  The
-search keeps the gap of every drift row it has marched and marches each row
-once.  A row's result does not depend on its batch and candidates are
-accepted in their serial order, so the estimate is the one that solving the
-skeletons one at a time gives, bit for bit.
+solve is one row of a batched ``march``, a gradient marches one
+forward-difference row per bin in one march (the bin's other marks take
+their gaps linearized along its drift), and the line search marches its
+candidate steps in batches that double in size, leaving out a step whose
+cost alone rules it out.  The search keeps the gap of every drift row it has
+marched and marches each row once.  A row's result does not depend on its
+batch and candidates are accepted in their serial order, so the estimate is
+the one that solving the skeletons one at a time gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -136,10 +137,12 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     forward-difference gradients and backtracking line search.  The result
     is chosen among the accepted iterates and the last one: an iterate is
     feasible when ``violation(gap) <= gap_tol``; the cheapest feasible one
-    wins, else the one of smallest gap, and the earliest wins a tie.  Control
-    dimension n_bins x K stays small, so finite differences are affordable:
-    the n_bins x K perturbed controls of a gradient share one march, which
-    holds only the drift rows the search has not marched before.  The
+    wins, else the one of smallest gap, and the earliest wins a tie.  A
+    gradient's n_bins x K forward differences take their cost part entry by
+    entry and their gaps from n_bins drift rows in one march: per bin, the
+    probe of the mark that moves the drift most (none if no mark moves it),
+    each other mark's gap linearized along the drift from that row's.  A
+    march holds only the drift rows the search has not marched before.  The
     line search tries steps s, s/2, s/4, ... (at most 25), marched in that
     order in batches of 2, 4, 8, ..., and accepts the first that improves
     the objective, so it accepts what a serial search would, bit for bit.
@@ -151,6 +154,11 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     shape = (opt_cfg.n_bins, K)
     tol = opt_cfg.gap_tol
     marches = paths = 0
+    # a probe of mark j moves its bin's drift by h*w[j], ratio[j] times as
+    # much as the lead mark's, which moves it most (the first on a tie)
+    w = jm.g * jm.nu
+    lead = int(np.argmax(np.abs(w)))
+    ratio = w / w[lead] if w[lead] else None
 
     known = {}      # the gap of every drift row marched, keyed by its bytes
 
@@ -166,6 +174,21 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
             known.update(zip(fresh, _endpoint_gaps(
                 np.array(list(fresh.values())), target, params, basis, u0, grid)))
         return [known[key] for key in keys]
+
+    def probe_gaps(probes, gap):
+        """Gaps of the n_bins*K forward-difference ``probes`` of a control
+        whose gap is ``gap``: bin b's lead-mark probe is marched, and every
+        other mark of the bin takes its gap linearized along the bin's drift,
+        gap + ratio[j] * (that row's gap - gap); a blown-up row makes them
+        +inf, and a mark that moves no drift keeps ``gap``."""
+        if ratio is None:
+            return [gap] * len(probes)
+        row_gaps = np.array(gaps_of(probes.reshape(shape + shape)[:, lead]))
+        blown = np.isinf(row_gaps)
+        lin = gap + ratio * np.where(blown, 0.0, row_gaps - gap)[:, None]
+        lin[blown[:, None] & (ratio != 0)] = math.inf
+        lin[:, lead] = row_gaps
+        return lin.ravel().tolist()
 
     def cost_of(phi):
         return _phi_cost(phi, jm, grid.T)
@@ -188,7 +211,8 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
         for _inner in range(opt_cfg.max_inner):
             iterations += 1
             probes = phi + h * np.eye(phi.size).reshape((-1,) + shape)
-            f2 = np.array([objective(p, g) for p, g in zip(probes, gaps_of(probes))])
+            f2 = np.array([objective(p, g)
+                           for p, g in zip(probes, probe_gaps(probes, gap))])
             grad = ((f2 - f) / h).reshape(shape)
             gnorm = float(np.sqrt(np.sum(grad**2)))
             if gnorm < 1e-10:

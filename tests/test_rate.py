@@ -1,6 +1,7 @@
 """Entropy cost, level sets, and the rate-function estimator."""
 
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -208,7 +209,7 @@ def test_rate_result_fields(params_pi, monkeypatch):
 
 def test_rate_search_independent_of_batching(params_pi, monkeypatch):
     # the batched search gives what solving its skeletons one at a time
-    # gives, bit for bit: 2 bins x 2 marks, so four perturbations a gradient
+    # gives, bit for bit: 2 bins x 2 marks, so two drift rows a gradient
     basis, u0, _, grid = rate_setup(params_pi)
     jm = jm2()
     phi_star = Control(T=grid.T, phi=np.array([[1.8, 0.6], [0.9, 1.4]]))
@@ -238,6 +239,43 @@ def test_rate_search_independent_of_batching(params_pi, monkeypatch):
     assert np.array_equal(batched.control.phi, serial.control.phi)
     # no drift row is marched twice: the search keeps every gap it marched
     assert len(set(marched)) == len(marched) == serial.skeleton_paths
+
+
+def test_rate_gradient_marches_one_drift_row_per_bin(params_pi, monkeypatch):
+    # a probe reaches the skeleton only through its bin's drift, so the
+    # first gradient of a 2-bin x 2-mark search marches one row per bin,
+    # after the start row
+    basis, u0, _, grid = rate_setup(params_pi)
+    jm = jm2()
+    phi_star = Control(T=grid.T, phi=np.array([[1.8, 0.6], [0.9, 1.4]]))
+    center = solve_skeleton(params_pi, basis, u0, jm, phi_star, grid).endpoint
+    sizes = []
+
+    def recording_march(params, basis, u0, grid, times, factors, drift, n_bins, **kw):
+        sizes.append(len(drift))
+        return march(params, basis, u0, grid, times, factors, drift, n_bins, **kw)
+
+    monkeypatch.setattr(rate, "march", recording_march)
+    estimate_rate(EndpointSpec(center=center, radius=1e-2 * center.l2()),
+                  params_pi, basis, jm, u0, grid,
+                  OptConfig(n_bins=2, n_rho=1, max_inner=1))
+    assert sizes[:2] == [1, 2]
+
+
+def test_rate_without_drift_marches_only_the_start(params_pi):
+    # no mark moves a drift (every g_j = 0): every probe's gap is the start
+    # row's, so nothing but that row is marched and phi = 1 stays optimal
+    basis, u0, _, grid = rate_setup(params_pi)
+    jm = JumpModel(nu=np.array([1.0, 0.5]), g=np.zeros(2))
+    center = solve_skeleton(params_pi, basis, u0, jm,
+                            constant_control(grid.T, 2, 1.0), grid).endpoint
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = estimate_rate(EndpointSpec(center=center, radius=1e-6), params_pi,
+                            basis, jm, u0, grid, OptConfig(n_bins=2))
+    assert (res.marches, res.skeleton_paths) == (1, 1)
+    assert res.feasible and res.value == 0.0
+    assert np.array_equal(res.control.phi, np.ones((2, 2)))
 
 
 def test_rate_search_skips_only_candidates_it_would_reject(tmp_path, monkeypatch):

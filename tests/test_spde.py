@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from sggl import (Control, JumpModel, JumpSample, NoiseScale, Parameters,
-                  TimeGrid, constant_control, drift_coefficient, empty_sample,
+from sggl import (Control, JumpModel, JumpSample, NoiseScale, TimeGrid,
+                  constant_control, drift_coefficient, empty_sample,
                   make_basis, mode_field, sample_prm, solve_skeleton,
                   solve_spde, zero_field)
 from sggl.jumps import compensator_drift

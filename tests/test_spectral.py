@@ -13,7 +13,7 @@ from sggl import (Parameters, ParameterError, StateField, apply_A, apply_B,
                   zero_field)
 from sggl.spectral import WORKSPACE_BYTES, _power_by, _row_chunks, chunk_rows, norm_powers
 
-from conftest import DenseGrid, oracle_B_modes, oracle_F_modes, rel_err
+from conftest import oracle_B_modes, oracle_F_modes, rel_err
 
 
 # ---------------------------------------------------------------------------

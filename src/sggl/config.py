@@ -132,8 +132,10 @@ def _modes(text: str) -> list[tuple[int, int, complex]]:
         vals = entry.split(",")
         if len(vals) != 4:
             raise ValueError("entries must be 'k, m, re, im'")
-        entries.append((count(vals[0]), count(vals[1]),
-                        _finite(vals[2]) + 1j * _finite(vals[3])))
+        k, m = count(vals[0]), count(vals[1])
+        if any(e[:2] == (k, m) for e in entries):
+            raise ValueError(f"mode ({k},{m}) given twice")
+        entries.append((k, m, _finite(vals[2]) + 1j * _finite(vals[3])))
     return entries
 
 
@@ -219,7 +221,8 @@ def parse_config(path: str) -> RunSpec:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # ';' separates rows and entries, so only '#' starts an inline comment
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
     cfg.optionxform = str   # keys are case-sensitive (L1 vs l1)
     try:
         cfg.read_string(text)

@@ -14,10 +14,11 @@ solve is one row of a batched ``march``, a gradient marches one
 forward-difference row per bin in one march (the bin's other marks take
 their gaps linearized along its drift), and the line search marches its
 candidate steps in batches that double in size, leaving out a step whose
-cost alone rules it out.  The search keeps the gap of every drift row it has
-marched and marches each row once.  A row's result does not depend on its
-batch and candidates are accepted in their serial order, so the estimate is
-the one that solving the skeletons one at a time gives, bit for bit.
+cost alone rules it out.  A control's forward differences are taken once
+and reused when a new penalty weight restarts the search at that control.
+A row's result does not depend on its batch and candidates are accepted in
+their serial order, so the estimate is the one that solving the skeletons
+one at a time gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -141,18 +142,19 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     gradient's n_bins x K forward differences take their cost part entry by
     entry and their gaps from n_bins drift rows in one march: per bin, the
     probe of the mark that moves the drift most (none if no mark moves it),
-    each other mark's gap linearized along the drift from that row's.  A
-    march holds only the drift rows the search has not marched before.  The
+    each other mark's gap linearized along the drift from that row's.  They
+    are taken at a control when an iteration first needs them there, and a
+    new penalty weight that restarts at the same control reuses them.  The
     line search tries steps s, s/2, s/4, ... (at most 25), marched in that
-    order in batches of 2, 4, 8, ..., and accepts the first that improves
+    order in batches of 2, 4, 8 and 11, and accepts the first that improves
     the objective, so it accepts what a serial search would, bit for bit.
     A candidate whose cost alone rules out an improvement is not marched.
     Infeasibility within the budget is reported via the ``feasible`` flag
     (the numerical proxy for an infinite rate), never as a sentinel value.
     """
-    K = jm.n_marks
-    shape = (opt_cfg.n_bins, K)
+    shape = (opt_cfg.n_bins, jm.n_marks)
     tol = opt_cfg.gap_tol
+    h = opt_cfg.fd_step
     marches = paths = 0
     # a probe of mark j moves its bin's drift by h*w[j], ratio[j] times as
     # much as the lead mark's, which moves it most (the first on a tie)
@@ -160,87 +162,77 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     lead = int(np.argmax(np.abs(w)))
     ratio = w / w[lead] if w[lead] else None
 
-    known = {}      # the gap of every drift row marched, keyed by its bytes
-
     def gaps_of(phis):
         nonlocal marches, paths
-        drift = drift_coefficient(jm, phis)
-        keys = [row.tobytes() for row in drift]
-        # the rows not marched yet, each once, in first-seen order
-        fresh = {key: row for key, row in zip(keys, drift) if key not in known}
-        if fresh:
-            marches += 1
-            paths += len(fresh)
-            known.update(zip(fresh, _endpoint_gaps(
-                np.array(list(fresh.values())), target, params, basis, u0, grid)))
-        return [known[key] for key in keys]
+        marches += 1
+        paths += len(phis)
+        return _endpoint_gaps(drift_coefficient(jm, phis), target, params, basis,
+                              u0, grid)
 
-    def probe_gaps(probes, gap):
-        """Gaps of the n_bins*K forward-difference ``probes`` of a control
-        whose gap is ``gap``: bin b's lead-mark probe is marched, and every
-        other mark of the bin takes its gap linearized along the bin's drift,
+    def cost_of(phi):
+        return _phi_cost(phi, jm, grid.T)
+
+    def forward_differences():
+        """Costs and gaps of the n_bins*K forward-difference probes of phi:
+        bin b's lead-mark probe is marched, and every other mark of the bin
+        takes its gap linearized along the bin's drift,
         gap + ratio[j] * (that row's gap - gap); a blown-up row makes them
         +inf, and a mark that moves no drift keeps ``gap``."""
+        probes = phi + h * np.eye(phi.size).reshape((-1,) + shape)
+        costs = [cost_of(p) for p in probes]
         if ratio is None:
-            return [gap] * len(probes)
+            return costs, [gap] * len(probes)
         row_gaps = np.array(gaps_of(probes.reshape(shape + shape)[:, lead]))
         blown = np.isinf(row_gaps)
         lin = gap + ratio * np.where(blown, 0.0, row_gaps - gap)[:, None]
         lin[blown[:, None] & (ratio != 0)] = math.inf
         lin[:, lead] = row_gaps
-        return lin.ravel().tolist()
-
-    def cost_of(phi):
-        return _phi_cost(phi, jm, grid.T)
+        return costs, lin.ravel().tolist()
 
     def violation(gap):
         return max(0.0, gap - target.radius)
 
-    def objective(phi, gap):
-        return cost_of(phi) + rho * violation(gap) ** 2
+    def line_search(f, step, grad):
+        """(s, phi, cost, gap, objective) of the first step s, s/2, s/4, ...
+        whose projected candidate improves the objective f, or None."""
+        for batch in np.split(np.ldexp(step, -np.arange(25)), [2, 6, 14]):
+            cands = np.maximum(0.0, phi - batch[:, None, None] * grad)
+            costs = [cost_of(cand) for cand in cands]
+            live = [i for i, ci in enumerate(costs) if _may_improve(ci, f)]
+            for i, gi in zip(live, gaps_of(cands[live]) if live else ()):
+                fi = costs[i] + rho * violation(gi) ** 2
+                if fi < f - 1e-14:
+                    return batch[i], cands[i], costs[i], gi, fi
+        return None
 
     seen = []     # (cost, phi, gap) of each accepted iterate, then the last
     iterations = 0
     phi = np.ones(shape)
-    gap = gaps_of(phi[None])[0]
+    c, gap = cost_of(phi), gaps_of(phi[None])[0]
+    diffs = None  # the forward differences at phi, once an iteration needs them
     rho = _RHO0
-    h = opt_cfg.fd_step
     for _outer in range(opt_cfg.n_rho):
-        f = objective(phi, gap)
+        f = c + rho * violation(gap) ** 2
         step = opt_cfg.step0
         for _inner in range(opt_cfg.max_inner):
             iterations += 1
-            probes = phi + h * np.eye(phi.size).reshape((-1,) + shape)
-            f2 = np.array([objective(p, g)
-                           for p, g in zip(probes, probe_gaps(probes, gap))])
+            if diffs is None:
+                diffs = forward_differences()
+            f2 = np.array([c2 + rho * violation(g2) ** 2 for c2, g2 in zip(*diffs)])
             grad = ((f2 - f) / h).reshape(shape)
-            gnorm = float(np.sqrt(np.sum(grad**2)))
-            if gnorm < 1e-10:
+            if np.sqrt(np.sum(grad**2)) < 1e-10:
                 break
-            # backtracking projected line search over a ladder of batches
-            scales = np.ldexp(step, -np.arange(25))      # step / 2^k, exactly
-            improved = False
-            lo, size = 0, 2
-            while lo < scales.size and not improved:
-                batch = scales[lo:lo + size]
-                cands = np.maximum(0.0, phi - batch[:, None, None] * grad)
-                live = np.array([_may_improve(cost_of(c), f) for c in cands], dtype=bool)
-                batch, cands = batch[live], cands[live]
-                for s, cand, gc in zip(batch, cands, gaps_of(cands)):
-                    fc = objective(cand, gc)
-                    if fc < f - 1e-14:
-                        phi, f, gap = cand, fc, gc
-                        step = min(s * 2.0, 1e3)
-                        improved = True
-                        break
-                lo, size = lo + size, 2 * size
-            if not improved:
+            found = line_search(f, step, grad)
+            if found is None:
                 break
-            seen.append((cost_of(phi), phi, gap))
+            s, phi, c, gap, f = found
+            step = min(s * 2.0, 1e3)
+            diffs = None
+            seen.append((c, phi, gap))
         if violation(gap) <= tol and rho > _RHO0 * 10:
             break
         rho *= _RHO_GROWTH
-    seen.append((cost_of(phi), phi, gap))
+    seen.append((c, phi, gap))
 
     def key(it):
         return (0, it[0]) if violation(it[2]) <= tol else (1, it[2])
@@ -249,4 +241,3 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     return RateResult(value=c_val, control=Control(T=grid.T, phi=phi_best),
                       endpoint_gap=gap_best, iterations=iterations,
                       feasible=feasible, marches=marches, skeleton_paths=paths)
-

@@ -101,6 +101,25 @@ def test_parse_valid_config(tmp_path):
     assert len(spec.config_hash) == 64
 
 
+def test_parse_semicolon_after_space_separates_rows_and_entries(tmp_path):
+    # ';' after a space still separates the rows of phi and the entries of
+    # modes; it does not start an inline comment that drops the rest
+    text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
+    assert text.count("; ") == 2
+    spaced = tmp_path / "spaced.ini"
+    spaced.write_text(text.replace("; ", " ; "))
+    plain, spec = parse_config(write_config(tmp_path)), parse_config(str(spaced))
+    assert spec.ctrl.phi.shape == (2, 2)
+    assert np.array_equal(spec.ctrl.phi, plain.ctrl.phi)
+    assert spec.u0.modes[1, 1] == 0.1 + 0.05j
+    assert np.array_equal(spec.u0.modes, plain.u0.modes)
+    twice = tmp_path / "twice.ini"
+    twice.write_text(text.replace("2, 2, 0.1", "1, 1, 0.1"))
+    with pytest.raises(ConfigError) as info:
+        parse_config(str(twice))
+    assert "mode (1,1) given twice" in str(info.value)
+
+
 def test_parse_rejects_beta_out_of_range(tmp_path):
     # 0.9 > sqrt(7)/3 ~ 0.8819: the violated constraint must be cited
     with pytest.raises((ConfigError, Exception)) as exc:
@@ -308,12 +327,17 @@ def test_cli_usage_errors(tmp_path):
      "outside basis"),
     ("workers = 1", "workers = 1\nworkers", "malformed config"),
     ("alpha = 0.5", "", "missing mandatory key 'alpha'"),
+    # ';' starts no inline comment, so the text after it is part of the value
+    ("n_samples = 6", "n_samples = 6 ; six", "must be an integer >= 1"),
+    ("modes = 1, 1, 0.3, 0.0; 2, 2, 0.1, 0.05", "modes = 1, 1, 0.3, 0.0; 1, 1, 0.1, 0.05",
+     "given twice"),
 ], ids=["n_samples", "eps_list", "master_seed", "modes", "target_phi", "fd_step",
         "lambda1", "eps_list_empty", "n_bins_zero", "target_phi_empty",
         "target_phi_ragged", "phi_ragged", "n_samples_zero",
         "target_radius_negative", "fd_step_zero", "master_seed_negative",
         "gap_tol_nan", "default_section", "lambda1_three", "modes_three_fields",
-        "mode_outside_basis", "malformed", "alpha_missing"])
+        "mode_outside_basis", "malformed", "alpha_missing", "n_samples_semicolon",
+        "mode_twice"])
 def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, line, bad, why):
     text = SMALL_CONFIG.format(beta=0.5, sigma=3.0)
     assert f"\n{line}\n" in text

@@ -199,8 +199,8 @@ def test_rate_result_fields(params_pi, monkeypatch):
     assert res.control.phi.shape == (2, 1)
     # phi = 1 lands on the center, so the objective is 0 and every line-search
     # candidate costs more: the search marches the start and one gradient of
-    # two probes, and no candidate (the later stages find the gradient's rows
-    # already marched)
+    # two probes, and no candidate (the later stages restart at the same phi
+    # and reuse its forward differences)
     assert (res.marches, res.skeleton_paths) == (2, 3)
     # no drift row is marched twice, though every continuation stage retries
     # the same failed line search from the same phi
@@ -237,14 +237,20 @@ def test_rate_search_independent_of_batching(params_pi, monkeypatch):
                  "skeleton_paths"):
         assert getattr(batched, name) == getattr(serial, name), name
     assert np.array_equal(batched.control.phi, serial.control.phi)
-    # no drift row is marched twice: the search keeps every gap it marched
+    # no drift row is marched twice: a stage that restarts at the same phi
+    # reuses its forward differences
     assert len(set(marched)) == len(marched) == serial.skeleton_paths
 
 
 def test_rate_gradient_marches_one_drift_row_per_bin(params_pi, monkeypatch):
-    # a probe reaches the skeleton only through its bin's drift, so the
-    # first gradient of a 2-bin x 2-mark search marches one row per bin,
-    # after the start row
+    # a probe reaches the skeleton only through its bin's drift, so a
+    # gradient of a 2-bin x 2-mark search marches one row per bin.  Two
+    # stages of at most two iterations march: the start row; the first
+    # gradient's two rows; a line search that tries all 25 steps in batches
+    # of 2, 4, 8 and 11 and finds none; the second stage restarts at the
+    # same phi, so it reuses that gradient and marches only its line search;
+    # then one gradient and one line search, and no gradient at the control
+    # the search stops on
     basis, u0, _, grid = rate_setup(params_pi)
     jm = jm2()
     phi_star = Control(T=grid.T, phi=np.array([[1.8, 0.6], [0.9, 1.4]]))
@@ -256,10 +262,11 @@ def test_rate_gradient_marches_one_drift_row_per_bin(params_pi, monkeypatch):
         return march(params, basis, u0, grid, times, factors, drift, n_bins, **kw)
 
     monkeypatch.setattr(rate, "march", recording_march)
-    estimate_rate(EndpointSpec(center=center, radius=1e-2 * center.l2()),
-                  params_pi, basis, jm, u0, grid,
-                  OptConfig(n_bins=2, n_rho=1, max_inner=1))
-    assert sizes[:2] == [1, 2]
+    res = estimate_rate(EndpointSpec(center=center, radius=1e-2 * center.l2()),
+                        params_pi, basis, jm, u0, grid,
+                        OptConfig(n_bins=2, n_rho=2, max_inner=2))
+    assert sizes == [1, 2, 2, 4, 8, 11, 2, 2, 2]
+    assert (res.marches, res.skeleton_paths) == (len(sizes), sum(sizes))
 
 
 def test_rate_without_drift_marches_only_the_start(params_pi):

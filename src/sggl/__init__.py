@@ -3,8 +3,7 @@ generalized Ginzburg-Landau equation with multiplicative jump noise."""
 
 from .params import Parameters, ParameterError
 from .spectral import (SpectralBasis, StateField, make_basis,
-                       zero_field, mode_field, apply_A, apply_B, apply_F,
-                       compute_norms, make_nonlin)
+                       zero_field, mode_field, apply_A, apply_B, apply_F, make_nonlin)
 from .jumps import (JumpModel, JumpSample, Control, NoiseScale, validate_model,
                     sample_prm, sample_prm_scales, drift_coefficient,
                     constant_control, empty_sample, trajectory_seed)

@@ -73,12 +73,8 @@ def _write_cells(spec: RunSpec, path: str, cells: list, cell_type):
 
 
 def _write_trajectory(spec: RunSpec, out: str, traj):
-    # l2sigma2 is the L^(2 sigma + 2) norm
-    nr = traj.norms
-    lp, = nr.lp.values()
-    outputs.write_csv(os.path.join(out, "trajectory.csv"),
-                      ["t", "l2", "grad_l2", "l2sigma2"],
-                      zip(traj.times, nr.l2, nr.grad_l2, lp),
+    outputs.write_csv(os.path.join(out, "trajectory.csv"), ["t", *traj.norms],
+                      zip(traj.times, *traj.norms.values()),
                       spec.config_hash, spec.master_seed)
     outputs.write_fields_bin(os.path.join(out, "fields.bin"), traj,
                              spec.config_hash, spec.master_seed)

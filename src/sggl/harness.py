@@ -138,11 +138,11 @@ def _sweep_batch(params: Parameters, basis: SpectralBasis, u0: StateField,
 
     def flush():
         nonlocal n
-        l2sq, gradsq, lp = norm_powers(basis, buf[:n], [p])
+        l2sq, gradsq, lp = norm_powers(basis, buf[:n], p)
         r, w = buf_row[:n], dts[buf_k[:n]]
         np.maximum.at(rows[:, 0], r, l2sq)
         np.add.at(rows[:, 1], r, w * gradsq)
-        np.add.at(rows[:, 2], r, w * lp[p])
+        np.add.at(rows[:, 2], r, w * lp)
         n = 0
 
     def on_save(r, k, modes):
@@ -185,7 +185,8 @@ def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
     are taken in groups of consecutive distinct eps, as many as keep a
     batch's (path, eps) rows within one chunk of the nonlinearity kernel
     (``chunk_rows``), or one, and a group's cells march together.  An eps
-    repeated in the list is marched once and shares its cell.
+    repeated in the list is marched once, shares its cell and is one point
+    of the log-log fit of ``slope`` and ``r2``.
     ``precomputed`` supplies already-finished cells (checkpoint resume);
     ``on_cell`` is called for each freshly computed cell when its group
     has finished.  The first
@@ -218,12 +219,11 @@ def convergence_sweep(params: Parameters, basis: SpectralBasis, jm: JumpModel,
             if on_cell is not None:
                 on_cell(known[eps])
     cells = [known[eps] for eps in eps_list]
-    eps_arr = np.asarray(eps_list, dtype=float)
-    sup_means = np.asarray([c.mean_sup_sq for c in cells])
+    sup_means = np.asarray([known[eps].mean_sup_sq for eps in distinct])
     if len(distinct) < 2:
         slope = r2 = math.nan      # no line through a single point
     elif np.all(sup_means > 0):
-        slope, r2 = _fit_loglog(eps_arr, sup_means)
+        slope, r2 = _fit_loglog(np.asarray(distinct, dtype=float), sup_means)
     else:
         slope, r2 = 0.0, 1.0   # degenerate (noise-free) sweep: statistics are 0
     return SweepReport(cells=cells, slope=slope, r2=r2,

@@ -56,7 +56,7 @@ class Parameters:
         object.__setattr__(self, "lambda2", tuple(complex(v) for v in self.lambda2))
 
     @property
-    def lp_exponent(self) -> int:
-        """The exponent 2 sigma + 2, rounded to an integer, of the
-        L^(2 sigma + 2) norm that the energy estimate controls."""
-        return int(round(2 * self.sigma + 2))
+    def lp_exponent(self) -> float:
+        """The exponent 2 sigma + 2, unrounded, of the L^(2 sigma + 2) norm
+        that the energy estimate controls."""
+        return 2 * self.sigma + 2

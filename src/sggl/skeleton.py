@@ -25,8 +25,7 @@ import numpy as np
 
 from .jumps import Control, JumpModel, drift_coefficient
 from .params import Parameters
-from .spectral import (WORKSPACE_BYTES, NormReport, SpectralBasis, StateField,
-                       compute_norms, make_nonlin, norm_powers)
+from .spectral import WORKSPACE_BYTES, SpectralBasis, StateField, make_nonlin, norm_powers
 from .timestep import BlowUpError, etdrk2_step, linear_tables
 
 # a path blows up when its L2 norm exceeds BLOWUP_FACTOR * (||u0|| + 1)
@@ -51,12 +50,14 @@ class TimeGrid:
 @dataclass
 class Trajectory:
     """States ``modes`` (K, n1, n2) at the grid ``times`` (K,) in ``basis``,
-    with their norms (arrays of shape (K,)), or None when not computed."""
+    with their norms, or None when not computed: {"l2", "grad_l2",
+    "l2sigma2"} to arrays of shape (K,), the L2 norm, H1 seminorm and
+    L^(2 sigma + 2) norm, named as ``trajectory.csv``'s columns."""
 
     times: np.ndarray
     modes: np.ndarray
     basis: SpectralBasis
-    norms: NormReport | None
+    norms: dict[str, np.ndarray] | None
 
     @property
     def endpoint(self) -> StateField:
@@ -279,8 +280,12 @@ def march_trajectory(params: Parameters, basis: SpectralBasis, u0: StateField,
                 n_bins, on_save=on_save, on_kick=on_kick)
     if res.errors[0] is not None:
         raise res.errors[0]
-    norms = (compute_norms(StateField(stack, basis), [params.lp_exponent])
-             if with_norms else None)
+    norms = None
+    if with_norms:
+        p = params.lp_exponent
+        l2sq, gradsq, lp = norm_powers(basis, stack, p)
+        norms = {"l2": np.sqrt(l2sq), "grad_l2": np.sqrt(gradsq),
+                 "l2sigma2": np.power(lp, 1.0 / p)}
     return Trajectory(np.arange(n + 1) * (grid.T / n), stack, basis, norms)
 
 

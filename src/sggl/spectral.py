@@ -31,10 +31,11 @@ hypot).  The kernel forms |u|^2 as conj(u) u in a complex buffer and
 multiplies u by its power in place (``_times_power_by``), so no pass reads
 a strided real or imaginary part or casts a real field to complex;
 ``norm_powers`` and the energy audit take re^2 + im^2 (``_abs_sq``) and
-raise it by ``_power_by``.  Both raise an integer exponent by repeated
-multiplication, so sigma = 3 and the L^8 quadrature need no libm pow.
-Any other real power, such as an Lp norm's root, is ``np.power`` on the
-whole array, which rounds a value alike alone or in any array.
+raise it to p / 2 by ``_power_by`` for |u|^p, with p = 2 sigma + 2 exactly.
+Both raise an integer exponent by repeated multiplication, so sigma = 3 and
+the L^8 quadrature need no libm pow.  Any other real power, such as
+sigma = 2.3's |u|^6.6 or an Lp norm's root, is ``np.power`` on the whole
+array, which rounds a value alike alone or in any array.
 """
 
 from __future__ import annotations
@@ -247,16 +248,6 @@ def mode_field(basis: SpectralBasis, k: int, m: int, amp: complex = 1.0) -> Stat
     u = zero_field(basis)
     u.modes[k - 1, m - 1] = amp
     return u
-
-
-@dataclass
-class NormReport:
-    """Norms of one field (floats) or of each field of a stack (arrays
-    shaped like the stack's leading axes)."""
-
-    l2: float | np.ndarray
-    grad_l2: float | np.ndarray
-    lp: dict[int, float | np.ndarray]
 
 
 def _check_finite(u: StateField):
@@ -482,44 +473,31 @@ def _norm_rows(basis: SpectralBasis) -> int:
     return WORKSPACE_BYTES // 4 // _row_bytes(_kernel_layout(basis, with_F=False))
 
 
-def _lp_power(grid_sq: np.ndarray, p: int) -> np.ndarray:
-    """|u|^p for an integer p >= 2 from the grid values of |u|^2:
-    (|u|^2)^(p // 2) by ``_power_by``, times sqrt(|u|^2) for odd p."""
-    f = _power_by(p // 2)(grid_sq, None)
-    return f * np.sqrt(grid_sq) if p % 2 else f
+def _lp_power(grid_sq: np.ndarray, p: float) -> np.ndarray:
+    """|u|^p for a real p from the grid values of |u|^2: (|u|^2)^(p / 2) by
+    ``_power_by``, so an even p is raised by multiplication."""
+    return _power_by(p / 2)(grid_sq, None)
 
 
-def norm_powers(basis: SpectralBasis, modes: np.ndarray, p_list=()):
-    """(||u||^2, ||grad u||^2, {p: int |u|^p dx}) of each field of a
-    (..., n1, n2) coefficient stack, each shaped like its leading axes.
+def norm_powers(basis: SpectralBasis, modes: np.ndarray, p: float | None = None):
+    """(||u||^2, ||grad u||^2, int |u|^p dx) of each field of a
+    (..., n1, n2) coefficient stack, each shaped like its leading axes; the
+    integral is None when p is None.
 
     The squared L2 norm and H1 seminorm come from Parseval (the basis is
-    orthonormal in L2), the Lp integrals, for integers p >= 2, from
-    collocation quadrature of ``_lp_power`` on the padded grid.  The
-    quadrature runs beside the kernel's buffers (a sweep reduces its
-    buffered grid-time fields mid-march), so it takes row chunks of
-    ``_norm_rows`` rows.
+    orthonormal in L2), the Lp integral, for a real p, from collocation
+    quadrature of ``_lp_power`` on the padded grid.  The quadrature runs
+    beside the kernel's buffers (a sweep reduces its buffered grid-time
+    fields mid-march), so it takes row chunks of ``_norm_rows`` rows.
     """
     sq = np.abs(modes) ** 2
     l2sq = np.sum(sq, axis=(-2, -1))
     gradsq = np.sum(np.abs(basis.eigenvalues) * sq, axis=(-2, -1))
-    if not p_list:
-        return l2sq, gradsq, {}
+    if p is None:
+        return l2sq, gradsq, None
     flat = modes.reshape((-1,) + modes.shape[-2:])
-    parts = {p: [] for p in p_list}
+    lp = []
     for rows in _row_chunks(len(flat), _norm_rows(basis)):
         grid_sq = _abs_sq(basis.to_grid(flat[rows]))
-        for p, part in parts.items():
-            part.append(basis.cell_area * np.sum(_lp_power(grid_sq, p), axis=(-2, -1)))
-    lp = {p: np.concatenate(part).reshape(l2sq.shape)[()] for p, part in parts.items()}
-    return l2sq, gradsq, lp
-
-
-def compute_norms(u: StateField, p_list: list[int] | None = None) -> NormReport:
-    """L2 norm, H1 seminorm and Lp norms (``norm_powers``) of one field, or
-    of each field of a stack: ``u.modes`` shaped (..., n1, n2).  The roots
-    are numpy's, so a field's norms are the same in any stack."""
-    _check_finite(u)
-    l2sq, gradsq, lp = norm_powers(u.basis, u.modes, p_list)
-    return NormReport(l2=np.sqrt(l2sq), grad_l2=np.sqrt(gradsq),
-                      lp={p: np.power(v, 1.0 / p) for p, v in lp.items()})
+        lp.append(basis.cell_area * np.sum(_lp_power(grid_sq, p), axis=(-2, -1)))
+    return l2sq, gradsq, np.concatenate(lp).reshape(l2sq.shape)[()]

@@ -4,6 +4,7 @@ import concurrent.futures
 import configparser
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -200,6 +201,24 @@ def test_cli_skeleton_outputs(tmp_path):
     assert "master_seed=777" in csv[0]
     assert csv[1] == "t,l2,grad_l2,l2sigma2"
     assert len(csv) == 2 + 21   # t=0 plus 20 saved steps
+
+
+def test_cli_trajectory_lp_norm_takes_the_exact_exponent(tmp_path):
+    # at sigma = 2.3 trajectory.csv's l2sigma2 is the L^6.6 norm of each
+    # saved state, against libm pow of |u| on the grid, not the L^7 norm of
+    # 2 sigma + 2 rounded
+    cfg = write_config(tmp_path, sigma=2.3)
+    out = str(tmp_path / "out")
+    assert main(["skeleton", "--config", cfg, "--out", out]) == 0
+    rows = Path(os.path.join(out, "trajectory.csv")).read_text().splitlines()[2:]
+    _, fields = read_fields_bin(os.path.join(out, "fields.bin"))
+    b = parse_config(cfg).basis
+    p = 2 * 2.3 + 2
+    assert len(rows) == len(fields) == 21
+    for row, modes in zip(rows, fields):
+        absU = np.abs(b.to_grid(modes)).ravel()
+        want = math.pow(b.cell_area * math.fsum(math.pow(a, p) for a in absU), 1 / p)
+        assert abs(float(row.split(",")[3]) - want) <= 1e-14 * want
 
 
 def test_cli_fields_binary_roundtrip(tmp_path):

@@ -81,6 +81,21 @@ def test_sweep_single_eps_has_no_slope(params_pi, eps_list):
     assert rep.slope_flag
 
 
+def test_sweep_fit_takes_each_distinct_eps_once(params_pi):
+    # a repeated eps is one point of the log-log fit: listed twice, first or
+    # last, it leaves slope and r2 as they are on the distinct list
+    basis, u0, grid = small_setup(params_pi)
+    ctrl = constant_control(grid.T, 2, 1.5)
+    distinct = [0.25, 0.125, 0.0625]
+    reps = [convergence_sweep(params_pi, basis, jm2(), u0, ctrl, grid, eps_list,
+                              n_samples=4, master_seed=3)
+            for eps_list in (distinct, distinct + [0.0625], [0.25] + distinct)]
+    assert 0 < reps[0].r2 < 1
+    for rep, listed in zip(reps[1:], (distinct + [0.0625], [0.25] + distinct)):
+        assert [c.eps for c in rep.cells] == listed
+        assert (rep.slope, rep.r2) == (reps[0].slope, reps[0].r2)
+
+
 def test_sweep_marches_each_distinct_eps_once(params_pi, monkeypatch):
     # a repeated eps is one cell: marched once, handed to on_cell once
     basis, u0, grid = small_setup(params_pi)
@@ -204,9 +219,9 @@ def test_sweep_cells_match_per_path_trajectories(params_pi, monkeypatch, squeeze
         for i in range(n):
             traj = solve_spde(params_pi, basis, u0, jm, NoiseScale(eps), grid,
                               trajectory_seed(master, i), ctrl=ctrl)
-            l2sq, gradsq, lp = norm_powers(basis, traj.modes[1:] - skel.modes[1:], [p])
+            l2sq, gradsq, lp = norm_powers(basis, traj.modes[1:] - skel.modes[1:], p)
             stats[i] = (l2sq.max(), np.cumsum(dts * gradsq)[-1],
-                        np.cumsum(dts * lp[p])[-1])
+                        np.cumsum(dts * lp)[-1])
         mean = stats.mean(axis=0)
         se = stats.std(axis=0, ddof=1) / math.sqrt(n)
         assert (cell.mean_sup_sq, cell.mean_grad_int, cell.mean_lp_int) == tuple(mean)
@@ -232,7 +247,7 @@ def scalar_model_rows(params, basis, u0, jm, ctrl, grid, eps_list, master, n):
     c = drift_coefficient(jm, ctrl.phi)[np.arange(n_steps) // (n_steps // ctrl.n_bins)]
     x_skel = np.exp(np.concatenate(([0.0], np.cumsum(c * (grid.T / n_steps)))))
     p = params.lp_exponent
-    w_l2, w_grad, w_lp = norm_powers(basis, skel.modes / x_skel[:, None, None], [p])
+    w_l2, w_grad, w_lp = norm_powers(basis, skel.modes / x_skel[:, None, None], p)
     dts = np.diff(t, prepend=0.0)
     rows = np.empty((n, len(eps_list), 3))
     for i in range(n):
@@ -243,7 +258,7 @@ def scalar_model_rows(params, basis, u0, jm, ctrl, grid, eps_list, master, n):
                        + log_kicks[np.searchsorted(ev.times, t, side="right")])
             dx2 = (x - x_skel) ** 2
             rows[i, j] = (np.max(dx2 * w_l2), np.sum(dts * dx2 * w_grad),
-                          np.sum(dts * dx2 ** (p // 2) * w_lp[p]))
+                          np.sum(dts * dx2 ** (p / 2) * w_lp))
     return rows, skel
 
 

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from sggl import (BlowUpError, Control, Parameters, StateField, TimeGrid,
-                  compute_norms, constant_control, drift_coefficient,
+                  constant_control, drift_coefficient,
                   galerkin_refine, make_basis, make_nonlin, mode_field,
                   solve_skeleton, zero_field)
 from sggl.config import parse_config
+from sggl.spectral import norm_powers
 
 from conftest import jm2, rel_err
 
@@ -59,13 +60,14 @@ def test_trajectory_time_axis(params_pi, basis8):
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.5, abs=1e-15)
     assert np.all(np.diff(traj.times) > 0)
-    assert len(traj.modes) == len(traj.times) == len(traj.norms.l2)
+    assert list(traj.norms) == ["l2", "grad_l2", "l2sigma2"]
+    assert all(len(traj.modes) == len(traj.times) == len(v) for v in traj.norms.values())
 
 
 def test_stacked_norms_match_per_field_norms():
     # the skeleton of configs/default.ini: the norms of its stacked states
-    # equal each state's own compute_norms and the per-field formulas bit
-    # for bit, the Lp root (np.power on the whole stack) included
+    # equal the roots of each state's own norm_powers and the per-field
+    # formulas bit for bit, the Lp root (np.power on the whole stack) included
     spec = parse_config(os.path.join(os.path.dirname(__file__), os.pardir,
                                      "configs", "default.ini"))
     b, grid, n_bins = spec.basis, spec.grid, spec.ctrl.n_bins
@@ -77,16 +79,17 @@ def test_stacked_norms_match_per_field_norms():
     assert p == 8
     nr = traj.norms
     for i, modes in enumerate(traj.modes):
-        one = compute_norms(StateField(modes, b), [p])
+        l2sq, gradsq, lp_p = norm_powers(b, modes, p)
+        one_l2, one_grad, one_lp = np.sqrt(l2sq), np.sqrt(gradsq), np.power(lp_p, 1.0 / p)
         sq = np.abs(modes) ** 2
         U = b.to_grid(modes)
         u2 = U.real * U.real + U.imag * U.imag
         u4 = u2 * u2                        # |u|^8 by binary powering: (|u|^4)^2
         lp = float(np.power(b.cell_area * np.sum(u4 * u4), 1.0 / p))
-        assert nr.l2[i] == one.l2 == float(np.sqrt(np.sum(sq)))
-        assert nr.grad_l2[i] == one.grad_l2 == float(
+        assert nr["l2"][i] == one_l2 == float(np.sqrt(np.sum(sq)))
+        assert nr["grad_l2"][i] == one_grad == float(
             np.sqrt(np.sum(np.abs(b.eigenvalues) * sq)))
-        assert nr.lp[p][i] == one.lp[p] == lp
+        assert nr["l2sigma2"][i] == one_lp == lp
 
 
 def test_linearized_single_mode(params_pi, basis8):

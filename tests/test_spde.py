@@ -287,7 +287,7 @@ def test_energy_stable_as_eps_shrinks(params_pi, basis8):
     jm = jm2()
     u0 = mode_field(basis8, 1, 1, 0.3)
     grid = TimeGrid(T=0.3, n_steps=30)
-    sigma_p = int(round(2 * params_pi.sigma + 2))
+    sigma_p = params_pi.lp_exponent
 
     def mean_energy(eps, n=20):
         vals = []
@@ -295,12 +295,12 @@ def test_energy_stable_as_eps_shrinks(params_pi, basis8):
             traj = solve_spde(params_pi, basis8, u0, jm, NoiseScale(eps),
                               grid, seed)
             nr = traj.norms
-            sup_sq = max(nr.l2 ** 2)
+            sup_sq = max(nr["l2"] ** 2)
             dt = np.diff(traj.times)
             grad = sum(d * g ** 2
-                       for d, g in zip(dt, nr.grad_l2[1:]))
+                       for d, g in zip(dt, nr["grad_l2"][1:]))
             lp = sum(d * v ** sigma_p
-                     for d, v in zip(dt, nr.lp[sigma_p][1:]))
+                     for d, v in zip(dt, nr["l2sigma2"][1:]))
             vals.append(sup_sq + grad + lp)
         return float(np.mean(vals))
 

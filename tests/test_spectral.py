@@ -1,6 +1,7 @@
 """Spectral core: basis construction, operators, norms, and their invariants."""
 
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -8,10 +9,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sggl import (Parameters, ParameterError, StateField, apply_A, apply_B,
-                  apply_F, compute_norms, make_basis, make_nonlin, mode_field,
-                  zero_field)
-from sggl.spectral import WORKSPACE_BYTES, _power_by, _row_chunks, chunk_rows, norm_powers
+from sggl import (Parameters, ParameterError, apply_A, apply_B, apply_F, make_basis,
+                  make_nonlin, mode_field, zero_field)
+from sggl.spectral import (WORKSPACE_BYTES, _lp_power, _power_by, _row_chunks, chunk_rows,
+                           norm_powers)
 
 from conftest import oracle_B_modes, oracle_F_modes, rel_err
 
@@ -464,46 +465,74 @@ def test_make_nonlin_accepts_non_contiguous_input():
 # ---------------------------------------------------------------------------
 # norms
 
+def lp_norm(basis, modes, p):
+    """The L^p norm of each field of ``modes`` (``norm_powers``' root)."""
+    return np.power(norm_powers(basis, modes, p)[2], 1.0 / p)
+
+
 def test_norms_single_mode(basis1, params_pi):
-    u = mode_field(basis1, 1, 1)
-    r = compute_norms(u, [2])
-    assert r.l2 == pytest.approx(1.0, rel=1e-13)
-    assert r.grad_l2 == pytest.approx(np.sqrt(2.0), rel=1e-13)
+    modes = mode_field(basis1, 1, 1).modes
+    l2sq, gradsq, _ = norm_powers(basis1, modes)
+    assert np.sqrt(l2sq) == pytest.approx(1.0, rel=1e-13)
+    assert np.sqrt(gradsq) == pytest.approx(np.sqrt(2.0), rel=1e-13)
     # quadrature L2 agrees with the Parseval value
-    assert r.lp[2] == pytest.approx(r.l2, rel=1e-12)
+    assert lp_norm(basis1, modes, 2) == pytest.approx(np.sqrt(l2sq), rel=1e-12)
 
 
 def test_norms_L4_quadrature_oracle(basis1, params_pi):
-    u = mode_field(basis1, 1, 1)
-    r = compute_norms(u, [4])
+    modes = mode_field(basis1, 1, 1).modes
     # adaptive quadrature of the explicit integrand (2/pi)^4 sin^4 x sin^4 y
     ix, _ = quad(lambda x: np.sin(x) ** 4, 0, np.pi)
     want = ((2.0 / np.pi) ** 4 * ix * ix) ** 0.25
-    assert r.lp[4] == pytest.approx(want, rel=1e-12)
+    assert lp_norm(basis1, modes, 4) == pytest.approx(want, rel=1e-12)
 
 
 def test_lp_integrals_match_abs_power_sums(basis8):
-    # |u|^p from |u|^2 by multiplication (and one sqrt for odd p) against
-    # libm pow of |u| (hypot), on a stack of fields
+    # |u|^p as (|u|^2)^(p/2), by multiplication for an even p and np.power
+    # otherwise, against libm pow of |u| (hypot), on a stack of fields
     rng = np.random.default_rng(8)
     modes = rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8))
-    p_list = [2, 4, 7, 8, 14]
-    _, _, lp = norm_powers(basis8, modes, p_list)
     absU = np.abs(basis8.to_grid(modes))
-    for p in p_list:
+    for p in [2, 4, 6.6, 7, 8, 14]:
+        _, _, lp = norm_powers(basis8, modes, p)
         want = basis8.cell_area * np.sum(absU ** p, axis=(-2, -1))
-        assert lp[p].shape == (3,)
-        assert np.max(np.abs(lp[p] - want) / want) < 1e-14, p
+        assert lp.shape == (3,)
+        assert np.max(np.abs(lp - want) / want) < 1e-14, p
+
+
+def test_lp_integral_of_one_field_matches_libm_pow(basis8):
+    # the exact exponent 2 sigma + 2 at sigma = 2.3 and 2.5, against
+    # cell_area * sum |U|^p with each |U| raised by libm pow
+    rng = np.random.default_rng(9)
+    modes = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    absU = np.abs(basis8.to_grid(modes)).ravel()
+    for p in (6.6, 7.0):
+        want = basis8.cell_area * math.fsum(math.pow(a, p) for a in absU)
+        got = norm_powers(basis8, modes, p)[2]
+        assert np.ndim(got) == 0
+        assert abs(got - want) <= 1e-14 * want, p
+
+
+def test_even_lp_power_is_repeated_squaring():
+    # |u|^8, sigma = 3's Lp integrand, is (s s)(s s) of s = |u|^2 bit for bit
+    s = np.random.default_rng(10).uniform(0, 3, size=(4, 35, 35))
+    ss = s * s
+    assert np.array_equal(_lp_power(s, 8), ss * ss)
+    assert np.array_equal(_lp_power(s, 8.0), ss * ss)
+
+
+def test_norm_powers_without_exponent(basis8):
+    modes = np.random.default_rng(4).standard_normal((2, 8, 8)) + 0j
+    assert norm_powers(basis8, modes)[2] is None
 
 
 def test_parseval_random_fields(basis8):
     rng = np.random.default_rng(3)
     for _ in range(20):
         modes = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        u = StateField(modes, basis8)
-        r = compute_norms(u)
+        l2 = np.sqrt(norm_powers(basis8, modes)[0])
         ssq = float(np.sum(np.abs(modes) ** 2))
-        assert abs(r.l2 ** 2 - ssq) <= 1e-12 * ssq
+        assert abs(l2 ** 2 - ssq) <= 1e-12 * ssq
 
 
 def test_sobolev_interpolation(params_pi):
@@ -517,16 +546,14 @@ def test_sobolev_interpolation(params_pi):
     for _ in range(200):
         modes = (rng.standard_normal((8, 8))
                  + 1j * rng.standard_normal((8, 8))) * decay
-        u = StateField(modes, b)
-        r = compute_norms(u, [8, 14])
-        lhs = r.lp[14]
-        rhs = r.grad_l2 ** a * r.lp[8] ** (1 - a)
+        lhs = lp_norm(b, modes, 14)
+        rhs = np.sqrt(norm_powers(b, modes)[1]) ** a * lp_norm(b, modes, 8) ** (1 - a)
         assert lhs <= rhs * (1 + 1e-9)
 
 
 def test_norms_nonnegative_random(basis8):
     rng = np.random.default_rng(5)
     modes = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    r = compute_norms(StateField(modes, basis8), [2, 4, 8])
-    assert r.l2 >= 0 and r.grad_l2 >= 0
-    assert all(v >= 0 for v in r.lp.values())
+    l2sq, gradsq, _ = norm_powers(basis8, modes)
+    assert np.sqrt(l2sq) >= 0 and np.sqrt(gradsq) >= 0
+    assert all(lp_norm(basis8, modes, p) >= 0 for p in [2, 4, 8])

@@ -93,6 +93,21 @@ def seed(text: str) -> int:
     return _integer(text, 0)
 
 
+def _optimizer_key(field):
+    """Reader of the [rate] key of OptConfig's ``field``: an int or a float,
+    as its default is, in the range that OptConfig itself enforces."""
+    kind = type(field.default)
+
+    def read(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ValueError(f"must be {'an integer' if kind is int else 'a number'}") from None
+        OptConfig(**{field.name: value})
+        return value
+    return read
+
+
 def _list_of(read):
     """Reader of one or more values separated by ',' or ';'."""
     def read_list(text: str) -> list:
@@ -157,10 +172,7 @@ _SCHEMA: dict[str, dict] = {
     "noise": {"eps_list": (_list_of(_positive), (0.125,))},
     "initial": {"modes": (_modes, ())},               # (): u0 = 0
     "rate": {"target_phi": (_matrix, None), "target_radius": (_non_negative, 0.0),
-             # the optimizer's keys are OptConfig's fields: its ints are
-             # counts, its floats step sizes and tolerances
-             **{f.name: (count if isinstance(f.default, int) else _positive,
-                         f.default) for f in fields(OptConfig)}},
+             **{f.name: (_optimizer_key(f), f.default) for f in fields(OptConfig)}},
     "harness": {"n_samples": (count, 200)},
     "run": {"master_seed": (seed, 0), "workers": (count, 1)},
 }

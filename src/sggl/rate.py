@@ -12,26 +12,28 @@ A skeleton sees its control only through the compensator drift on each bin
 (``drift_coefficient``), so the search marches drift rows: every skeleton
 solve is one row of a batched ``march``, a gradient marches one
 forward-difference row per bin in one march (the bin's other marks take
-their gaps linearized along its drift), and the line search marches its
-candidate steps in batches that double in size, leaving out a step whose
-cost alone rules it out.  A control's forward differences are taken once
-and reused when a new penalty weight restarts the search at that control.
-A row's result does not depend on its batch and candidates are accepted in
-their serial order, so the estimate is the one that solving the skeletons
-one at a time gives, bit for bit.
+their gaps linearized along its drift), the start phi = 1 marches with its
+first gradient's rows, and the line search marches its candidate steps in
+the batches of ``_LADDER``, leaving out a step whose cost alone rules it
+out.  Every march of a search shares one nonlinearity kernel.  A control's
+forward differences are taken once and reused when a new penalty weight
+restarts the search at that control.  A row's result does not depend on its
+batch and candidates are accepted in their serial order, so the estimate is
+the one that solving the skeletons one at a time gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .jumps import Control, JumpModel, drift_coefficient
 from .params import Parameters
 from .skeleton import TimeGrid, march
-from .spectral import SpectralBasis, StateField, norm_powers
+from .spectral import SpectralBasis, StateField, make_nonlin, norm_powers
 
 
 def ell(r) -> float:
@@ -70,8 +72,9 @@ class EndpointSpec:
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
+        # a NaN radius fails too; +inf is a ball that holds every field
+        if not self.radius >= 0:
+            raise ValueError(f"radius must be >= 0, got {self.radius!r}")
 
     def gaps(self, modes: np.ndarray) -> np.ndarray:
         """L2 distance from the center of each field of a (..., n1, n2)
@@ -82,6 +85,11 @@ class EndpointSpec:
 
 _RHO0 = 10.0            # penalty weight of the first continuation stage
 _RHO_GROWTH = 10.0      # penalty weight factor between continuation stages
+# Where the line search splits its candidate steps s, s/2, ..., s/2^24 into
+# the batches it marches in turn: 2, 2, 4 and 17.  A march costs a fixed
+# part plus well over half of it again per row, and a search that rejects s
+# to s/8 finds no step at all most of the time, so the rest go in one march.
+_LADDER = (2, 4, 8)
 
 
 @dataclass(frozen=True)
@@ -92,6 +100,19 @@ class OptConfig:
     fd_step: float = 1e-4
     step0: float = 0.5
     gap_tol: float = 1e-4
+
+    def __post_init__(self):
+        # each int field is a count, each float a step size or tolerance;
+        # the [rate] keys are read through this check too
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(f.default, int):
+                if not (isinstance(v, numbers.Integral) and v >= 1):
+                    raise ValueError(f"{f.name} must be an integer >= 1, got {v!r}")
+            elif not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v!r}")
+            elif not v > 0:
+                raise ValueError(f"{f.name} must be > 0, got {v!r}")
 
 
 @dataclass
@@ -116,11 +137,13 @@ def _may_improve(c: float, f: float) -> bool:
 
 
 def _endpoint_gaps(drift: np.ndarray, target: EndpointSpec, params, basis,
-                   u0, grid) -> list[float]:
+                   u0, grid, nonlin) -> list[float]:
     """Endpoint gap of the skeleton under each (n_bins,) drift row
-    ``drift[i]``, all marched at once; inf for a skeleton that blew up."""
+    ``drift[i]``, all marched at once with the kernel ``nonlin``; inf for a
+    skeleton that blew up."""
     none = np.empty((len(drift), 0))
-    res = march(params, basis, u0, grid, none, none, drift, drift.shape[1])
+    res = march(params, basis, u0, grid, none, none, drift, drift.shape[1],
+                nonlin=nonlin)
     gaps = target.gaps(res.endpoints)
     # an exploding skeleton can never satisfy the endpoint constraint; an
     # infinite gap lets the line search back off the candidate
@@ -144,11 +167,13 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     probe of the mark that moves the drift most (none if no mark moves it),
     each other mark's gap linearized along the drift from that row's.  They
     are taken at a control when an iteration first needs them there, and a
-    new penalty weight that restarts at the same control reuses them.  The
-    line search tries steps s, s/2, s/4, ... (at most 25), marched in that
-    order in batches of 2, 4, 8 and 11, and accepts the first that improves
-    the objective, so it accepts what a serial search would, bit for bit.
-    A candidate whose cost alone rules out an improvement is not marched.
+    new penalty weight that restarts at the same control reuses them; the
+    first iteration always needs them at phi = 1, so their rows march with
+    the start's.  The line search tries steps s, s/2, s/4, ... (at most 25),
+    marched in that order in batches of 2, 2, 4 and 17 (``_LADDER``), and
+    accepts the first that improves the objective, so it accepts what a
+    serial search would, bit for bit.  A candidate whose cost alone rules
+    out an improvement is not marched.  Every march shares one kernel.
     Infeasibility within the budget is reported via the ``feasible`` flag
     (the numerical proxy for an infinite rate), never as a sentinel value.
     """
@@ -161,28 +186,34 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     w = jm.g * jm.nu
     lead = int(np.argmax(np.abs(w)))
     ratio = w / w[lead] if w[lead] else None
+    unit = np.eye(math.prod(shape)).reshape((-1,) + shape)  # e_(b, j), row b*K + j
+    # e_(b, lead) of each bin b, or none when no mark moves a drift
+    lead_unit = unit[:0] if ratio is None else unit.reshape(shape + shape)[:, lead]
+    nonlin = make_nonlin(params, basis)
 
     def gaps_of(phis):
         nonlocal marches, paths
+        if not len(phis):
+            return []
         marches += 1
         paths += len(phis)
         return _endpoint_gaps(drift_coefficient(jm, phis), target, params, basis,
-                              u0, grid)
+                              u0, grid, nonlin)
 
     def cost_of(phi):
         return _phi_cost(phi, jm, grid.T)
 
-    def forward_differences():
-        """Costs and gaps of the n_bins*K forward-difference probes of phi:
-        bin b's lead-mark probe is marched, and every other mark of the bin
-        takes its gap linearized along the bin's drift,
-        gap + ratio[j] * (that row's gap - gap); a blown-up row makes them
-        +inf, and a mark that moves no drift keeps ``gap``."""
-        probes = phi + h * np.eye(phi.size).reshape((-1,) + shape)
+    def forward_differences(row_gaps):
+        """Costs and gaps of the n_bins*K forward-difference probes of phi,
+        given ``row_gaps``, the gaps of its lead-mark probes phi + h *
+        lead_unit: every other mark of bin b takes its gap linearized along
+        the bin's drift, gap + ratio[j] * (row_gaps[b] - gap); a blown-up row
+        makes them +inf, and a mark that moves no drift keeps ``gap``."""
+        probes = phi + h * unit
         costs = [cost_of(p) for p in probes]
         if ratio is None:
             return costs, [gap] * len(probes)
-        row_gaps = np.array(gaps_of(probes.reshape(shape + shape)[:, lead]))
+        row_gaps = np.array(row_gaps)
         blown = np.isinf(row_gaps)
         lin = gap + ratio * np.where(blown, 0.0, row_gaps - gap)[:, None]
         lin[blown[:, None] & (ratio != 0)] = math.inf
@@ -195,11 +226,11 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     def line_search(f, step, grad):
         """(s, phi, cost, gap, objective) of the first step s, s/2, s/4, ...
         whose projected candidate improves the objective f, or None."""
-        for batch in np.split(np.ldexp(step, -np.arange(25)), [2, 6, 14]):
+        for batch in np.split(np.ldexp(step, -np.arange(25)), _LADDER):
             cands = np.maximum(0.0, phi - batch[:, None, None] * grad)
             costs = [cost_of(cand) for cand in cands]
             live = [i for i, ci in enumerate(costs) if _may_improve(ci, f)]
-            for i, gi in zip(live, gaps_of(cands[live]) if live else ()):
+            for i, gi in zip(live, gaps_of(cands[live])):
                 fi = costs[i] + rho * violation(gi) ** 2
                 if fi < f - 1e-14:
                     return batch[i], cands[i], costs[i], gi, fi
@@ -208,8 +239,11 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
     seen = []     # (cost, phi, gap) of each accepted iterate, then the last
     iterations = 0
     phi = np.ones(shape)
-    c, gap = cost_of(phi), gaps_of(phi[None])[0]
-    diffs = None  # the forward differences at phi, once an iteration needs them
+    c = cost_of(phi)
+    # the forward differences at phi, once an iteration needs them; the first
+    # one does (n_rho and max_inner are at least 1), so they march with phi
+    gap, *row_gaps = gaps_of(np.concatenate((phi[None], phi + h * lead_unit)))
+    diffs = forward_differences(row_gaps)
     rho = _RHO0
     for _outer in range(opt_cfg.n_rho):
         f = c + rho * violation(gap) ** 2
@@ -217,7 +251,7 @@ def estimate_rate(target: EndpointSpec, params: Parameters, basis: SpectralBasis
         for _inner in range(opt_cfg.max_inner):
             iterations += 1
             if diffs is None:
-                diffs = forward_differences()
+                diffs = forward_differences(gaps_of(phi + h * lead_unit))
             f2 = np.array([c2 + rho * violation(g2) ** 2 for c2, g2 in zip(*diffs)])
             grad = ((f2 - f) / h).reshape(shape)
             if np.sqrt(np.sum(grad**2)) < 1e-10:

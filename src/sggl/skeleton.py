@@ -88,7 +88,8 @@ class MarchResult(NamedTuple):
 @np.errstate(over="ignore", invalid="ignore")
 def march(params: Parameters, basis: SpectralBasis, u0: StateField,
           grid: TimeGrid, event_times: np.ndarray, kick_factors: np.ndarray,
-          drift, n_bins: int, on_save=None, on_kick=None) -> MarchResult:
+          drift, n_bins: int, on_save=None, on_kick=None,
+          nonlin=None) -> MarchResult:
     """Integrate S paths of du/dt = Au + Bu + d(t)u from u0, kicking at events.
 
     d(t) = drift[b] is constant on control bin b.  ``drift`` is a float or
@@ -123,6 +124,10 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     block.  A path's arithmetic is the same whatever else its batch holds,
     so its result is its S = 1 march's, bit for bit.
 
+    ``nonlin`` is the kernel ``make_nonlin(params, basis)`` to step with,
+    built by the march when None; a caller that makes many marches in one
+    thread may build it once and pass it to each.
+
     Callbacks see the batch rows they concern: ``on_save(rows, k, modes)``
     after each path's k-th grid step, and
     ``on_kick(rows, j, before, after)`` at each path's j-th event.  A path
@@ -132,7 +137,8 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     """
     n_steps = grid.refined_steps(n_bins)
     dt = grid.T / n_steps
-    nonlin = make_nonlin(params, basis)
+    if nonlin is None:
+        nonlin = make_nonlin(params, basis)
     Lbase = (1.0 + 1j * params.alpha) * basis.eigenvalues + params.gamma
     S, E = event_times.shape
     d = np.asarray(drift, dtype=float)
@@ -147,6 +153,7 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
     cache = np.stack(linear_tables(dt, L))      # (3, entries, n1, n2)
     step_bin = np.arange(n_steps, dtype=np.int32) // (n_steps // n_bins)
     cap = BLOWUP_FACTOR * (u0.l2() + 1.0)
+    cap2 = cap * cap
     grid_times = np.arange(1, n_steps + 1) * dt
 
     ev = np.asarray(event_times, dtype=float)
@@ -232,7 +239,7 @@ def march(params: Parameters, basis: SpectralBasis, u0: StateField,
         # blow-up check on every row; saving and finishing on a grid time
         w = c.view(np.float64).reshape(rows.size, n_real)
         sq = (w * w).sum(axis=1)
-        ok = sq <= cap * cap                # a NaN norm fails too
+        ok = sq <= cap2                     # a NaN norm fails too
         n_bad = rows.size - np.count_nonzero(ok)
         if n_bad:
             sq[np.isnan(sq)] = np.inf       # a state that overflows, inf - inf

@@ -336,14 +336,17 @@ def make_nonlin(params: Parameters, basis: SpectralBasis):
     between calls.  A batch's fields run to megabytes; allocated afresh on
     every call, their pages went back to the system and were faulted in
     again each time (about 14 page faults per path and call at 8x8), which
-    cost more than the arithmetic.  The first call allocates them for its
-    own rows, or ``chunk_rows`` if it has more, and every batch is walked
-    in equal row chunks of at most their length (``_row_chunks``), so they
-    stay within WORKSPACE_BYTES and in cache however large the batch; a
-    march's first call is its largest.  A row's arithmetic is the same in
+    cost more than the arithmetic.  Every batch is walked in equal row
+    chunks of at most ``chunk_rows`` rows (``_row_chunks``), so the buffers
+    stay within WORKSPACE_BYTES and in cache however large the batch, and
+    a batch's chunks do not depend on the batches before it.  The buffers
+    hold min(S, ``chunk_rows``) rows for the largest batch S so far: a
+    larger one reallocates them, which a march, whose rows only leave,
+    never needs after its first call.  A row's arithmetic is the same in
     any chunk.  No reference cycle holds the function, so a march's kernel
     frees its buffers as soon as the march drops it.  One returned function
-    must not run in two threads at once.
+    may serve many marches, one at a time: it must not run in two threads
+    at once.
     """
     kappa = -(1.0 - 1j * params.beta)
     l1, l2 = params.lambda1, params.lambda2
@@ -395,14 +398,14 @@ def make_nonlin(params: Parameters, basis: SpectralBasis):
     def plan(S: int) -> list:
         """[(rows, views)] for each chunk of a batch of S rows.  Plans are
         kept, because making a view costs about as much as a small
-        elementwise op.  The first call sizes the buffers, a one-point
-        grid's at ``most`` rows, so no chunk is a lone row (``nonlin``)."""
-        if not bases:
-            n = most if one_point else max(1, min(S, most))
+        elementwise op; reallocating the buffers drops them."""
+        n = min(S, most)
+        if not bases or n > len(bases["U"]):
             bases.update((k, np.empty((n,) + shape, complex))
                          for k, shape in layout.items())
+            plans.clear()
         p = plans[S] = [(rows, views(rows.stop - rows.start))
-                        for rows in _row_chunks(S, len(bases["U"]))]
+                        for rows in _row_chunks(S, most)]
         return p
 
     def chunk(w: SimpleNamespace, cf: np.ndarray, out: np.ndarray):

@@ -17,7 +17,7 @@ from sggl import (BlowUpError, Control, EndpointSpec, JumpModel, JumpSample,
 from sggl import harness, skeleton, spde, timestep
 from sggl.skeleton import march
 from sggl.spde import march_batch
-from sggl.spectral import make_nonlin
+from sggl.spectral import chunk_rows, make_nonlin
 from sggl.timestep import etdrk2_step, linear_tables
 
 from conftest import jm2
@@ -177,6 +177,29 @@ def test_per_row_drift_rows_match_their_single_marches(params_pi):
         for got, want in zip(res.endpoints, alone):
             assert np.array_equal(got, want)
     assert isinstance(res.errors[3], BlowUpError)
+
+
+@pytest.mark.parametrize("one_point", [False, True], ids=["8x8 with F", "one-point"])
+def test_marches_sharing_a_kernel_match_their_own(params_pi, one_point):
+    # one kernel serves a 1-row march, a march of more rows than a kernel
+    # chunk holds, then a 1-row march again; each gives the endpoints of the
+    # same march with a kernel of its own, bit for bit.  On a one-point grid
+    # the 1-row marches go through the kernel's lone-row guard.
+    p = replace(params_pi, lambda1=(0.3 + 0.1j, -0.2), lambda2=(0.1, 0.4j))
+    basis = (make_basis(1, 1, p, pad_factor=1) if one_point
+             else make_basis(8, 8, p, pad_factor=4))
+    assert (basis.grid_shape == (1, 1)) == one_point
+    u0 = mode_field(basis, 1, 1, 0.3)
+    grid = TimeGrid(T=0.1, n_steps=10)
+    S = chunk_rows(p, basis) + 3
+    drifts = np.stack([np.linspace(-1.0, 1.0, S), np.linspace(0.5, -0.5, S)], axis=1)
+    nonlin = make_nonlin(p, basis)
+    for rows in (drifts[:1], drifts, drifts[-1:]):
+        none = np.empty((len(rows), 0))
+        shared = march(p, basis, u0, grid, none, none, rows, 2, nonlin=nonlin)
+        own = march(p, basis, u0, grid, none, none, rows, 2)
+        assert shared.errors == own.errors == [None] * len(rows)
+        assert np.array_equal(shared.endpoints, own.endpoints)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3)])

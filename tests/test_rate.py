@@ -1,5 +1,7 @@
 """Entropy cost, level sets, and the rate-function estimator."""
 
+import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -12,7 +14,7 @@ from sggl import (Control, EndpointSpec, JumpModel, OptConfig, TimeGrid,
                   make_basis, mode_field, solve_skeleton)
 from sggl import rate
 from sggl.cli import _opt_config
-from sggl.config import parse_config
+from sggl.config import ConfigError, parse_config
 from sggl.skeleton import MarchResult, march
 
 from conftest import jm2
@@ -198,24 +200,52 @@ def test_rate_result_fields(params_pi, monkeypatch):
     assert res.iterations >= 0
     assert res.control.phi.shape == (2, 1)
     # phi = 1 lands on the center, so the objective is 0 and every line-search
-    # candidate costs more: the search marches the start and one gradient of
+    # candidate costs more: the search marches the start with one gradient of
     # two probes, and no candidate (the later stages restart at the same phi
     # and reuse its forward differences)
-    assert (res.marches, res.skeleton_paths) == (2, 3)
+    assert (res.marches, res.skeleton_paths) == (1, 3)
     # no drift row is marched twice, though every continuation stage retries
     # the same failed line search from the same phi
     assert len(set(marched)) == len(marched) == res.skeleton_paths
 
 
-def test_rate_search_independent_of_batching(params_pi, monkeypatch):
-    # the batched search gives what solving its skeletons one at a time
-    # gives, bit for bit: 2 bins x 2 marks, so two drift rows a gradient
+def two_by_two_search(params_pi):
+    """A search of 2 bins x 2 marks, so two drift rows a gradient, as a
+    function that runs it."""
     basis, u0, _, grid = rate_setup(params_pi)
     jm = jm2()
     phi_star = Control(T=grid.T, phi=np.array([[1.8, 0.6], [0.9, 1.4]]))
     center = solve_skeleton(params_pi, basis, u0, jm, phi_star, grid).endpoint
     target = EndpointSpec(center=center, radius=1e-2 * center.l2())
-    opt = OptConfig(n_bins=2)
+    return lambda: estimate_rate(target, params_pi, basis, jm, u0, grid,
+                                 OptConfig(n_bins=2))
+
+
+def bench_tiny_search(tmp_path):
+    """The search of the benchmark's tiny rate configuration (4x4 basis,
+    20 steps), as a function that runs it."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        from workloads import DEFAULT_SEED, ini_text
+    finally:
+        sys.path.remove(str(BENCH))
+    ini = tmp_path / "rate.ini"
+    ini.write_text(ini_text("rate-default", DEFAULT_SEED, "tiny", BENCH.parent),
+                   encoding="utf-8")
+    spec = parse_config(str(ini))
+    assert (spec.basis.n1, spec.basis.n2, spec.grid.n_steps) == (4, 4, 20)
+    center = solve_skeleton(spec.params, spec.basis, spec.u0, spec.jm,
+                            Control(T=spec.grid.T, phi=spec.target_phi),
+                            spec.grid).endpoint
+    target = EndpointSpec(center=center, radius=spec.target_radius)
+    return lambda: estimate_rate(target, spec.params, spec.basis, spec.jm,
+                                 spec.u0, spec.grid, _opt_config(spec))
+
+
+def test_rate_search_independent_of_batching(params_pi, monkeypatch):
+    # the batched search gives what solving its skeletons one at a time
+    # gives, bit for bit: 2 bins x 2 marks, so two drift rows a gradient
+    solve = two_by_two_search(params_pi)
     marched = []
 
     def one_row_at_a_time(params, basis, u0, grid, times, factors, drift,
@@ -229,9 +259,9 @@ def test_rate_search_independent_of_batching(params_pi, monkeypatch):
         return MarchResult(np.concatenate([p.endpoints for p in parts]),
                            [e for p in parts for e in p.errors], *counters)
 
-    batched = estimate_rate(target, params_pi, basis, jm, u0, grid, opt)
+    batched = solve()
     monkeypatch.setattr(rate, "march", one_row_at_a_time)
-    serial = estimate_rate(target, params_pi, basis, jm, u0, grid, opt)
+    serial = solve()
     assert batched.feasible and batched.skeleton_paths >= 4 * batched.iterations
     for name in ("value", "endpoint_gap", "iterations", "feasible", "marches",
                  "skeleton_paths"):
@@ -245,9 +275,9 @@ def test_rate_search_independent_of_batching(params_pi, monkeypatch):
 def test_rate_gradient_marches_one_drift_row_per_bin(params_pi, monkeypatch):
     # a probe reaches the skeleton only through its bin's drift, so a
     # gradient of a 2-bin x 2-mark search marches one row per bin.  Two
-    # stages of at most two iterations march: the start row; the first
+    # stages of at most two iterations march: the start row with the first
     # gradient's two rows; a line search that tries all 25 steps in batches
-    # of 2, 4, 8 and 11 and finds none; the second stage restarts at the
+    # of 2, 2, 4 and 17 and finds none; the second stage restarts at the
     # same phi, so it reuses that gradient and marches only its line search;
     # then one gradient and one line search, and no gradient at the control
     # the search stops on
@@ -265,7 +295,7 @@ def test_rate_gradient_marches_one_drift_row_per_bin(params_pi, monkeypatch):
     res = estimate_rate(EndpointSpec(center=center, radius=1e-2 * center.l2()),
                         params_pi, basis, jm, u0, grid,
                         OptConfig(n_bins=2, n_rho=2, max_inner=2))
-    assert sizes == [1, 2, 2, 4, 8, 11, 2, 2, 2]
+    assert sizes == [3, 2, 2, 4, 17, 2, 2, 2]
     assert (res.marches, res.skeleton_paths) == (len(sizes), sum(sizes))
 
 
@@ -289,24 +319,7 @@ def test_rate_search_skips_only_candidates_it_would_reject(tmp_path, monkeypatch
     # on the benchmark's tiny rate configuration (4x4 basis, 20 steps), the
     # search that marches every line-search candidate, its cost ruling it
     # out or not, finds the same answer bit for bit with more skeletons
-    sys.path.insert(0, str(BENCH))
-    try:
-        from workloads import DEFAULT_SEED, ini_text
-    finally:
-        sys.path.remove(str(BENCH))
-    ini = tmp_path / "rate.ini"
-    ini.write_text(ini_text("rate-default", DEFAULT_SEED, "tiny", BENCH.parent),
-                   encoding="utf-8")
-    spec = parse_config(str(ini))
-    assert (spec.basis.n1, spec.basis.n2, spec.grid.n_steps) == (4, 4, 20)
-    center = solve_skeleton(spec.params, spec.basis, spec.u0, spec.jm,
-                            Control(T=spec.grid.T, phi=spec.target_phi),
-                            spec.grid).endpoint
-    target = EndpointSpec(center=center, radius=spec.target_radius)
-
-    def solve():
-        return estimate_rate(target, spec.params, spec.basis, spec.jm, spec.u0,
-                             spec.grid, _opt_config(spec))
+    solve = bench_tiny_search(tmp_path)
     pruned = solve()
     monkeypatch.setattr(rate, "_may_improve", lambda c, f: True)
     every = solve()
@@ -318,6 +331,48 @@ def test_rate_search_skips_only_candidates_it_would_reject(tmp_path, monkeypatch
     assert pruned.marches <= every.marches
 
 
+@pytest.mark.parametrize("search", ["two bins x two marks", "bench tiny"])
+def test_rate_search_independent_of_ladder(params_pi, tmp_path, monkeypatch, search):
+    # the line search accepts its candidates in serial order, so marching
+    # them one per batch finds the same answer bit for bit in more marches
+    solve = (two_by_two_search(params_pi) if search == "two bins x two marks"
+             else bench_tiny_search(tmp_path))
+    laddered = solve()
+    monkeypatch.setattr(rate, "_LADDER", range(1, 25))
+    one_by_one = solve()
+    assert laddered.feasible
+    for name in ("value", "endpoint_gap", "iterations", "feasible"):
+        assert getattr(laddered, name) == getattr(one_by_one, name), name
+    assert np.array_equal(laddered.control.phi, one_by_one.control.phi)
+    assert laddered.marches < one_by_one.marches
+
+
 def test_endpoint_spec_rejects_negative_radius(params_pi, basis8):
     with pytest.raises(ValueError):
         EndpointSpec(center=mode_field(basis8, 1, 1), radius=-1.0)
+
+
+def test_endpoint_spec_rejects_nan_radius(basis8):
+    # NaN < 0 is False, so a NaN radius once passed, and the rate search
+    # then took every gap as inside the ball; +inf is a ball holding all
+    center = mode_field(basis8, 1, 1)
+    with pytest.raises(ValueError, match="radius"):
+        EndpointSpec(center=center, radius=float("nan"))
+    assert EndpointSpec(center=center, radius=math.inf).radius == math.inf
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_bins", 0), ("n_rho", 0), ("max_inner", -1), ("n_bins", 1.5),
+    ("fd_step", 0.0), ("fd_step", math.nan), ("step0", math.inf),
+    ("gap_tol", -1e-4)])
+def test_opt_config_rejects_what_the_rate_section_rejects(tmp_path, name, value):
+    # each int a count, each float finite and > 0, through the Python API and
+    # as the [rate] key alike
+    with pytest.raises(ValueError, match=name):
+        OptConfig(**{name: value})
+    default = (BENCH.parent / "configs" / "default.ini").read_text(encoding="utf-8")
+    ini = tmp_path / "run.ini"
+    ini.write_text(re.sub(rf"^{name} = .*$", f"{name} = {value}", default, flags=re.M),
+                   encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"\[rate\] {name} = '{value}'"):
+        parse_config(str(ini))

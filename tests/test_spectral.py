@@ -2,6 +2,7 @@
 
 import gc
 import math
+from collections import Counter
 import tracemalloc
 import weakref
 
@@ -11,8 +12,8 @@ from scipy.integrate import quad
 
 from sggl import (Parameters, ParameterError, apply_A, apply_B, apply_F, make_basis,
                   make_nonlin, mode_field, zero_field)
-from sggl.spectral import (WORKSPACE_BYTES, _lp_power, _power_by, _row_chunks, chunk_rows,
-                           norm_powers)
+from sggl.spectral import (WORKSPACE_BYTES, _kernel_layout, _lp_power, _power_by, _row_chunks,
+                           chunk_rows, norm_powers)
 
 from conftest import oracle_B_modes, oracle_F_modes, rel_err
 
@@ -364,6 +365,14 @@ def test_chunk_rows_one_layout_with_F():
                         "lambda1 only": with_F}
 
 
+def traced_array_bytes() -> list[int]:
+    """The size of each block of numpy array data that tracemalloc has
+    traced and that is still held."""
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return [t.size for t in snapshot.traces]
+
+
 @pytest.mark.parametrize("lambdas", ["no F", "F"])
 def test_make_nonlin_workspace_stays_within_budget(lambdas):
     # a 256-row 8x8 batch would need about 30 MB of grid buffers with F; the
@@ -374,18 +383,22 @@ def test_make_nonlin_workspace_stays_within_budget(lambdas):
     modes = random_modes((256, 8, 8), seed=5)
     most = chunk_rows(p, b)
     assert most == (34 if lambdas == "no F" else 14)
+    # a whole chunk of each of the kernel's buffers
+    item = np.dtype(complex).itemsize
+    buffers = [most * math.prod(shape) * item
+               for shape in _kernel_layout(b, lambdas != "no F").values()]
     tracemalloc.start()
     try:
         out = nonlin(modes)
         _, peak = tracemalloc.get_traced_memory()
-        arrays = tracemalloc.take_snapshot().filter_traces(
-            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        left = traced_array_bytes()
     finally:
         tracemalloc.stop()
-    # the array data the call leaves besides its result is the workspace;
-    # numpy's casting buffers (8192 elements each) and a few views come and
-    # go within the call
-    assert sum(t.size for t in arrays.traces) - out.nbytes <= WORKSPACE_BYTES
+    # the array data the call leaves besides its result is the workspace, a
+    # whole chunk of each buffer; numpy's casting buffers (8192 elements
+    # each) and a few views come and go within the call
+    assert Counter(left) == Counter(buffers + [out.nbytes])
+    assert sum(left) - out.nbytes <= WORKSPACE_BYTES
     assert peak - out.nbytes <= WORKSPACE_BYTES + 2 ** 18
     # a batch one row longer than a chunk is cut in two, yet the buffers
     # take a whole chunk, so a later batch of one chunk allocates nothing
@@ -399,19 +412,18 @@ def test_make_nonlin_workspace_stays_within_budget(lambdas):
     finally:
         tracemalloc.stop()
     assert peak_one <= one.nbytes + 2 ** 18
-    # the first call sizes the buffers: a kernel called with one row, then
-    # with a 160-row batch, walks the batch a row at a time and allocates
-    # nothing besides its result, and each row is its single call's
+    # the chunks do not depend on the first call: a kernel called with one
+    # row, then with a 160-row batch, grows its buffers to a whole chunk,
+    # and each row is its single call's
     nonlin = make_nonlin(p, b)
     singles = [nonlin(m) for m in modes[:160]]
     tracemalloc.start()
     try:
         batch = nonlin(modes[:160])
-        left = tracemalloc.take_snapshot().filter_traces(
-            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        left = traced_array_bytes()
     finally:
         tracemalloc.stop()
-    assert sum(t.size for t in left.traces) == batch.nbytes
+    assert Counter(left) == Counter(buffers + [batch.nbytes])
     for s, one in enumerate(singles):
         assert np.array_equal(batch[s], one)
 
